@@ -15,7 +15,9 @@ import (
 	"repro/internal/campaign"
 	"repro/internal/experiments"
 	"repro/internal/model"
+	"repro/internal/regress"
 	"repro/internal/sim"
+	"repro/internal/stats"
 	"repro/internal/train"
 )
 
@@ -71,6 +73,64 @@ func BenchmarkCheckpointSequential(b *testing.B) { runExperiment(b, "ckptseq") }
 
 // BenchmarkTableIV regenerates Table IV: checkpoint-time predictors.
 func BenchmarkTableIV(b *testing.B) { runExperiment(b, "table4") }
+
+// checkpointSearchData is Table IV's SVR input: every zoo model's
+// total checkpoint size (min-max normalized) against five noisy
+// checkpoint timings each, split 4:1 — an 80-sample training set.
+func checkpointSearchData(b *testing.B) ([][]float64, []float64) {
+	b.Helper()
+	rng := stats.NewRng(1)
+	var X [][]float64
+	var y []float64
+	for _, m := range model.Zoo() {
+		for i := 0; i < 5; i++ {
+			X = append(X, []float64{float64(m.CkptDataBytes+m.CkptMetaBytes+m.CkptIndexBytes) / 1e6})
+			y = append(y, rng.LogNormal(train.CheckpointSeconds(m), 0.025))
+		}
+	}
+	var scaler regress.MinMaxScaler
+	X, err := scaler.FitTransform(X)
+	if err != nil {
+		b.Fatal(err)
+	}
+	trX, trY, _, _, err := regress.TrainTestSplit(X, y, 0.8, stats.NewRng(2))
+	if err != nil {
+		b.Fatal(err)
+	}
+	return trX, trY
+}
+
+// BenchmarkSVRGridSearch runs Table IV's SVR grid search serially: five
+// RBF bandwidths × the paper's 100-point (C, ε) grid × five folds on 80
+// samples, 2,500 fits sharing one Gram matrix per (kernel, fold).
+func BenchmarkSVRGridSearch(b *testing.B) {
+	X, y := checkpointSearchData(b)
+	kernels := []regress.Kernel{
+		regress.RBF{Sigma: 0.05}, regress.RBF{Sigma: 0.1},
+		regress.RBF{Sigma: 0.2}, regress.RBF{Sigma: 0.35}, regress.RBF{Sigma: 0.5},
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, _, _, _, _, err := regress.GridSearchSVRKernels(kernels, regress.PaperSVRGrid(), X, y, 5, stats.NewRng(3)); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkSVRFit fits one SVR on the same 80 samples: the unit of work
+// the grid search repeats.
+func BenchmarkSVRFit(b *testing.B) {
+	X, y := checkpointSearchData(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		m := &regress.SVR{Kernel: regress.RBF{Sigma: 0.2}, C: 50, Epsilon: 0.05}
+		if err := m.Fit(X, y); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
 
 // BenchmarkFigure6 regenerates Fig. 6: startup-stage breakdown.
 func BenchmarkFigure6(b *testing.B) { runExperiment(b, "fig6") }

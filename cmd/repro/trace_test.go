@@ -2,10 +2,12 @@ package main
 
 import (
 	"bytes"
+	"encoding/json"
 	"io"
 	"os"
 	"path/filepath"
 	"runtime"
+	"strings"
 	"testing"
 
 	"repro/internal/experiments"
@@ -121,5 +123,48 @@ func TestTimingCollectorReport(t *testing.T) {
 	}
 	if !bytes.Contains(raw, []byte(`"experiment": "fig5"`)) || !bytes.Contains(raw, []byte(`"per_unit"`)) {
 		t.Fatalf("timing artifact missing expected fields:\n%s", raw)
+	}
+}
+
+// TestTimingListsSearchUnits checks that Table IV's SVR grid search is
+// visible to -timing-out: it runs as the experiment's second stage, one
+// unit per (kernel, fold) — 5 RBF bandwidths × 5 folds — reported under
+// table4 after its dataset unit, rather than as unattributed reduce
+// time.
+func TestTimingListsSearchUnits(t *testing.T) {
+	if testing.Short() {
+		t.Skip("Table IV grid search in -short mode")
+	}
+	r, ok := experiments.ByID("table4")
+	if !ok {
+		t.Fatal("table4 experiment not registered")
+	}
+	timings := newTimingCollector([]experiments.Runner{r}, 2)
+	if _, err := writeExperimentsObserved(io.Discard, []experiments.Runner{r}, 42, 2, nil, timings); err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "timing.json")
+	if err := timings.writeFile(path, 1.0); err != nil {
+		t.Fatal(err)
+	}
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var rep timingReport
+	if err := json.Unmarshal(raw, &rep); err != nil {
+		t.Fatal(err)
+	}
+	search := 0
+	for i, u := range rep.PerUnit {
+		if u.Experiment != "table4" || u.Unit != i {
+			t.Fatalf("row %d is %s unit %d, want table4 unit %d", i, u.Experiment, u.Unit, i)
+		}
+		if strings.HasPrefix(u.Key, "svr-rbf/rbf(") && strings.Contains(u.Key, "/fold") {
+			search++
+		}
+	}
+	if search != 25 || rep.Units != 26 {
+		t.Fatalf("timing lists %d search units among %d, want 25 (kernel, fold) units after the dataset unit:\n%s", search, rep.Units, raw)
 	}
 }

@@ -3,9 +3,9 @@
 // a grid of independent replications — one simulated session or study
 // per unit, each on its own single-threaded kernel — plus a reduce
 // that renders the result in the same rows/series the paper reports,
-// so shapes can be compared side by side (EXPERIMENTS.md records that
-// comparison). The campaign engine schedules the grid on a worker
-// pool; output is identical at any worker count.
+// so shapes can be compared side by side. The campaign engine
+// schedules the grid on a worker pool; output is identical at any
+// worker count.
 package experiments
 
 import (
@@ -213,6 +213,17 @@ func (p *plan) build(reduce func(outs []any) (Result, error)) *campaign.Plan {
 		Units:  p.units,
 		Reduce: func(outs []any) (any, error) { return reduce(outs) },
 	}
+}
+
+// then finalizes the plan with a second stage instead of a reduce:
+// next turns the declared units' outputs into a follow-up plan whose
+// units run on the same workers (see campaign.Plan.Then). next runs
+// while the engine does, so it builds its plan as &plan{seed: seed}
+// rather than through newPlan, which reads the tracing state only
+// plan-building time may touch; follow-up units hold analysis, not
+// simulated sessions, and have nothing to trace.
+func (p *plan) then(next func(outs []any) (*campaign.Plan, error)) *campaign.Plan {
+	return &campaign.Plan{Seed: p.seed, Units: p.units, Then: next}
 }
 
 // table is a minimal text-table builder used by all renderers.

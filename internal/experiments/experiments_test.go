@@ -249,9 +249,8 @@ func TestTableIV(t *testing.T) {
 	uni := r.Rows[0]
 	// On our substrate the checkpoint process is only mildly
 	// nonlinear (throughput ramp), so SVR-RBF and linear are close;
-	// require SVR to be competitive rather than strictly dominant
-	// (EXPERIMENTS.md documents this deviation from the paper's
-	// clear-cut SVR win).
+	// require SVR to be competitive rather than strictly dominant, a
+	// deviation from the paper's clear-cut SVR win.
 	if svr.KFoldMAE > uni.KFoldMAE*1.25 {
 		t.Errorf("SVR-RBF k-fold MAE %.4f should be competitive with univariate %.4f (Table IV)",
 			svr.KFoldMAE, uni.KFoldMAE)

@@ -45,8 +45,9 @@ func evaluateRegressor(factory regress.Factory, X [][]float64, y []float64, k in
 	return kfoldMean, kfoldStd, stats.MAE(pred, teY), stats.MAPE(pred, teY), nil
 }
 
-// svrBandwidths lists kernel-bandwidth candidates swept alongside the
-// paper's (C, ε) grid, on min-max-normalized features.
+// rbfCandidates and polyCandidates list the kernel candidates searched
+// alongside the paper's (C, ε) grid, on min-max-normalized features:
+// RBF bandwidths σ and polynomial offsets c.
 var rbfCandidates = []regress.Kernel{
 	regress.RBF{Sigma: 0.05}, regress.RBF{Sigma: 0.1},
 	regress.RBF{Sigma: 0.2}, regress.RBF{Sigma: 0.35}, regress.RBF{Sigma: 0.5},
@@ -58,32 +59,37 @@ var polyCandidates = []regress.Kernel{
 	regress.Polynomial{Degree: 2, Coef0: 2},
 }
 
-// evaluateSVR grid-searches the kernel bandwidth and (C, ε) on the
-// training split exactly as §III-B describes, then evaluates the
-// winner.
-func evaluateSVR(kernels []regress.Kernel, X [][]float64, y []float64, k int, seed int64) (row RegressionRow, err error) {
-	rng := stats.NewRng(seed)
-	trX, trY, teX, teY, err := regress.TrainTestSplit(X, y, 0.8, rng)
+// svrRow evaluates an SVR row the way §III-B describes: a 4:1
+// train/test split, a grid search of the kernel candidates and (C, ε)
+// on the training split, then the winner's k-fold and test errors. The
+// search runs as units of p, one per (kernel, fold), keyed under key;
+// svrRow returns the reduce-side step that selects and evaluates the
+// winner from p's outputs.
+func (p *plan) svrRow(key string, kernels []regress.Kernel, X [][]float64, y []float64, k int, seed int64) (func(outs []any) (RegressionRow, error), error) {
+	trX, trY, _, _, err := regress.TrainTestSplit(X, y, 0.8, stats.NewRng(seed))
 	if err != nil {
-		return row, err
+		return nil, err
 	}
-	factory, _, c, eps, _, err := regress.GridSearchSVRKernels(kernels, regress.PaperSVRGrid(), trX, trY, k, stats.NewRng(seed+2))
+	search, err := regress.NewKernelSearch(kernels, regress.PaperSVRGrid(), trX, trY, k, stats.NewRng(seed+2))
 	if err != nil {
-		return row, err
+		return nil, err
 	}
-	row.C, row.Epsilon = c, eps
-	row.KFoldMAE, row.KFoldStd, err = regress.CrossValMAE(factory, trX, trY, k, stats.NewRng(seed+1))
-	if err != nil {
-		return row, err
+	first := len(p.units)
+	for t := 0; t < search.Tasks(); t++ {
+		t := t
+		p.unit(key+"/"+search.TaskKey(t), func(int64) (any, error) { return search.RunTask(t) })
 	}
-	m := factory()
-	if err := m.Fit(trX, trY); err != nil {
+	return func(outs []any) (row RegressionRow, err error) {
+		results := make([]*regress.TaskResult, search.Tasks())
+		for t := range results {
+			results[t] = outs[first+t].(*regress.TaskResult)
+		}
+		best := search.Select(results)
+		row.C, row.Epsilon = best.C, best.Epsilon
+		// The same seed redraws the same split the search ran on.
+		row.KFoldMAE, row.KFoldStd, row.TestMAE, row.TestMAPE, err = evaluateRegressor(best.Factory(), X, y, k, seed)
 		return row, err
-	}
-	pred := regress.PredictAll(m, teX)
-	row.TestMAE = stats.MAE(pred, teY)
-	row.TestMAPE = stats.MAPE(pred, teY)
-	return row, nil
+	}, nil
 }
 
 // TableIIResult reproduces Table II: eight step-time prediction
@@ -96,13 +102,14 @@ func planTableII(seed int64) *campaign.Plan {
 	gpus := []model.GPU{model.K80, model.P100}
 	p := newPlan(seed)
 	dataset := p.declareSpeedDataset(gpus)
-	return p.build(func(outs []any) (Result, error) {
-		return reduceTableII(seed, gpus, dataset(outs))
+	return p.then(func(outs []any) (*campaign.Plan, error) {
+		return planTableIIModels(seed, gpus, dataset(outs))
 	})
 }
 
-func reduceTableII(seed int64, gpus []model.GPU, ds *speedDataset) (Result, error) {
-	res := &TableIIResult{}
+// planTableIIModels is Table II's second stage: the per-GPU SVR grid
+// searches run as units, and the reduce evaluates every row.
+func planTableIIModels(seed int64, gpus []model.GPU, ds *speedDataset) (*campaign.Plan, error) {
 	const k = 5
 
 	// GPU-agnostic dataset: all (model, GPU) pairs with raw features
@@ -126,32 +133,15 @@ func reduceTableII(seed int64, gpus []model.GPU, ds *speedDataset) (Result, erro
 		return nil, err
 	}
 
-	linear := func() regress.Regressor { return &regress.Linear{} }
-
-	kf, ks, tm, tp, err := evaluateRegressor(linear, cnormX, yAll, k, seed+10)
-	if err != nil {
-		return nil, err
-	}
-	res.Rows = append(res.Rows, RegressionRow{
-		Name: "Univariate, GPU-agnostic", Features: "Cnorm",
-		KFoldMAE: kf, KFoldStd: ks, TestMAE: tm, TestMAPE: tp,
-		PaperKFold: 0.072, PaperTest: 0.068,
-	})
-	kf, ks, tm, tp, err = evaluateRegressor(linear, multiX, yAll, k, seed+11)
-	if err != nil {
-		return nil, err
-	}
-	res.Rows = append(res.Rows, RegressionRow{
-		Name: "Multivariate, GPU-agnostic", Features: "Cm, Cgpu",
-		KFoldMAE: kf, KFoldStd: ks, TestMAE: tm, TestMAPE: tp,
-		PaperKFold: 0.103, PaperTest: 0.093,
-	})
-
 	// Per-GPU rows: feature is Cm normalized within the GPU's zoo.
-	paper := map[model.GPU][3][2]float64{
-		model.K80:  {{0.065, 0.068}, {0.035, 0.041}, {0.026, 0.031}},
-		model.P100: {{0.029, 0.031}, {0.019, 0.020}, {0.012, 0.016}},
+	type gpuRows struct {
+		X         [][]float64
+		stepSec   []float64
+		seed      int64
+		poly, rbf func(outs []any) (RegressionRow, error)
 	}
+	q := &plan{seed: seed}
+	perGPU := make([]gpuRows, len(gpus))
 	for gi, g := range gpus {
 		gflops, stepSec := ds.gpuVectors(g)
 		var scaler regress.MinMaxScaler
@@ -159,35 +149,74 @@ func reduceTableII(seed int64, gpus []model.GPU, ds *speedDataset) (Result, erro
 		if err != nil {
 			return nil, err
 		}
-		rowSeed := seed + 20 + int64(gi)*10
-		kf, ks, tm, tp, err := evaluateRegressor(linear, X, stepSec, k, rowSeed)
+		r := gpuRows{X: X, stepSec: stepSec, seed: seed + 20 + int64(gi)*10}
+		if r.poly, err = q.svrRow(fmt.Sprintf("svr-poly/%v", g), polyCandidates, X, stepSec, k, r.seed+1); err != nil {
+			return nil, err
+		}
+		if r.rbf, err = q.svrRow(fmt.Sprintf("svr-rbf/%v", g), rbfCandidates, X, stepSec, k, r.seed+2); err != nil {
+			return nil, err
+		}
+		perGPU[gi] = r
+	}
+
+	return q.build(func(outs []any) (Result, error) {
+		res := &TableIIResult{}
+		linear := func() regress.Regressor { return &regress.Linear{} }
+
+		kf, ks, tm, tp, err := evaluateRegressor(linear, cnormX, yAll, k, seed+10)
 		if err != nil {
 			return nil, err
 		}
 		res.Rows = append(res.Rows, RegressionRow{
-			Name: fmt.Sprintf("Univariate, %v", g), Features: "Cm",
+			Name: "Univariate, GPU-agnostic", Features: "Cnorm",
 			KFoldMAE: kf, KFoldStd: ks, TestMAE: tm, TestMAPE: tp,
-			PaperKFold: paper[g][0][0], PaperTest: paper[g][0][1],
+			PaperKFold: 0.072, PaperTest: 0.068,
 		})
-		polyRow, err := evaluateSVR(polyCandidates, X, stepSec, k, rowSeed+1)
+		kf, ks, tm, tp, err = evaluateRegressor(linear, multiX, yAll, k, seed+11)
 		if err != nil {
 			return nil, err
 		}
-		polyRow.Name = fmt.Sprintf("SVR Polynomial Kernel, %v", g)
-		polyRow.Features = "Cm"
-		polyRow.PaperKFold, polyRow.PaperTest = paper[g][1][0], paper[g][1][1]
-		res.Rows = append(res.Rows, polyRow)
+		res.Rows = append(res.Rows, RegressionRow{
+			Name: "Multivariate, GPU-agnostic", Features: "Cm, Cgpu",
+			KFoldMAE: kf, KFoldStd: ks, TestMAE: tm, TestMAPE: tp,
+			PaperKFold: 0.103, PaperTest: 0.093,
+		})
 
-		rbfRow, err := evaluateSVR(rbfCandidates, X, stepSec, k, rowSeed+2)
-		if err != nil {
-			return nil, err
+		paper := map[model.GPU][3][2]float64{
+			model.K80:  {{0.065, 0.068}, {0.035, 0.041}, {0.026, 0.031}},
+			model.P100: {{0.029, 0.031}, {0.019, 0.020}, {0.012, 0.016}},
 		}
-		rbfRow.Name = fmt.Sprintf("SVR RBF Kernel, %v", g)
-		rbfRow.Features = "Cm"
-		rbfRow.PaperKFold, rbfRow.PaperTest = paper[g][2][0], paper[g][2][1]
-		res.Rows = append(res.Rows, rbfRow)
-	}
-	return res, nil
+		for gi, g := range gpus {
+			r := perGPU[gi]
+			kf, ks, tm, tp, err := evaluateRegressor(linear, r.X, r.stepSec, k, r.seed)
+			if err != nil {
+				return nil, err
+			}
+			res.Rows = append(res.Rows, RegressionRow{
+				Name: fmt.Sprintf("Univariate, %v", g), Features: "Cm",
+				KFoldMAE: kf, KFoldStd: ks, TestMAE: tm, TestMAPE: tp,
+				PaperKFold: paper[g][0][0], PaperTest: paper[g][0][1],
+			})
+			polyRow, err := r.poly(outs)
+			if err != nil {
+				return nil, err
+			}
+			polyRow.Name = fmt.Sprintf("SVR Polynomial Kernel, %v", g)
+			polyRow.Features = "Cm"
+			polyRow.PaperKFold, polyRow.PaperTest = paper[g][1][0], paper[g][1][1]
+			res.Rows = append(res.Rows, polyRow)
+
+			rbfRow, err := r.rbf(outs)
+			if err != nil {
+				return nil, err
+			}
+			rbfRow.Name = fmt.Sprintf("SVR RBF Kernel, %v", g)
+			rbfRow.Features = "Cm"
+			rbfRow.PaperKFold, rbfRow.PaperTest = paper[g][2][0], paper[g][2][1]
+			res.Rows = append(res.Rows, rbfRow)
+		}
+		return res, nil
+	}), nil
 }
 
 // String renders the comparison.
@@ -216,12 +245,14 @@ func planTableIV(seed int64) *campaign.Plan {
 	p.unit("ckpt-dataset", func(s int64) (any, error) {
 		return collectCheckpointDataset(5, s), nil
 	})
-	return p.build(func(outs []any) (Result, error) {
-		return reduceTableIV(seed, outs[0].(*checkpointDataset))
+	return p.then(func(outs []any) (*campaign.Plan, error) {
+		return planTableIVModels(seed, outs[0].(*checkpointDataset))
 	})
 }
 
-func reduceTableIV(seed int64, ds *checkpointDataset) (Result, error) {
+// planTableIVModels is Table IV's second stage: the SVR grid search
+// runs as units, and the reduce evaluates every row.
+func planTableIVModels(seed int64, ds *checkpointDataset) (*campaign.Plan, error) {
 	obs := ds.observations()
 	const k = 5
 
@@ -249,46 +280,53 @@ func reduceTableIV(seed int64, ds *checkpointDataset) (Result, error) {
 		return nil, err
 	}
 
-	res := &TableIVResult{}
-	linear := func() regress.Regressor { return &regress.Linear{} }
+	q := &plan{seed: seed}
+	svr, err := q.svrRow("svr-rbf", rbfCandidates, scX, y, k, seed+33)
+	if err != nil {
+		return nil, err
+	}
+	return q.build(func(outs []any) (Result, error) {
+		res := &TableIVResult{}
+		linear := func() regress.Regressor { return &regress.Linear{} }
 
-	kf, ks, tm, tp, err := evaluateRegressor(linear, scX, y, k, seed+30)
-	if err != nil {
-		return nil, err
-	}
-	res.Rows = append(res.Rows, RegressionRow{
-		Name: "Univariate", Features: "Sc",
-		KFoldMAE: kf, KFoldStd: ks, TestMAE: tm, TestMAPE: tp,
-		PaperKFold: 0.345, PaperTest: 0.356,
-	})
-	kf, ks, tm, tp, err = evaluateRegressor(linear, dmX, y, k, seed+31)
-	if err != nil {
-		return nil, err
-	}
-	res.Rows = append(res.Rows, RegressionRow{
-		Name: "Multivariate", Features: "Sd, Sm",
-		KFoldMAE: kf, KFoldStd: ks, TestMAE: tm, TestMAPE: tp,
-		PaperKFold: 0.291, PaperTest: 0.353,
-	})
-	pcaFactory := func() regress.Regressor { return &regress.PCARegressor{Components: 2} }
-	kf, ks, tm, tp, err = evaluateRegressor(pcaFactory, allX, y, k, seed+32)
-	if err != nil {
-		return nil, err
-	}
-	res.Rows = append(res.Rows, RegressionRow{
-		Name: "Multivariate, Two Components PCA", Features: "Sd, Sm, Si",
-		KFoldMAE: kf, KFoldStd: ks, TestMAE: tm, TestMAPE: tp,
-		PaperKFold: 0.286, PaperTest: 0.354,
-	})
-	svrRow, err := evaluateSVR(rbfCandidates, scX, y, k, seed+33)
-	if err != nil {
-		return nil, err
-	}
-	svrRow.Name = "SVR RBF kernel"
-	svrRow.Features = "Sc"
-	svrRow.PaperKFold, svrRow.PaperTest = 0.198, 0.245
-	res.Rows = append(res.Rows, svrRow)
-	return res, nil
+		kf, ks, tm, tp, err := evaluateRegressor(linear, scX, y, k, seed+30)
+		if err != nil {
+			return nil, err
+		}
+		res.Rows = append(res.Rows, RegressionRow{
+			Name: "Univariate", Features: "Sc",
+			KFoldMAE: kf, KFoldStd: ks, TestMAE: tm, TestMAPE: tp,
+			PaperKFold: 0.345, PaperTest: 0.356,
+		})
+		kf, ks, tm, tp, err = evaluateRegressor(linear, dmX, y, k, seed+31)
+		if err != nil {
+			return nil, err
+		}
+		res.Rows = append(res.Rows, RegressionRow{
+			Name: "Multivariate", Features: "Sd, Sm",
+			KFoldMAE: kf, KFoldStd: ks, TestMAE: tm, TestMAPE: tp,
+			PaperKFold: 0.291, PaperTest: 0.353,
+		})
+		pcaFactory := func() regress.Regressor { return &regress.PCARegressor{Components: 2} }
+		kf, ks, tm, tp, err = evaluateRegressor(pcaFactory, allX, y, k, seed+32)
+		if err != nil {
+			return nil, err
+		}
+		res.Rows = append(res.Rows, RegressionRow{
+			Name: "Multivariate, Two Components PCA", Features: "Sd, Sm, Si",
+			KFoldMAE: kf, KFoldStd: ks, TestMAE: tm, TestMAPE: tp,
+			PaperKFold: 0.286, PaperTest: 0.354,
+		})
+		svrRow, err := svr(outs)
+		if err != nil {
+			return nil, err
+		}
+		svrRow.Name = "SVR RBF kernel"
+		svrRow.Features = "Sc"
+		svrRow.PaperKFold, svrRow.PaperTest = 0.198, 0.245
+		res.Rows = append(res.Rows, svrRow)
+		return res, nil
+	}), nil
 }
 
 // String renders the comparison.

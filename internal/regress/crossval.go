@@ -128,48 +128,30 @@ func PaperSVRGrid() SVRGrid {
 // searches the penalty and ε; sweeping the kernel bandwidth alongside
 // is the same protocol applied to the kernel's own hyperparameter.
 func GridSearchSVRKernels(kernels []Kernel, grid SVRGrid, X [][]float64, y []float64, k int, rng *stats.Rng) (best Factory, bestKernel Kernel, bestC, bestEps, bestMAE float64, err error) {
-	if len(kernels) == 0 {
-		return nil, nil, 0, 0, 0, fmt.Errorf("regress: no kernels to search")
+	search, err := NewKernelSearch(kernels, grid, X, y, k, rng)
+	if err != nil {
+		return nil, nil, 0, 0, 0, err
 	}
-	seed := rng.Int63()
-	bestMAE = -1
-	for _, kern := range kernels {
-		f, c, eps, mae, kerr := GridSearchSVR(kern, grid, X, y, k, stats.NewRng(seed))
-		if kerr != nil {
-			return nil, nil, 0, 0, 0, kerr
-		}
-		if bestMAE < 0 || mae < bestMAE {
-			best, bestKernel, bestC, bestEps, bestMAE = f, kern, c, eps, mae
-		}
+	res, err := search.Run()
+	if err != nil {
+		return nil, nil, 0, 0, 0, err
 	}
-	return best, bestKernel, bestC, bestEps, bestMAE, nil
+	return res.Factory(), res.Kernel, res.C, res.Epsilon, res.Score, nil
 }
 
 // GridSearchSVR cross-validates every (C, ε) pair and returns the SVR
 // factory for the best pair by mean k-fold MAE, along with the chosen
 // parameters and score.
 func GridSearchSVR(kernel Kernel, grid SVRGrid, X [][]float64, y []float64, k int, rng *stats.Rng) (best Factory, bestC, bestEps, bestMAE float64, err error) {
-	if len(grid.Cs) == 0 || len(grid.Epsilons) == 0 {
-		return nil, 0, 0, 0, fmt.Errorf("regress: empty hyperparameter grid")
-	}
-	bestMAE = -1
 	// One shared fold seed: every (C, ε) candidate is scored on the
 	// same partition, so the comparison is apples to apples.
-	foldSeed := rng.Int63()
-	for _, c := range grid.Cs {
-		for _, eps := range grid.Epsilons {
-			c, eps := c, eps
-			factory := func() Regressor { return &SVR{Kernel: kernel, C: c, Epsilon: eps} }
-			mean, _, cvErr := CrossValMAE(factory, X, y, k, stats.NewRng(foldSeed))
-			if cvErr != nil {
-				return nil, 0, 0, 0, cvErr
-			}
-			if bestMAE < 0 || mean < bestMAE {
-				bestMAE = mean
-				bestC, bestEps = c, eps
-				best = factory
-			}
-		}
+	search, err := NewSVRSearch([]Kernel{kernel}, grid, X, y, k, stats.NewRng(rng.Int63()), stats.MAE)
+	if err != nil {
+		return nil, 0, 0, 0, err
 	}
-	return best, bestC, bestEps, bestMAE, nil
+	res, err := search.Run()
+	if err != nil {
+		return nil, 0, 0, 0, err
+	}
+	return res.Factory(), res.C, res.Epsilon, res.Score, nil
 }

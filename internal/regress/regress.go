@@ -6,9 +6,14 @@
 // min-max normalization, k-fold cross-validation, and grid search
 // over SVR hyperparameters.
 //
-// Everything is implemented from scratch on the standard library; the
-// datasets involved are tiny (twenty models), so clarity and
-// robustness are preferred over asymptotic speed.
+// Everything is implemented from scratch on the standard library. The
+// datasets are tiny (tens of samples), but the paper's grid search
+// fits thousands of SVRs on them, so the SVR path is built for speed
+// without giving up exactness: SVRSearch shares one flat Gram matrix
+// per (kernel, fold) across the whole (C, ε) grid, splits the search
+// into tasks a caller can run in parallel, and reproduces the plain
+// one-fit-at-a-time search bit for bit. Nothing here starts a
+// goroutine.
 package regress
 
 import "fmt"
