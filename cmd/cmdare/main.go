@@ -23,9 +23,6 @@ import (
 	"repro/internal/experiments"
 	"repro/internal/manager"
 	"repro/internal/model"
-	"repro/internal/sim"
-	"repro/internal/stats"
-	"repro/internal/train"
 )
 
 func main() {
@@ -90,9 +87,10 @@ func run() int {
 	fmt.Printf("training %s on %d × transient %v in %v (%d PS, Nw=%d, Ic=%d, replace=%v)\n",
 		m.Name, *workers, gpu, region, *psCount, *steps, *ckptEvery, repl)
 
-	// The measured session and the Eq. 4/5 calibration are independent
-	// campaigns; the engine runs them concurrently on separate kernels
-	// with seeds derived from -seed.
+	// The measured session and the Eq. 4/5 prediction are independent
+	// units the engine runs concurrently. The session's seed derives
+	// from -seed; the prediction's calibration is fixed, so it matches
+	// pland's estimate for the same plan.
 	plan := &campaign.Plan{
 		Seed: *seed,
 		Units: []campaign.Unit{
@@ -101,8 +99,8 @@ func run() int {
 				opts := experiments.SessionOptions{ParameterServers: *psCount, Replacement: repl, DelaySeconds: *delay}
 				return experiments.MeasureScenario(sc, *steps, *ckptEvery, opts, unitSeed)
 			}},
-			{Key: "prediction", Run: func(unitSeed int64) (any, error) {
-				est, err := predict(m, gpu, region, *workers, *psCount, *steps, *ckptEvery, unitSeed)
+			{Key: "prediction", Run: func(int64) (any, error) {
+				est, err := predict(m, gpu, region, *workers, *psCount, *steps, *ckptEvery)
 				if err != nil {
 					return nil, err
 				}
@@ -138,62 +136,13 @@ func run() int {
 	return 0
 }
 
-// predict builds a quick Eq. 4/5 estimate from the calibrated curves
-// (bypassing a full measurement campaign; cmd/repro -exp endtoend
-// runs the full pipeline).
-func predict(m model.Model, gpu model.GPU, region cloud.Region, workers, ps int, steps, ic int64, seed int64) (core.Estimate, error) {
-	var speedObs []core.SpeedObservation
-	for _, zm := range model.Zoo() {
-		speedObs = append(speedObs, core.SpeedObservation{
-			GPU: gpu, GFLOPs: zm.GFLOPs, StepSeconds: model.StepTimeModel(gpu, zm),
-		})
-	}
-	speedModel, err := core.FitSpeedModel(speedObs, core.KindSVRRBF)
+// predict is the Eq. 4/5 estimate for the plan from the calibrated
+// predictor pland's /v1/estimate answers with (cmd/repro -exp endtoend
+// runs the measured pipeline instead).
+func predict(m model.Model, gpu model.GPU, region cloud.Region, workers, ps int, steps, ic int64) (core.Estimate, error) {
+	predictor, err := core.CalibratedPredictor(m)
 	if err != nil {
 		return core.Estimate{}, err
-	}
-	var ckptObs []core.CheckpointObservation
-	rng := stats.NewRng(seed)
-	for _, zm := range model.Zoo() {
-		for i := 0; i < 5; i++ {
-			ckptObs = append(ckptObs, core.CheckpointObservation{
-				DataBytes:  zm.CkptDataBytes,
-				MetaBytes:  zm.CkptMetaBytes,
-				IndexBytes: zm.CkptIndexBytes,
-				Seconds:    rng.LogNormal(train.CheckpointSeconds(zm), 0.04),
-			})
-		}
-	}
-	ckptModel, err := core.FitCheckpointModel(ckptObs, core.FeatTotalSize, core.KindSVRRBF)
-	if err != nil {
-		return core.Estimate{}, err
-	}
-	// A quick lifetime campaign for the revocation CDF, staggered
-	// across the day so time-of-day hazard structure is sampled
-	// evenly.
-	k := &sim.Kernel{}
-	p := cloud.NewProvider(k, stats.NewRng(seed+7))
-	var lifetimes []float64
-	for i := 0; i < 200; i++ {
-		k.At(sim.Time(float64(i%24)*3600), func() {
-			p.MustLaunch(cloud.Request{Region: region, GPU: gpu, Tier: cloud.Transient})
-		})
-	}
-	k.Run()
-	for _, in := range p.Instances() {
-		lifetimes = append(lifetimes, in.LifetimeSeconds(k.Now())/3600)
-	}
-	rev := core.NewRevocationEstimator()
-	if err := rev.SetLifetimes(region.String(), gpu, lifetimes); err != nil {
-		return core.Estimate{}, err
-	}
-
-	predictor := &core.Predictor{
-		Speed:              speedModel,
-		Checkpoint:         ckptModel,
-		Revocation:         rev,
-		ProvisionSeconds:   70,
-		ReplacementSeconds: train.ReplacementSeconds(m, true),
 	}
 	placements := make([]core.Placement, workers)
 	for i := range placements {

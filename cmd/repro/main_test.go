@@ -14,206 +14,96 @@ import (
 
 var update = flag.Bool("update", false, "rewrite the golden snapshots instead of comparing")
 
-// TestReproAllMatchesGolden locks the paper's numbers down: the full
-// `repro -exp all` stdout (seed 42) must match the committed snapshot
-// byte for byte, so refactors of the engine, the experiments, or the
-// renderers cannot silently drift a single digit of any table or
-// figure. After an intentional change, regenerate with
+// The golden tests lock the evaluation's numbers down: `repro -exp X`
+// stdout at seed 42 must match its committed snapshot byte for byte,
+// so refactors of the engine, the experiments, or the renderers cannot
+// silently drift a single digit. "all" is the paper's artifact set; the
+// extras live outside it (the paper never published them) and get one
+// snapshot each. Regret and elastic must also render byte-identically
+// at -parallel 1 and 8: the predictive scheduler's history-fed fits and
+// the synchronous dynamic-batching kernel are the newest places a
+// worker-count dependence could sneak in. After an intentional change,
+// regenerate every snapshot with
 //
 //	go test ./cmd/repro -run Golden -update
 //
-// and review the snapshot diff like any other code change.
-func TestReproAllMatchesGolden(t *testing.T) {
+// and review the snapshot diff like any other code change. CI
+// cross-checks the snapshots against live `repro` output.
+func TestReproAllMatchesGolden(t *testing.T)       { checkGolden(t, "all") }
+func TestReproFleetMatchesGolden(t *testing.T)     { checkGolden(t, "fleet") }
+func TestReproProvidersMatchesGolden(t *testing.T) { checkGolden(t, "providers") }
+func TestReproRegretMatchesGolden(t *testing.T)    { checkGolden(t, "regret") }
+func TestReproElasticMatchesGolden(t *testing.T)   { checkGolden(t, "elastic") }
+
+// goldens is the snapshot table: per -exp selection (an experiment ID
+// or "all"), its file under testdata/ and whether the render must also
+// be byte-identical at -parallel 1 and 8.
+var goldens = map[string]struct {
+	golden   string
+	parallel bool
+}{
+	"all":       {"all.golden", false},
+	"fleet":     {"fleet.golden", false},
+	"providers": {"providers.golden", false},
+	"regret":    {"regret.golden", true},
+	"elastic":   {"elastic.golden", true},
+}
+
+// checkGolden renders exp's row of goldens and byte-compares it to its
+// snapshot, or rewrites the snapshot under -update.
+func checkGolden(t *testing.T, exp string) {
+	t.Helper()
 	if testing.Short() {
-		t.Skip("full evaluation in -short mode")
+		t.Skipf("full %s campaign in -short mode", exp)
 	}
 	runners := experiments.All()
-	var buf bytes.Buffer
-	printed, err := writeExperiments(&buf, runners, 42, runtime.GOMAXPROCS(0))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if printed != len(runners) {
-		t.Fatalf("rendered %d experiments, want %d", printed, len(runners))
-	}
-
-	golden := filepath.Join("testdata", "all.golden")
-	if *update {
-		if err := os.MkdirAll(filepath.Dir(golden), 0o755); err != nil {
-			t.Fatal(err)
+	if exp != "all" {
+		r, ok := experiments.ByID(exp)
+		if !ok {
+			t.Fatalf("%s experiment not registered", exp)
 		}
-		if err := os.WriteFile(golden, buf.Bytes(), 0o644); err != nil {
-			t.Fatal(err)
-		}
-		t.Logf("wrote %s (%d bytes)", golden, buf.Len())
-		return
-	}
-	want, err := os.ReadFile(golden)
-	if err != nil {
-		t.Fatalf("missing golden snapshot (generate with -update): %v", err)
-	}
-	if got := buf.Bytes(); !bytes.Equal(got, want) {
-		t.Fatalf("repro -exp all drifted from the committed snapshot:\n%s\nif the change is intentional, regenerate with -update and review the diff",
-			firstDivergence(got, want))
-	}
-}
-
-// TestReproFleetMatchesGolden pins the fleet scheduler comparison the
-// same way: `repro -exp fleet` (seed 42) must match its committed
-// snapshot byte for byte. The fleet experiment lives outside "all" (the
-// paper never published multi-job numbers), so it gets its own golden;
-// CI cross-checks both snapshots against live output.
-func TestReproFleetMatchesGolden(t *testing.T) {
-	if testing.Short() {
-		t.Skip("full fleet campaign in -short mode")
-	}
-	r, ok := experiments.ByID("fleet")
-	if !ok {
-		t.Fatal("fleet experiment not registered")
-	}
-	var buf bytes.Buffer
-	if _, err := writeExperiments(&buf, []experiments.Runner{r}, 42, runtime.GOMAXPROCS(0)); err != nil {
-		t.Fatal(err)
-	}
-	golden := filepath.Join("testdata", "fleet.golden")
-	if *update {
-		if err := os.WriteFile(golden, buf.Bytes(), 0o644); err != nil {
-			t.Fatal(err)
-		}
-		t.Logf("wrote %s (%d bytes)", golden, buf.Len())
-		return
-	}
-	want, err := os.ReadFile(golden)
-	if err != nil {
-		t.Fatalf("missing golden snapshot (generate with -update): %v", err)
-	}
-	if got := buf.Bytes(); !bytes.Equal(got, want) {
-		t.Fatalf("repro -exp fleet drifted from the committed snapshot:\n%s\nif the change is intentional, regenerate with -update and review the diff",
-			firstDivergence(got, want))
-	}
-}
-
-// TestReproProvidersMatchesGolden pins the cross-provider arbitrage
-// comparison: `repro -exp providers` (seed 42) must match its
-// committed snapshot byte for byte. Like fleet, it lives outside "all"
-// (the paper characterizes one cloud; the multi-market economy is an
-// extrapolation), so it gets its own golden; CI cross-checks it
-// against live output.
-func TestReproProvidersMatchesGolden(t *testing.T) {
-	if testing.Short() {
-		t.Skip("full cross-provider campaign in -short mode")
-	}
-	r, ok := experiments.ByID("providers")
-	if !ok {
-		t.Fatal("providers experiment not registered")
-	}
-	var buf bytes.Buffer
-	if _, err := writeExperiments(&buf, []experiments.Runner{r}, 42, runtime.GOMAXPROCS(0)); err != nil {
-		t.Fatal(err)
-	}
-	golden := filepath.Join("testdata", "providers.golden")
-	if *update {
-		if err := os.WriteFile(golden, buf.Bytes(), 0o644); err != nil {
-			t.Fatal(err)
-		}
-		t.Logf("wrote %s (%d bytes)", golden, buf.Len())
-		return
-	}
-	want, err := os.ReadFile(golden)
-	if err != nil {
-		t.Fatalf("missing golden snapshot (generate with -update): %v", err)
-	}
-	if got := buf.Bytes(); !bytes.Equal(got, want) {
-		t.Fatalf("repro -exp providers drifted from the committed snapshot:\n%s\nif the change is intentional, regenerate with -update and review the diff",
-			firstDivergence(got, want))
-	}
-}
-
-// TestReproRegretMatchesGolden pins the scheduler-regret comparison:
-// `repro -exp regret` (seed 42) must match its committed snapshot byte
-// for byte — and byte-identically at -parallel 1 and 8, since the
-// predictive scheduler's history-fed fits are the newest place a
-// worker-count dependence could sneak in. Like the other extras it
-// lives outside "all", so it gets its own golden; CI cross-checks it
-// against live output.
-func TestReproRegretMatchesGolden(t *testing.T) {
-	if testing.Short() {
-		t.Skip("full regret campaign in -short mode")
-	}
-	r, ok := experiments.ByID("regret")
-	if !ok {
-		t.Fatal("regret experiment not registered")
+		runners = []experiments.Runner{r}
 	}
 	render := func(workers int) []byte {
 		var buf bytes.Buffer
-		if _, err := writeExperiments(&buf, []experiments.Runner{r}, 42, workers); err != nil {
+		printed, err := writeExperiments(&buf, runners, 42, workers)
+		if err != nil {
 			t.Fatal(err)
+		}
+		if printed != len(runners) {
+			t.Fatalf("rendered %d experiments, want %d", printed, len(runners))
 		}
 		return buf.Bytes()
 	}
-	got := render(1)
-	if wide := render(8); !bytes.Equal(got, wide) {
-		t.Fatalf("-parallel 8 changed regret output:\n%s", firstDivergence(wide, got))
+	row := goldens[exp]
+	var got []byte
+	if row.parallel {
+		got = render(1)
+		if wide := render(8); !bytes.Equal(got, wide) {
+			t.Fatalf("-parallel 8 changed %s output:\n%s", exp, firstDivergence(wide, got))
+		}
+	} else {
+		got = render(runtime.GOMAXPROCS(0))
 	}
-	golden := filepath.Join("testdata", "regret.golden")
+
+	path := filepath.Join("testdata", row.golden)
 	if *update {
-		if err := os.WriteFile(golden, got, 0o644); err != nil {
+		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
 			t.Fatal(err)
 		}
-		t.Logf("wrote %s (%d bytes)", golden, len(got))
+		if err := os.WriteFile(path, got, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		t.Logf("wrote %s (%d bytes)", path, len(got))
 		return
 	}
-	want, err := os.ReadFile(golden)
+	want, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatalf("missing golden snapshot (generate with -update): %v", err)
 	}
 	if !bytes.Equal(got, want) {
-		t.Fatalf("repro -exp regret drifted from the committed snapshot:\n%s\nif the change is intentional, regenerate with -update and review the diff",
-			firstDivergence(got, want))
-	}
-}
-
-// TestReproElasticMatchesGolden pins the elastic-cluster comparison:
-// `repro -exp elastic` (seed 42) must match its committed snapshot
-// byte for byte — and byte-identically at -parallel 1 and 8, since the
-// synchronous dynamic-batching kernel and the resize timers are the
-// newest places a worker-count dependence could sneak in. Like the
-// other extras it lives outside "all", so it gets its own golden; CI
-// cross-checks it against live output.
-func TestReproElasticMatchesGolden(t *testing.T) {
-	if testing.Short() {
-		t.Skip("full elastic campaign in -short mode")
-	}
-	r, ok := experiments.ByID("elastic")
-	if !ok {
-		t.Fatal("elastic experiment not registered")
-	}
-	render := func(workers int) []byte {
-		var buf bytes.Buffer
-		if _, err := writeExperiments(&buf, []experiments.Runner{r}, 42, workers); err != nil {
-			t.Fatal(err)
-		}
-		return buf.Bytes()
-	}
-	got := render(1)
-	if wide := render(8); !bytes.Equal(got, wide) {
-		t.Fatalf("-parallel 8 changed elastic output:\n%s", firstDivergence(wide, got))
-	}
-	golden := filepath.Join("testdata", "elastic.golden")
-	if *update {
-		if err := os.WriteFile(golden, got, 0o644); err != nil {
-			t.Fatal(err)
-		}
-		t.Logf("wrote %s (%d bytes)", golden, len(got))
-		return
-	}
-	want, err := os.ReadFile(golden)
-	if err != nil {
-		t.Fatalf("missing golden snapshot (generate with -update): %v", err)
-	}
-	if !bytes.Equal(got, want) {
-		t.Fatalf("repro -exp elastic drifted from the committed snapshot:\n%s\nif the change is intentional, regenerate with -update and review the diff",
-			firstDivergence(got, want))
+		t.Fatalf("repro -exp %s drifted from the committed snapshot:\n%s\nif the change is intentional, regenerate with -update and review the diff",
+			exp, firstDivergence(got, want))
 	}
 }
 

@@ -80,6 +80,14 @@ func (s Scenario) ElasticName() string {
 	return s.Elastic
 }
 
+// Synchronous reports whether the scenario runs the synchronous
+// dynamic-batching kernel: mixed clusters and elastic sessions do;
+// homogeneous static scenarios keep the asynchronous path (and their
+// historical byte-exact results).
+func (s Scenario) Synchronous() bool {
+	return s.ClusterSpec().Heterogeneous() || s.ElasticName() != "static"
+}
+
 // Label renders the scenario for table rows and unit keys. The
 // revocation model appears only when one was named, so grids over the
 // implicit default read (and key) exactly as before the model axis
@@ -261,13 +269,10 @@ func runScenarioWith(lm cloud.LifetimeModel, sc Scenario, steps, ic int64, opts 
 	for i, g := range gpus {
 		placements[i] = manager.Placement{GPU: g, Region: sc.Region, Tier: sc.Tier}
 	}
-	// Mixed clusters and elastic sessions run the synchronous
-	// dynamic-batching mode; the batch derives from the key-determined
-	// normalized cluster, so identical keys mean identical sessions.
-	// Homogeneous static scenarios keep the asynchronous path (and
-	// their historical byte-exact results) untouched.
+	// The batch derives from the key-determined normalized cluster, so
+	// identical keys mean identical sessions.
 	var batch *train.BatchPolicy
-	if cluster.Heterogeneous() || sc.ElasticName() != "static" {
+	if sc.Synchronous() {
 		batch = &train.BatchPolicy{
 			GlobalBatch: model.ReferenceBatch * cluster.TotalWorkers(),
 			Dynamic:     true,

@@ -2,22 +2,18 @@ package fleet
 
 import (
 	"sort"
-	"sync"
 
 	"repro/internal/cloud"
 	"repro/internal/core"
 	"repro/internal/model"
-	"repro/internal/sim"
-	"repro/internal/stats"
-	"repro/internal/train"
 )
 
 // predictiveScheduler closes the paper's prediction loop inside the
 // fleet: every placement decision is scored by a predicted
 // cost-to-deadline, and the predictions themselves improve as the run
 // accumulates history. Before enough completions exist the policy
-// leans on the analytic Eq. 4/5 predictor (calibrated curves, same
-// machinery as pland's /v1/estimate); once a (market, GPU, tier) cell
+// leans on core.CalibratedPredictor, the analytic Eq. 4/5 predictor
+// pland's /v1/estimate answers from; once a (market, GPU, tier) cell
 // has seen minRateSamples finished jobs, a regression fit from the
 // run's own observations takes over — linear on log-complexity first,
 // the paper-grid SVR (§III-B) once svrRateSamples accumulate.
@@ -34,94 +30,12 @@ type predictiveScheduler struct{}
 
 func (predictiveScheduler) Name() string { return "predictive" }
 
-// fleetAnalytic is the predictive policy's shared pre-history
-// estimator: Eq. 4/5 models fit once per process from the calibrated
-// curves, revocation CDFs from deterministic lifetime campaigns over
-// every default-catalog (region, GPU) corner. Built under a sync.Once
-// and read-only afterwards, so concurrent fleet replications (campaign
-// workers) share it safely.
-var fleetAnalytic struct {
-	once  sync.Once
-	err   error
-	speed *core.SpeedModel
-	ckpt  *core.CheckpointModel
-	rev   *core.RevocationEstimator
-}
-
-func analyticModels() (*core.SpeedModel, *core.CheckpointModel, *core.RevocationEstimator, error) {
-	a := &fleetAnalytic
-	a.once.Do(func() {
-		var speedObs []core.SpeedObservation
-		for _, g := range model.AllGPUs() {
-			for _, m := range model.Zoo() {
-				speedObs = append(speedObs, core.SpeedObservation{
-					GPU: g, GFLOPs: m.GFLOPs, StepSeconds: model.StepTimeModel(g, m),
-				})
-			}
-		}
-		speed, err := core.FitSpeedModel(speedObs, core.KindSVRRBF)
-		if err != nil {
-			a.err = err
-			return
-		}
-
-		rng := stats.NewRng(3)
-		var ckptObs []core.CheckpointObservation
-		for _, m := range model.Zoo() {
-			for i := 0; i < 5; i++ {
-				ckptObs = append(ckptObs, core.CheckpointObservation{
-					DataBytes:  m.CkptDataBytes,
-					MetaBytes:  m.CkptMetaBytes,
-					IndexBytes: m.CkptIndexBytes,
-					Seconds:    rng.LogNormal(train.CheckpointSeconds(m), 0.04),
-				})
-			}
-		}
-		ckpt, err := core.FitCheckpointModel(ckptObs, core.FeatTotalSize, core.KindSVRRBF)
-		if err != nil {
-			a.err = err
-			return
-		}
-
-		// Lifetime campaigns for every default-catalog corner, seeded
-		// exactly as pland's lazy per-corner campaigns so both layers
-		// answer from the same hazard.
-		rev := core.NewRevocationEstimator()
-		for _, g := range model.AllGPUs() {
-			for _, r := range cloud.AllRegions() {
-				if !cloud.Offered(r, g) {
-					continue
-				}
-				k := &sim.Kernel{}
-				p := cloud.NewProvider(k, stats.NewRng(int64(g)*11+int64(r)*101))
-				for i := 0; i < 300; i++ {
-					g := g
-					k.At(sim.Time(float64(i%24)*3600), func() {
-						p.MustLaunch(cloud.Request{Region: r, GPU: g, Tier: cloud.Transient})
-					})
-				}
-				k.Run()
-				var lifetimes []float64
-				for _, in := range p.Instances() {
-					lifetimes = append(lifetimes, in.LifetimeSeconds(k.Now())/3600)
-				}
-				if err := rev.SetLifetimes(r.String(), g, lifetimes); err != nil {
-					a.err = err
-					return
-				}
-			}
-		}
-		a.speed, a.ckpt, a.rev = speed, ckpt, rev
-	})
-	return a.speed, a.ckpt, a.rev, a.err
-}
-
 // predictHours predicts a job's request-to-finish time in hours on
 // (market, GPU, region, tier): observed startup plus a history-fit
 // compute estimate when the history qualifies, the analytic Eq. 4/5
 // estimate otherwise, the idealized speed curve as the last resort.
 func predictHours(hist *History, market string, job JobSpec, g model.GPU, r cloud.Region, tier cloud.Tier) float64 {
-	startup := 70.0 / 3600 // Tp prior, matching the analytic layers
+	startup := core.ProvisionPriorSeconds / 3600
 	if h, ok := hist.StartupHours(market, tier); ok {
 		startup = h
 	}
@@ -130,18 +44,10 @@ func predictHours(hist *History, market string, job JobSpec, g model.GPU, r clou
 		// and recoveries included), so no separate overhead terms.
 		return startup + float64(job.Steps)/(rate*float64(job.Workers)*3600)
 	}
-	speed, ckpt, rev, err := analyticModels()
-	if err == nil {
+	if pred, err := core.CalibratedPredictor(job.Model); err == nil {
 		placements := make([]core.Placement, job.Workers)
 		for i := range placements {
 			placements[i] = core.Placement{GPU: g, Region: r.String(), Transient: tier == cloud.Transient}
-		}
-		pred := &core.Predictor{
-			Speed:              speed,
-			Checkpoint:         ckpt,
-			Revocation:         rev,
-			ProvisionSeconds:   70,
-			ReplacementSeconds: train.ReplacementSeconds(job.Model, true),
 		}
 		plan := core.Plan{
 			Model:              job.Model,

@@ -169,6 +169,28 @@ func TestPredictHoursPrefersHistory(t *testing.T) {
 	}
 }
 
+// TestPredictHoursOffCatalogCorner pins the fleet's fallback for a
+// corner the calibrated predictor has no lifetime CDF for — K80 on
+// serverless-cpu in a region where gce sells no K80: the estimate drops
+// only the revocation term, so it is finite, positive, and equals the
+// same corner's on-demand prediction.
+func TestPredictHoursOffCatalogCorner(t *testing.T) {
+	if cloud.Offered(cloud.AsiaEast1, model.K80) {
+		t.Fatal("gce sells K80 in asia-east1; pick another off-catalog corner")
+	}
+	job := JobSpec{
+		ID: 0, Model: model.ResNet32(), GPU: model.K80,
+		Workers: 2, Steps: 30000, CheckpointInterval: 1000,
+	}
+	got := predictHours(&History{}, "serverless-cpu", job, model.K80, cloud.AsiaEast1, cloud.Transient)
+	if got <= 0 || math.IsNaN(got) || math.IsInf(got, 0) {
+		t.Fatalf("off-catalog transient prediction = %v h, want finite and positive", got)
+	}
+	if od := predictHours(&History{}, "serverless-cpu", job, model.K80, cloud.AsiaEast1, cloud.OnDemand); got != od {
+		t.Fatalf("off-catalog transient prediction %v h, want the revocation-free %v h", got, od)
+	}
+}
+
 // TestPredictiveRunIsDeterministic is the tentpole's reproducibility
 // property end to end: same (config, seed) — and therefore the same
 // accumulated history and the same fitted coefficients — must yield

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"sync/atomic"
 	"testing"
 )
@@ -106,6 +107,61 @@ func TestClusterAndElasticQueryValidation(t *testing.T) {
 		var e *BadRequestError
 		if _, err := p.Measure(context.Background(), q); !errors.As(err, &e) {
 			t.Errorf("%s: got %v, want BadRequestError", name, err)
+		}
+	}
+}
+
+// TestEstimateAnswersOnlyHomogeneousStaticClusters pins the analytic
+// path's scope: Eq. 4 sums independent asynchronous worker speeds, so
+// a mixed cluster or a non-static elastic policy — both run the
+// synchronous dynamic-batching kernel — is a BadRequestError, while the
+// homogeneous cluster phrasing and an explicit "static" policy are the
+// plain query and answer with its numbers.
+func TestEstimateAnswersOnlyHomogeneousStaticClusters(t *testing.T) {
+	p := New(Config{Workers: 1, QueueDepth: 1, CacheSize: 4})
+	defer p.Close()
+	ctx := context.Background()
+	plain := ScenarioQuery{
+		Model: "ResNet-32", GPU: "K80", Region: "us-central1", Tier: "transient",
+		Workers: 3, TargetSteps: 64000, CheckpointInterval: 4000,
+	}
+	asCluster := func(q *ScenarioQuery, spec string) { q.GPU, q.Workers, q.Cluster = "", 0, spec }
+	for name, mutate := range map[string]func(q *ScenarioQuery){
+		"mixed cluster":  func(q *ScenarioQuery) { asCluster(q, "2xK80+1xV100") },
+		"elastic policy": func(q *ScenarioQuery) { q.Elastic = "elastic" },
+		"surge policy":   func(q *ScenarioQuery) { q.Elastic = "surge" },
+		"surge cluster":  func(q *ScenarioQuery) { asCluster(q, "3xK80"); q.Elastic = "surge" },
+	} {
+		q := plain
+		mutate(&q)
+		var bad *BadRequestError
+		if _, err := p.Estimate(ctx, q); !errors.As(err, &bad) ||
+			!strings.Contains(err.Error(), "analytic estimates support only") {
+			t.Errorf("%s: got %v, want a BadRequestError naming the analytic limitation", name, err)
+		}
+	}
+
+	if testing.Short() {
+		t.Skip("model fitting in -short mode")
+	}
+	want, err := p.Estimate(ctx, plain)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, mutate := range map[string]func(q *ScenarioQuery){
+		"homogeneous cluster": func(q *ScenarioQuery) { asCluster(q, "3xK80") },
+		"split groups":        func(q *ScenarioQuery) { asCluster(q, "1xK80+2xK80") },
+		"static policy":       func(q *ScenarioQuery) { q.Elastic = "static" },
+	} {
+		q := plain
+		mutate(&q)
+		got, err := p.Estimate(ctx, q)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		got.Scenario = want.Scenario // the label echoes the phrasing
+		if got != want {
+			t.Errorf("%s: %+v, want the plain query's %+v", name, got, want)
 		}
 	}
 }

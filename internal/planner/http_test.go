@@ -171,6 +171,8 @@ func TestHTTPValidationAndRouting(t *testing.T) {
 		"negative ic":            {"/v1/measure", `{"model":"ResNet-15","gpu":"K80","region":"us-central1","tier":"on-demand","workers":1,"target_steps":10,"checkpoint_interval":-5}`, 400},
 		"negative ic (cheapest)": {"/v1/cheapest", `{"target_steps":10,"checkpoint_interval":-5}`, 400},
 		"unoffered combo":        {"/v1/estimate", `{"model":"ResNet-15","gpu":"V100","region":"us-east1","tier":"on-demand","workers":1,"target_steps":1}`, 400},
+		"mixed estimate":         {"/v1/estimate", `{"model":"ResNet-15","cluster":"2xK80+1xV100","region":"us-central1","tier":"transient","target_steps":1}`, 400},
+		"elastic estimate":       {"/v1/estimate", `{"model":"ResNet-15","gpu":"K80","region":"us-central1","tier":"transient","workers":3,"elastic":"surge","target_steps":1}`, 400},
 	} {
 		resp := postJSON(t, srv.URL+tc.path, tc.body)
 		resp.Body.Close()
@@ -238,7 +240,7 @@ func TestHTTPRealMeasureSession(t *testing.T) {
 }
 
 // TestHTTPRealEstimate exercises the analytic Eq. 4/5 path with the
-// real fitted models and a lazily-measured revocation CDF.
+// real calibrated predictor.
 func TestHTTPRealEstimate(t *testing.T) {
 	if testing.Short() {
 		t.Skip("model fitting in -short mode")
@@ -259,6 +261,14 @@ func TestHTTPRealEstimate(t *testing.T) {
 	}
 	if est.ExpectedRevocations < 0 {
 		t.Fatalf("negative expected revocations: %+v", est)
+	}
+	// The homogeneous cluster phrasing under an explicit static policy
+	// is the same scenario and must answer with the same numbers.
+	homog := `{"model":"ResNet-32","cluster":"4xP100","elastic":"static","region":"us-central1","tier":"transient","target_steps":64000,"checkpoint_interval":4000}`
+	got := decodeBody[EstimateResult](t, postJSON(t, srv.URL+"/v1/estimate", homog))
+	got.Scenario = est.Scenario // the label echoes the cluster phrasing
+	if got != est {
+		t.Fatalf("homogeneous static cluster estimate %+v, want the plain query's %+v", got, est)
 	}
 	// On-demand estimates skip the revocation term entirely.
 	od := strings.Replace(body, "transient", "on-demand", 1)

@@ -122,8 +122,6 @@ type Planner struct {
 	metricsOnce sync.Once
 	registry    *obs.Registry
 	httpLatency *obs.HistogramVec
-
-	analytic analytic
 }
 
 // New starts a planner with its worker pool. Close releases the pool.

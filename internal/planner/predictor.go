@@ -3,113 +3,10 @@ package planner
 import (
 	"context"
 	"fmt"
-	"sync"
 
 	"repro/internal/cloud"
 	"repro/internal/core"
-	"repro/internal/model"
-	"repro/internal/sim"
-	"repro/internal/stats"
-	"repro/internal/train"
 )
-
-// analytic is the lazily-built Eq. 4/5 machinery behind Estimate
-// queries: speed and checkpoint models fit once from the calibrated
-// curves, plus revocation lifetime CDFs measured on demand per
-// (region, GPU) — a few hundred simulated transient instances each —
-// so the daemon only pays for the corners of the cloud it is actually
-// asked about.
-type analytic struct {
-	once sync.Once
-	err  error
-
-	// mu lets warm estimates evaluate concurrently (read lock) while a
-	// lazy lifetime campaign for a new (region, GPU) corner writes the
-	// revocation estimator exclusively.
-	mu       sync.RWMutex
-	speed    *core.SpeedModel
-	ckpt     *core.CheckpointModel
-	rev      *core.RevocationEstimator
-	measured map[string]bool
-}
-
-func (a *analytic) init() {
-	a.once.Do(func() {
-		var speedObs []core.SpeedObservation
-		for _, g := range model.AllGPUs() {
-			for _, m := range model.Zoo() {
-				speedObs = append(speedObs, core.SpeedObservation{
-					GPU: g, GFLOPs: m.GFLOPs, StepSeconds: model.StepTimeModel(g, m),
-				})
-			}
-		}
-		speed, err := core.FitSpeedModel(speedObs, core.KindSVRRBF)
-		if err != nil {
-			a.err = err
-			return
-		}
-
-		rng := stats.NewRng(3)
-		var ckptObs []core.CheckpointObservation
-		for _, m := range model.Zoo() {
-			for i := 0; i < 5; i++ {
-				ckptObs = append(ckptObs, core.CheckpointObservation{
-					DataBytes:  m.CkptDataBytes,
-					MetaBytes:  m.CkptMetaBytes,
-					IndexBytes: m.CkptIndexBytes,
-					Seconds:    rng.LogNormal(train.CheckpointSeconds(m), 0.04),
-				})
-			}
-		}
-		ckpt, err := core.FitCheckpointModel(ckptObs, core.FeatTotalSize, core.KindSVRRBF)
-		if err != nil {
-			a.err = err
-			return
-		}
-
-		a.speed = speed
-		a.ckpt = ckpt
-		a.rev = core.NewRevocationEstimator()
-		a.measured = make(map[string]bool)
-	})
-}
-
-// ensureLifetimes populates the revocation estimator for one
-// (region, GPU) corner by running a deterministic measurement
-// campaign: 300 transient launches staggered across the day (so the
-// Fig. 9 time-of-day hazard structure is sampled evenly), lifetimes
-// read back as an ECDF. Caller holds a.mu.
-// cornerKey names one (region, GPU) corner of the cloud.
-func cornerKey(r cloud.Region, g model.GPU) string {
-	return r.String() + "|" + g.String()
-}
-
-func (a *analytic) ensureLifetimes(r cloud.Region, g model.GPU) error {
-	key := cornerKey(r, g)
-	if a.measured[key] {
-		return nil
-	}
-	k := &sim.Kernel{}
-	// The seed is a pure function of the corner, so every pland
-	// instance answers estimate queries identically.
-	p := cloud.NewProvider(k, stats.NewRng(int64(g)*11+int64(r)*101))
-	for i := 0; i < 300; i++ {
-		g := g
-		k.At(sim.Time(float64(i%24)*3600), func() {
-			p.MustLaunch(cloud.Request{Region: r, GPU: g, Tier: cloud.Transient})
-		})
-	}
-	k.Run()
-	var lifetimes []float64
-	for _, in := range p.Instances() {
-		lifetimes = append(lifetimes, in.LifetimeSeconds(k.Now())/3600)
-	}
-	if err := a.rev.SetLifetimes(r.String(), g, lifetimes); err != nil {
-		return err
-	}
-	a.measured[key] = true
-	return nil
-}
 
 // EstimateResult is the wire form of an Eq. 4 decomposition.
 type EstimateResult struct {
@@ -152,31 +49,18 @@ func (p *Planner) Estimate(ctx context.Context, q ScenarioQuery) (EstimateResult
 			"planner: analytic estimates support only the default lifetime model %q; measure rev_model %q instead",
 			cloud.DefaultLifetimeModelName, sc.RevModel)}
 	}
-	a := &p.analytic
-	a.init()
-	if a.err != nil {
-		return EstimateResult{}, a.err
+	if sc.Synchronous() {
+		// Eq. 4 sums independent asynchronous worker speeds; mixed
+		// clusters and resize policies run the synchronous
+		// dynamic-batching kernel, whose rounds wait on the slowest
+		// worker. Measured queries support both.
+		return EstimateResult{}, &BadRequestError{fmt.Errorf(
+			"planner: analytic estimates support only homogeneous static clusters; measure %q instead", sc.Label())}
 	}
-
-	if sc.Tier == cloud.Transient {
-		// Double-checked: warm corners stay on the read lock so
-		// concurrent estimates never contend; only an unmeasured
-		// corner upgrades to run its lifetime campaign exclusively.
-		key := cornerKey(sc.Region, sc.GPU)
-		a.mu.RLock()
-		measured := a.measured[key]
-		a.mu.RUnlock()
-		if !measured {
-			a.mu.Lock()
-			err := a.ensureLifetimes(sc.Region, sc.GPU)
-			a.mu.Unlock()
-			if err != nil {
-				return EstimateResult{}, err
-			}
-		}
+	pred, err := core.CalibratedPredictor(sc.Model)
+	if err != nil {
+		return EstimateResult{}, err
 	}
-	a.mu.RLock()
-	defer a.mu.RUnlock()
 	workers := make([]core.Placement, sc.Workers)
 	for i := range workers {
 		workers[i] = core.Placement{
@@ -184,13 +68,6 @@ func (p *Planner) Estimate(ctx context.Context, q ScenarioQuery) (EstimateResult
 			Region:    sc.Region.String(),
 			Transient: sc.Tier == cloud.Transient,
 		}
-	}
-	pred := &core.Predictor{
-		Speed:              a.speed,
-		Checkpoint:         a.ckpt,
-		Revocation:         a.rev,
-		ProvisionSeconds:   70,
-		ReplacementSeconds: train.ReplacementSeconds(sc.Model, true),
 	}
 	est, err := pred.Estimate(core.Plan{
 		Model:   sc.Model,
