@@ -1,11 +1,8 @@
 package cloud
 
 import (
-	"fmt"
-	"sort"
-	"sync"
-
 	"repro/internal/model"
+	"repro/internal/registry"
 	"repro/internal/stats"
 )
 
@@ -37,13 +34,9 @@ type LifetimeModel interface {
 // Fig. 8 lifetime shapes and Fig. 9 time-of-day structure.
 const DefaultLifetimeModelName = "table5"
 
-// lifetimeRegistry maps model names to implementations. Builtins are
-// registered at init; cmd/pland registers trace-replay models at
-// startup. Reads vastly outnumber writes, hence the RWMutex.
-var (
-	lifetimeMu       sync.RWMutex
-	lifetimeRegistry = map[string]LifetimeModel{}
-)
+// lifetimeModels is the lifetime-model registry. Builtins register at
+// init; cmd/pland registers trace-replay models at startup.
+var lifetimeModels = registry.New[LifetimeModel]("cloud", "lifetime model", DefaultLifetimeModelName)
 
 func init() {
 	for _, m := range []LifetimeModel{
@@ -57,42 +50,15 @@ func init() {
 	}
 }
 
-// RegisterLifetimeModel adds a model to the registry. Names are
-// first-come-first-served and conflicts are programmer errors, so a
-// duplicate (or empty) name panics with the offending name rather
-// than returning an error a startup path could ignore: a custom model
-// must never silently shadow a builtin (scenario keys embed the name,
-// and the planner cache depends on a name meaning one sampling
-// behavior for the life of the process). Callers registering
-// user-supplied names (cmd/pland -trace) pre-check with
-// LookupLifetimeModel.
-func RegisterLifetimeModel(m LifetimeModel) {
-	name := m.Name()
-	if name == "" {
-		panic("cloud: lifetime model has an empty name")
-	}
-	lifetimeMu.Lock()
-	defer lifetimeMu.Unlock()
-	if _, dup := lifetimeRegistry[name]; dup {
-		panic(fmt.Sprintf("cloud: lifetime model %q already registered", name))
-	}
-	lifetimeRegistry[name] = m
-}
+// RegisterLifetimeModel adds a model under its name. A duplicate (or
+// empty) name panics with the offending name: a custom model must
+// never silently shadow a builtin. Callers registering user-supplied
+// names (cmd/pland -trace) pre-check with LookupLifetimeModel.
+func RegisterLifetimeModel(m LifetimeModel) { lifetimeModels.Register(m.Name(), m) }
 
 // LookupLifetimeModel resolves a model name; the empty string means
 // the default. Unknown names report the available ones.
-func LookupLifetimeModel(name string) (LifetimeModel, error) {
-	if name == "" {
-		name = DefaultLifetimeModelName
-	}
-	lifetimeMu.RLock()
-	m, ok := lifetimeRegistry[name]
-	lifetimeMu.RUnlock()
-	if !ok {
-		return nil, fmt.Errorf("cloud: unknown lifetime model %q (available: %v)", name, LifetimeModelNames())
-	}
-	return m, nil
-}
+func LookupLifetimeModel(name string) (LifetimeModel, error) { return lifetimeModels.Lookup(name) }
 
 // DefaultLifetimeModel returns the Table V calibration model.
 func DefaultLifetimeModel() LifetimeModel {
@@ -105,18 +71,7 @@ func DefaultLifetimeModel() LifetimeModel {
 
 // LifetimeModelNames lists every registered model, sorted, with the
 // default first — the order /v1/catalog reports.
-func LifetimeModelNames() []string {
-	lifetimeMu.RLock()
-	names := make([]string, 0, len(lifetimeRegistry))
-	for name := range lifetimeRegistry {
-		if name != DefaultLifetimeModelName {
-			names = append(names, name)
-		}
-	}
-	lifetimeMu.RUnlock()
-	sort.Strings(names)
-	return append([]string{DefaultLifetimeModelName}, names...)
-}
+func LifetimeModelNames() []string { return lifetimeModels.Names() }
 
 // tableVModel is the default regime: the cell-by-cell Table V
 // calibration (revocation fraction, early-death mass, body skew) with

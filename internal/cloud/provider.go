@@ -79,7 +79,7 @@ func NewProviderFor(k *sim.Kernel, rng *stats.Rng, spec *ProviderSpec, m Lifetim
 		var err error
 		m, err = LookupLifetimeModel(spec.LifetimeModel)
 		if err != nil {
-			panic(err) // RegisterProvider validated the name; unreachable
+			panic(err) // registerProvider validated the name; unreachable
 		}
 	}
 	return &Provider{

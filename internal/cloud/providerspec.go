@@ -2,26 +2,23 @@ package cloud
 
 import (
 	"fmt"
-	"sort"
-	"sync"
 
 	"repro/internal/model"
+	"repro/internal/registry"
 	"repro/internal/stats"
 )
 
 // ProviderSpec bundles one market's calibration: which (region, GPU)
 // cells it sells, what they cost, how instances start, which lifetime
 // regime transient servers default to, and (optionally) per-cell
-// transient capacity. It is the third first-come registry of the repo,
-// after lifetime models and fleet schedulers: what used to be
-// package-level GCE constants becomes one registered world among
-// several, so experiments can ask "where should this train?" across
-// markets instead of only "how should this train?" within one.
+// transient capacity. What used to be package-level GCE constants
+// becomes one registered world among several, so experiments can ask
+// "where should this train?" across markets instead of only "how
+// should this train?" within one.
 //
 // Specs are immutable after registration: the name appears in scenario
 // and fleet keys, so equal names must mean equal market behavior for
-// the life of the process (the same contract the other registries
-// document).
+// the life of the process (the internal/registry contract).
 type ProviderSpec struct {
 	// Name is the registry identity, e.g. "gce"; it appears in
 	// scenario keys as prov=<name>.
@@ -67,52 +64,25 @@ func (s *ProviderSpec) OfferedRegions(g model.GPU) []Region {
 // scenario selects otherwise: the paper's GCE calibration.
 const DefaultProviderName = "gce"
 
-// providerRegistry maps provider names to specs. Builtins register at
-// init; reads vastly outnumber writes, hence the RWMutex.
-var (
-	providerMu       sync.RWMutex
-	providerRegistry = map[string]*ProviderSpec{}
-)
+// providers is the market registry; builtins register at init.
+var providers = registry.New[*ProviderSpec]("cloud", "provider", DefaultProviderName)
 
-// RegisterProvider adds a market to the registry. Names are
-// first-come-first-served and conflicts are programmer errors, so a
-// duplicate (or empty) name panics with the offending name rather than
-// returning an error a startup path could ignore: scenario keys embed
-// the name, and the planner cache depends on a name meaning one market
-// for the life of the process. The spec's default lifetime model must
-// already be registered.
-func RegisterProvider(s *ProviderSpec) {
-	if s.Name == "" {
-		panic("cloud: provider spec has an empty name")
-	}
+// registerProvider adds a market to the registry (see internal/registry
+// for the naming rules). The spec must be complete, and its default
+// lifetime model must resolve.
+func registerProvider(s *ProviderSpec) {
 	if s.Offers == nil || s.GPUHourly == nil || s.Startup == nil {
 		panic(fmt.Sprintf("cloud: provider %q spec is missing Offers/GPUHourly/Startup", s.Name))
 	}
 	if _, err := LookupLifetimeModel(s.LifetimeModel); err != nil {
 		panic(fmt.Sprintf("cloud: provider %q default lifetime model: %v", s.Name, err))
 	}
-	providerMu.Lock()
-	defer providerMu.Unlock()
-	if _, dup := providerRegistry[s.Name]; dup {
-		panic(fmt.Sprintf("cloud: provider %q already registered", s.Name))
-	}
-	providerRegistry[s.Name] = s
+	providers.Register(s.Name, s)
 }
 
 // LookupProvider resolves a provider name; the empty string means the
 // default. Unknown names report the available ones.
-func LookupProvider(name string) (*ProviderSpec, error) {
-	if name == "" {
-		name = DefaultProviderName
-	}
-	providerMu.RLock()
-	s, ok := providerRegistry[name]
-	providerMu.RUnlock()
-	if !ok {
-		return nil, fmt.Errorf("cloud: unknown provider %q (available: %v)", name, ProviderNames())
-	}
-	return s, nil
-}
+func LookupProvider(name string) (*ProviderSpec, error) { return providers.Lookup(name) }
 
 // DefaultProvider returns the GCE spec.
 func DefaultProvider() *ProviderSpec {
@@ -125,17 +95,20 @@ func DefaultProvider() *ProviderSpec {
 
 // ProviderNames lists every registered market, sorted, with the
 // default first — the order /v1/catalog reports.
-func ProviderNames() []string {
-	providerMu.RLock()
-	names := make([]string, 0, len(providerRegistry))
-	for name := range providerRegistry {
-		if name != DefaultProviderName {
-			names = append(names, name)
-		}
+func ProviderNames() []string { return providers.Names() }
+
+// LifetimeModelFor resolves which lifetime model a scenario runs
+// under: revModel when named, else the provider's default regime, else
+// the default. An unknown provider falls through to the default here;
+// its lookup error surfaces wherever the provider itself is resolved.
+func LifetimeModelFor(revModel, provider string) string {
+	if revModel != "" {
+		return revModel
 	}
-	providerMu.RUnlock()
-	sort.Strings(names)
-	return append([]string{DefaultProviderName}, names...)
+	if spec, err := LookupProvider(provider); err == nil {
+		return spec.LifetimeModel
+	}
+	return DefaultLifetimeModelName
 }
 
 // --- Built-in worlds -------------------------------------------------
@@ -173,7 +146,7 @@ const (
 )
 
 func init() {
-	RegisterProvider(&ProviderSpec{
+	registerProvider(&ProviderSpec{
 		Name:          DefaultProviderName,
 		Description:   "Google Cloud calibration from the paper: Table V revocations, Fig. 6/7 startup, 2019 us-central1 prices",
 		LifetimeModel: DefaultLifetimeModelName,
@@ -184,7 +157,7 @@ func init() {
 		PSHourly: model.ParameterServerHourly,
 		Startup:  sampleStartup,
 	})
-	RegisterProvider(&ProviderSpec{
+	registerProvider(&ProviderSpec{
 		Name:          "aws",
 		Description:   "synthetic aws-like market: EC2-shaped prices with a shallower spot discount, calmer revocation climate (calm-weibull)",
 		LifetimeModel: "calm-weibull",
@@ -203,7 +176,7 @@ func init() {
 			return b
 		},
 	})
-	RegisterProvider(&ProviderSpec{
+	registerProvider(&ProviderSpec{
 		Name:          "serverless-cpu",
 		Description:   "serverless baseline per Barrak et al.: K80-equivalent CPU function bundles, per-invocation pricing, no revocation",
 		LifetimeModel: "norevoke",

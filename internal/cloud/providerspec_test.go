@@ -47,7 +47,7 @@ func TestProviderRegistry(t *testing.T) {
 				t.Fatalf("duplicate-registration panic %q does not name the offender %q", msg, DefaultProviderName)
 			}
 		}()
-		RegisterProvider(&ProviderSpec{
+		registerProvider(&ProviderSpec{
 			Name:          DefaultProviderName,
 			LifetimeModel: DefaultLifetimeModelName,
 			Offers:        Offered,

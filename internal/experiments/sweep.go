@@ -26,11 +26,11 @@ type SweepSpec struct {
 	Regions []cloud.Region
 	Tiers   []cloud.Tier
 	// RevModels lists the revocation/lifetime regimes to sweep (names
-	// registered with cloud.RegisterLifetimeModel); empty means the
-	// default Table V calibration only.
+	// from cloud.LifetimeModelNames); empty means the default Table V
+	// calibration only.
 	RevModels []string
-	// Providers lists the provider worlds to sweep (names registered
-	// with cloud.RegisterProvider); empty means the default (gce) only.
+	// Providers lists the provider worlds to sweep (names from
+	// cloud.ProviderNames); empty means the default (gce) only.
 	Providers []string
 	// StepsPerWorker scales the training target with cluster size so
 	// every scenario measures a comparable per-worker workload.
@@ -75,7 +75,7 @@ func (s Scenario) ClusterSpec() model.ClusterSpec {
 // applied — the canonical form Key embeds.
 func (s Scenario) ElasticName() string {
 	if s.Elastic == "" {
-		return "static"
+		return manager.DefaultElasticPolicyName
 	}
 	return s.Elastic
 }
@@ -85,7 +85,7 @@ func (s Scenario) ElasticName() string {
 // homogeneous static scenarios keep the asynchronous path (and their
 // historical byte-exact results).
 func (s Scenario) Synchronous() bool {
-	return s.ClusterSpec().Heterogeneous() || s.ElasticName() != "static"
+	return s.ClusterSpec().Heterogeneous() || s.ElasticName() != manager.DefaultElasticPolicyName
 }
 
 // Label renders the scenario for table rows and unit keys. The
@@ -99,7 +99,7 @@ func (s Scenario) Label() string {
 	} else {
 		base = fmt.Sprintf("%d×%v %v %v", s.Workers, s.GPU, s.Region, s.Tier)
 	}
-	if s.Elastic != "" && s.Elastic != "static" {
+	if s.ElasticName() != manager.DefaultElasticPolicyName {
 		base += " " + s.Elastic
 	}
 	if s.RevModel != "" {
@@ -121,18 +121,9 @@ func (s Scenario) ProviderName() string {
 }
 
 // RevModelName resolves the scenario's revocation model name with the
-// default applied — the canonical form Key embeds: an explicit name,
-// or the scenario's provider's default regime (Table V for the
-// default provider).
-func (s Scenario) RevModelName() string {
-	if s.RevModel != "" {
-		return s.RevModel
-	}
-	if spec, err := cloud.LookupProvider(s.Provider); err == nil {
-		return spec.LifetimeModel
-	}
-	return cloud.DefaultLifetimeModelName
-}
+// default applied (cloud.LifetimeModelFor) — the canonical form Key
+// embeds.
+func (s Scenario) RevModelName() string { return cloud.LifetimeModelFor(s.RevModel, s.Provider) }
 
 // Key is the scenario's canonical identity: a stable, unambiguous
 // field=value encoding that does not depend on which grid produced the
@@ -238,15 +229,7 @@ type SessionOptions struct {
 // by name (an unnamed revocation model means the provider's default
 // regime).
 func runScenario(sc Scenario, steps, ic int64, opts SessionOptions, seed int64) (ScenarioOutcome, error) {
-	lmName := sc.RevModel
-	if lmName == "" {
-		spec, err := cloud.LookupProvider(sc.Provider)
-		if err != nil {
-			return ScenarioOutcome{}, err
-		}
-		lmName = spec.LifetimeModel
-	}
-	lm, err := cloud.LookupLifetimeModel(lmName)
+	lm, err := cloud.LookupLifetimeModel(sc.RevModelName())
 	if err != nil {
 		return ScenarioOutcome{}, err
 	}

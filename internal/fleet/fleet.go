@@ -80,11 +80,7 @@ func (c *Config) validate() (Scheduler, []marketPlan, error) {
 		seen[spec.Name] = true
 		// An explicit regime applies to every market; otherwise each
 		// market keeps its own default climate.
-		lmName := c.RevModel
-		if lmName == "" {
-			lmName = spec.LifetimeModel
-		}
-		lm, err := cloud.LookupLifetimeModel(lmName)
+		lm, err := cloud.LookupLifetimeModel(cloud.LifetimeModelFor(c.RevModel, spec.Name))
 		if err != nil {
 			return nil, nil, err
 		}
@@ -143,7 +139,7 @@ func (c Config) schedulerName() string {
 // applied — the canonical form Key embeds.
 func (c Config) elasticName() string {
 	if c.Elastic == "" {
-		return "static"
+		return manager.DefaultElasticPolicyName
 	}
 	return c.Elastic
 }
@@ -152,13 +148,7 @@ func (c Config) elasticName() string {
 // default applied: an explicit name, or the first market's default
 // regime (the Table V default for the default market).
 func (c Config) revModelName() string {
-	if c.RevModel != "" {
-		return c.RevModel
-	}
-	if spec, err := cloud.LookupProvider(c.providerNames()[0]); err == nil {
-		return spec.LifetimeModel
-	}
-	return cloud.DefaultLifetimeModelName
+	return cloud.LifetimeModelFor(c.RevModel, c.providerNames()[0])
 }
 
 // Key is the fleet config's canonical identity: a stable field=value
@@ -522,7 +512,7 @@ func (f *fleetSim) start(job *Job, pl Placement) {
 		Seed:               campaign.Derive(f.seed, uint64(job.Spec.ID), "fleet/job"),
 		Trace:              f.trace.Scoped(fmt.Sprintf("job%d", job.Spec.ID)),
 	}
-	if name := f.cfg.elasticName(); name != "static" {
+	if name := f.cfg.elasticName(); name != manager.DefaultElasticPolicyName {
 		mcfg.Elastic = name
 		mcfg.Risk = historyRisk{hist: f.history, market: mk.name}
 	}

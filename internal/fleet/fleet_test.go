@@ -110,7 +110,7 @@ func TestSchedulerRegistry(t *testing.T) {
 				t.Fatalf("duplicate-registration panic %q does not name the offender", msg)
 			}
 		}()
-		RegisterScheduler(fifoScheduler{})
+		schedulers.Register("fifo", fifoScheduler{})
 	}()
 }
 

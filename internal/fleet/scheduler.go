@@ -3,10 +3,10 @@ package fleet
 import (
 	"fmt"
 	"sort"
-	"sync"
 
 	"repro/internal/cloud"
 	"repro/internal/model"
+	"repro/internal/registry"
 )
 
 // Placement is a scheduler's answer for one job: which cell of the
@@ -102,12 +102,9 @@ type Waker interface {
 // none: strict arrival order, the simplest baseline.
 const DefaultSchedulerName = "fifo"
 
-// schedulerRegistry mirrors cloud's lifetime-model registry:
-// first-come names, builtins at init, reads dominating writes.
-var (
-	schedulerMu       sync.RWMutex
-	schedulerRegistry = map[string]Scheduler{}
-)
+// schedulers is the policy registry; builtins register at init (see
+// internal/registry for the naming rules).
+var schedulers = registry.New[Scheduler]("fleet", "scheduler", DefaultSchedulerName)
 
 func init() {
 	for _, s := range []Scheduler{
@@ -117,59 +114,17 @@ func init() {
 		arbitrageScheduler{},
 		predictiveScheduler{},
 	} {
-		RegisterScheduler(s)
+		schedulers.Register(s.Name(), s)
 	}
-}
-
-// RegisterScheduler adds a policy to the registry. Names are
-// first-come-first-served and conflicts are programmer errors, so a
-// duplicate (or empty) name panics with the offending name rather
-// than returning an error a startup path could ignore: a custom
-// policy must never silently shadow a builtin (fleet keys embed the
-// name, and the planner cache depends on a name meaning one policy
-// for the life of the process).
-func RegisterScheduler(s Scheduler) {
-	name := s.Name()
-	if name == "" {
-		panic("fleet: scheduler has an empty name")
-	}
-	schedulerMu.Lock()
-	defer schedulerMu.Unlock()
-	if _, dup := schedulerRegistry[name]; dup {
-		panic(fmt.Sprintf("fleet: scheduler %q already registered", name))
-	}
-	schedulerRegistry[name] = s
 }
 
 // LookupScheduler resolves a policy name; the empty string means the
 // default. Unknown names report the available ones.
-func LookupScheduler(name string) (Scheduler, error) {
-	if name == "" {
-		name = DefaultSchedulerName
-	}
-	schedulerMu.RLock()
-	s, ok := schedulerRegistry[name]
-	schedulerMu.RUnlock()
-	if !ok {
-		return nil, fmt.Errorf("fleet: unknown scheduler %q (available: %v)", name, SchedulerNames())
-	}
-	return s, nil
-}
+func LookupScheduler(name string) (Scheduler, error) { return schedulers.Lookup(name) }
 
 // SchedulerNames lists every registered policy, sorted, with the
 // default first — the order /v1/catalog reports.
-func SchedulerNames() []string {
-	schedulerMu.RLock()
-	names := make([]string, 0, len(schedulerRegistry))
-	for name := range schedulerRegistry {
-		if name != DefaultSchedulerName {
-			names = append(names, name)
-		}
-	}
-	schedulerMu.RUnlock()
-	sort.Strings(names)
-	return append([]string{DefaultSchedulerName}, names...)
-}
+func SchedulerNames() []string { return schedulers.Names() }
 
 // fits reports whether the cell can hold the job's whole cluster.
 func fits(pool PoolView, r cloud.Region, g model.GPU, workers int) bool {

@@ -7,6 +7,7 @@ import (
 	"repro/internal/cloud"
 	"repro/internal/model"
 	"repro/internal/obs"
+	"repro/internal/registry"
 )
 
 // This file is the controller's elastic-resize layer: a session can
@@ -36,7 +37,7 @@ func (DiurnalRisk) RevocationRisk(r cloud.Region, g model.GPU, atHours float64) 
 }
 
 // ElasticPolicy parameterizes the resize loop. The zero value (and the
-// registered "static" policy) disables it.
+// default static policy) disables it.
 type ElasticPolicy struct {
 	Name string
 	// CheckSeconds is the risk-evaluation cadence. The loop draws no
@@ -65,50 +66,47 @@ type ElasticPolicy struct {
 // Enabled reports whether the policy actually resizes.
 func (p ElasticPolicy) Enabled() bool { return p.CheckSeconds > 0 }
 
-// builtinElasticPolicies is the policy registry, in catalog order.
-var builtinElasticPolicies = []ElasticPolicy{
-	{Name: "static"},
-	{
-		Name:            "elastic",
-		CheckSeconds:    300,
-		LookaheadHours:  1,
-		ShrinkAbove:     1.6,
-		GrowBelow:       1.0,
-		MinShrinkFactor: 0.5,
-		MaxGrowFactor:   1.0,
-	},
-	{
-		Name:            "surge",
-		CheckSeconds:    300,
-		LookaheadHours:  1,
-		ShrinkAbove:     1.6,
-		GrowBelow:       1.0,
-		MinShrinkFactor: 0.5,
-		MaxGrowFactor:   1.5,
-	},
+// DefaultElasticPolicyName is the policy a session runs when its
+// config names none: hold the launch shape, only replace revocations.
+const DefaultElasticPolicyName = "static"
+
+// elasticPolicies is the policy registry; builtins register at init
+// (see internal/registry for the naming rules).
+var elasticPolicies = registry.New[ElasticPolicy]("manager", "elastic policy", DefaultElasticPolicyName)
+
+func init() {
+	for _, p := range []ElasticPolicy{
+		{Name: DefaultElasticPolicyName},
+		{
+			Name:            "elastic",
+			CheckSeconds:    300,
+			LookaheadHours:  1,
+			ShrinkAbove:     1.6,
+			GrowBelow:       1.0,
+			MinShrinkFactor: 0.5,
+			MaxGrowFactor:   1.0,
+		},
+		{
+			Name:            "surge",
+			CheckSeconds:    300,
+			LookaheadHours:  1,
+			ShrinkAbove:     1.6,
+			GrowBelow:       1.0,
+			MinShrinkFactor: 0.5,
+			MaxGrowFactor:   1.5,
+		},
+	} {
+		elasticPolicies.Register(p.Name, p)
+	}
 }
 
-// ElasticPolicies lists the registered policy names in catalog order.
-func ElasticPolicies() []string {
-	out := make([]string, len(builtinElasticPolicies))
-	for i, p := range builtinElasticPolicies {
-		out[i] = p.Name
-	}
-	return out
-}
+// ElasticPolicies lists the registered policy names, default first —
+// the order /v1/catalog reports.
+func ElasticPolicies() []string { return elasticPolicies.Names() }
 
-// ElasticPolicyByName resolves a registered policy; "" means "static".
-func ElasticPolicyByName(name string) (ElasticPolicy, error) {
-	if name == "" {
-		name = "static"
-	}
-	for _, p := range builtinElasticPolicies {
-		if p.Name == name {
-			return p, nil
-		}
-	}
-	return ElasticPolicy{}, fmt.Errorf("manager: unknown elastic policy %q (have %v)", name, ElasticPolicies())
-}
+// ElasticPolicyByName resolves a registered policy; "" means the
+// default. Unknown names report the available ones.
+func ElasticPolicyByName(name string) (ElasticPolicy, error) { return elasticPolicies.Lookup(name) }
 
 // Grows returns how many workers the elastic loop added.
 func (s *Session) Grows() int { return s.grows }

@@ -1,6 +1,7 @@
 package manager
 
 import (
+	"strings"
 	"testing"
 
 	"repro/internal/cloud"
@@ -69,8 +70,9 @@ func TestElasticPolicyRegistry(t *testing.T) {
 	if p, err := ElasticPolicyByName(""); err != nil || p.Enabled() {
 		t.Fatalf("empty name should resolve to the disabled static policy (got %+v, %v)", p, err)
 	}
-	if _, err := ElasticPolicyByName("frantic"); err == nil {
-		t.Fatal("unknown policy accepted")
+	if _, err := ElasticPolicyByName("frantic"); err == nil ||
+		!strings.Contains(err.Error(), "available") {
+		t.Fatalf("unknown policy lookup = %v, want an error listing the registry", err)
 	}
 	for _, name := range []string{"elastic", "surge"} {
 		p, err := ElasticPolicyByName(name)

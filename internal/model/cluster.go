@@ -2,6 +2,7 @@ package model
 
 import (
 	"fmt"
+	"math"
 	"sort"
 	"strconv"
 	"strings"
@@ -111,11 +112,14 @@ func (c ClusterSpec) String() string {
 }
 
 // ParseClusterSpec parses the "2xK80+1xV100" notation String renders.
+// A nil error means a non-empty canonical spec whose counts are
+// positive and whose total fits in an int.
 func ParseClusterSpec(s string) (ClusterSpec, error) {
 	if strings.TrimSpace(s) == "" {
 		return nil, fmt.Errorf("model: empty cluster spec")
 	}
 	var out ClusterSpec
+	total := 0
 	for _, part := range strings.Split(s, "+") {
 		part = strings.TrimSpace(part)
 		n, gpuName, ok := strings.Cut(part, "x")
@@ -126,6 +130,12 @@ func ParseClusterSpec(s string) (ClusterSpec, error) {
 		if err != nil || count <= 0 {
 			return nil, fmt.Errorf("model: cluster group %q: bad count", part)
 		}
+		// Bounding the total also bounds every merged group, so
+		// Canonical and TotalWorkers cannot wrap.
+		if count > math.MaxInt-total {
+			return nil, fmt.Errorf("model: cluster spec %q: worker count overflows", s)
+		}
+		total += count
 		g, err := ParseGPU(strings.TrimSpace(gpuName))
 		if err != nil {
 			return nil, err

@@ -2,6 +2,7 @@ package model
 
 import (
 	"math/rand"
+	"reflect"
 	"testing"
 )
 
@@ -29,11 +30,50 @@ func TestClusterSpecCanonicalAndParse(t *testing.T) {
 	if got := HomogeneousCluster(P100, 2).String(); got != "2xP100" {
 		t.Fatalf("homogeneous string = %q", got)
 	}
-	for _, bad := range []string{"", "K80", "0xK80", "-1xP100", "2xTPU"} {
+	for _, bad := range []string{"", "K80", "0xK80", "-1xP100", "2xTPU", overflowMerged, overflowTotal} {
 		if _, err := ParseClusterSpec(bad); err == nil {
 			t.Errorf("ParseClusterSpec(%q) accepted", bad)
 		}
 	}
+}
+
+// Cluster strings whose counts overflow int: the two K80 groups merge
+// past MaxInt, and the three groups' total wraps around to one.
+const (
+	overflowMerged = "9223372036854775807xK80+1xK80"
+	overflowTotal  = "9223372036854775807xK80+9223372036854775807xP100+3xV100"
+)
+
+// FuzzParseClusterSpec holds the parser to its contract: it never
+// panics, and a nil error means a non-empty spec of positive counts
+// whose total does not wrap and whose String parses back unchanged.
+func FuzzParseClusterSpec(f *testing.F) {
+	for _, seed := range []string{overflowMerged, overflowTotal, "2xK80+1xV100", "1xV100 + 2xK80+1xK80", "0xK80", "x"} {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, s string) {
+		spec, err := ParseClusterSpec(s)
+		if err != nil {
+			return
+		}
+		if len(spec) == 0 {
+			t.Fatalf("ParseClusterSpec(%q) = empty spec, nil error", s)
+		}
+		total := 0
+		for _, grp := range spec {
+			if grp.Count <= 0 || total+grp.Count < total {
+				t.Fatalf("ParseClusterSpec(%q) = %v: bad count or wrapped total", s, []WorkerGroup(spec))
+			}
+			total += grp.Count
+		}
+		if total != spec.TotalWorkers() {
+			t.Fatalf("ParseClusterSpec(%q): TotalWorkers %d, want %d", s, spec.TotalWorkers(), total)
+		}
+		again, err := ParseClusterSpec(spec.String())
+		if err != nil || !reflect.DeepEqual(again, spec) {
+			t.Fatalf("ParseClusterSpec(%q) = %v; its String %q parses to %v, %v", s, []WorkerGroup(spec), spec.String(), []WorkerGroup(again), err)
+		}
+	})
 }
 
 // TestBatchSharesPreserveGlobalBatch is the rebalance property the

@@ -173,6 +173,12 @@ func TestHTTPValidationAndRouting(t *testing.T) {
 		"unoffered combo":        {"/v1/estimate", `{"model":"ResNet-15","gpu":"V100","region":"us-east1","tier":"on-demand","workers":1,"target_steps":1}`, 400},
 		"mixed estimate":         {"/v1/estimate", `{"model":"ResNet-15","cluster":"2xK80+1xV100","region":"us-central1","tier":"transient","target_steps":1}`, 400},
 		"elastic estimate":       {"/v1/estimate", `{"model":"ResNet-15","gpu":"K80","region":"us-central1","tier":"transient","workers":3,"elastic":"surge","target_steps":1}`, 400},
+		// Cluster counts that overflow int: the merged K80 groups
+		// vanish, and the three groups' total wraps around to one.
+		"merged overflow (measure)":  {"/v1/measure", `{"model":"ResNet-15","cluster":"9223372036854775807xK80+1xK80","region":"us-central1","tier":"transient","target_steps":1}`, 400},
+		"merged overflow (estimate)": {"/v1/estimate", `{"model":"ResNet-15","cluster":"9223372036854775807xK80+1xK80","region":"us-central1","tier":"transient","target_steps":1}`, 400},
+		"wrapped total (measure)":    {"/v1/measure", `{"model":"ResNet-15","cluster":"9223372036854775807xK80+9223372036854775807xP100+3xV100","region":"us-central1","tier":"transient","target_steps":1}`, 400},
+		"wrapped total (estimate)":   {"/v1/estimate", `{"model":"ResNet-15","cluster":"9223372036854775807xK80+9223372036854775807xP100+3xV100","region":"us-central1","tier":"transient","target_steps":1}`, 400},
 	} {
 		resp := postJSON(t, srv.URL+tc.path, tc.body)
 		resp.Body.Close()
