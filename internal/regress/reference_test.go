@@ -7,19 +7,29 @@ import (
 	"repro/internal/stats"
 )
 
-// This file keeps the original SVR implementation as a reference for
-// the differential tests: a fit that rebuilds its own [][]float64 Gram
-// matrix and runs the plain coordinate-descent loop, and a grid search
-// that cross-validates every (kernel, C, ε) point on its own through
-// CrossValScore. The optimized path must reproduce it bit for bit.
+// This file keeps two references for the differential tests.
+//
+// refSVR fits the same model as SVR by plain cyclic coordinate descent
+// on a [][]float64 Gram matrix. It has no sweep cap: it runs until no
+// sweep moves a coefficient by tol, which on a small problem is the
+// optimum to far below any tolerance the tests ask of the active-set
+// solver.
+//
+// refSearch cross-validates every (kernel, C, ε) point on its own
+// through CrossValScore and SVR.Fit. SVRSearch's tasks must reproduce
+// it bit for bit.
 
-// refSVR is the original SVR: same model, same fitted function.
 type refSVR struct {
 	Kernel     Kernel
 	C, Epsilon float64
+	// tol is the step test: the descent stops after a sweep that moves
+	// no coefficient by tol or more.
+	tol float64
 
-	beta  []float64
-	train [][]float64
+	full   []float64 // β for every training row
+	sweeps int
+	beta   []float64
+	train  [][]float64
 }
 
 func (s *refSVR) Fit(X [][]float64, y []float64) error {
@@ -30,7 +40,6 @@ func (s *refSVR) Fit(X [][]float64, y []float64) error {
 	if err != nil {
 		return err
 	}
-	const maxIter, tol = 1000, 1e-6
 	gram := make([][]float64, n)
 	for i := range gram {
 		gram[i] = make([]float64, n)
@@ -42,7 +51,7 @@ func (s *refSVR) Fit(X [][]float64, y []float64) error {
 	}
 	beta := make([]float64, n)
 	f := make([]float64, n)
-	for iter := 0; iter < maxIter; iter++ {
+	for s.sweeps = 1; ; s.sweeps++ {
 		var maxDelta float64
 		for i := 0; i < n; i++ {
 			kii := gram[i][i]
@@ -59,7 +68,7 @@ func (s *refSVR) Fit(X [][]float64, y []float64) error {
 			default:
 				next = 0
 			}
-			next = clamp(next, -s.C, s.C)
+			next = min(max(next, -s.C), s.C)
 			delta := next - beta[i]
 			if delta == 0 {
 				continue
@@ -72,10 +81,11 @@ func (s *refSVR) Fit(X [][]float64, y []float64) error {
 				maxDelta = ad
 			}
 		}
-		if maxDelta < tol {
+		if maxDelta < s.tol {
 			break
 		}
 	}
+	s.full = beta
 	s.beta = s.beta[:0]
 	s.train = s.train[:0]
 	for i, b := range beta {
@@ -95,9 +105,9 @@ func (s *refSVR) Predict(x []float64) float64 {
 	return out
 }
 
-// refSearch is the original per-point search: every (kernel, C, ε)
-// is cross-validated separately on the folds drawn from foldSeed, and
-// the winner is the first strict minimum, per kernel and then across
+// refSearch is the per-point search: every (kernel, C, ε) is
+// cross-validated separately on the folds drawn from foldSeed, and the
+// winner is the first strict minimum, per kernel and then across
 // kernels.
 func refSearch(kernels []Kernel, grid SVRGrid, X [][]float64, y []float64, k int, foldSeed int64, score Scorer) (kern Kernel, c, eps, best float64, err error) {
 	best = -1
@@ -106,7 +116,7 @@ func refSearch(kernels []Kernel, grid SVRGrid, X [][]float64, y []float64, k int
 		var kC, kEps float64
 		for _, cc := range grid.Cs {
 			for _, ee := range grid.Epsilons {
-				factory := func() Regressor { return &refSVR{Kernel: kk, C: cc, Epsilon: ee} }
+				factory := func() Regressor { return &SVR{Kernel: kk, C: cc, Epsilon: ee} }
 				mean, _, cvErr := CrossValScore(factory, X, y, k, stats.NewRng(foldSeed), score)
 				if cvErr != nil {
 					return nil, 0, 0, 0, cvErr

@@ -9,7 +9,8 @@
 // Everything is implemented from scratch on the standard library. The
 // datasets are tiny (tens of samples), but the paper's grid search
 // fits thousands of SVRs on them, so the SVR path is built for speed
-// without giving up exactness: SVRSearch shares one flat Gram matrix
+// without giving up exactness: each fit solves its dual to optimality
+// with an active-set method, and SVRSearch shares one flat Gram matrix
 // per (kernel, fold) across the whole (C, ε) grid, splits the search
 // into tasks a caller can run in parallel, and reproduces the plain
 // one-fit-at-a-time search bit for bit. Nothing here starts a

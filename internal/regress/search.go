@@ -22,6 +22,8 @@ type SVRSearch struct {
 	y       []float64
 	folds   [][]int
 	score   Scorer
+	// maxIter is each fit's SVR.maxIter.
+	maxIter int
 }
 
 // NewSVRSearch prepares a search of every kernel × (C, ε) point of the
@@ -76,7 +78,7 @@ type TaskResult struct {
 	// Scores holds the held-out score of every grid point, C-major:
 	// Scores[ci*len(Epsilons)+ei] is (Cs[ci], Epsilons[ei]).
 	Scores []float64
-	// Capped counts the fits that stopped at the sweep cap without
+	// Capped counts the fits that stopped at the iteration cap without
 	// converging.
 	Capped int
 }
@@ -116,19 +118,17 @@ func (s *SVRSearch) RunTask(t int) (*TaskResult, error) {
 	}
 
 	res := &TaskResult{Scores: make([]float64, 0, len(s.grid.Cs)*len(s.grid.Epsilons))}
-	beta, f, pred := make([]float64, n), make([]float64, n), make([]float64, len(teX))
+	w, pred := newActiveSet(n), make([]float64, len(teX))
 	for _, c := range s.grid.Cs {
 		for _, eps := range s.grid.Epsilons {
-			m := SVR{Kernel: kernel, C: c, Epsilon: eps}
-			clear(beta)
-			clear(f)
-			if _, converged := m.solve(gram, trY, beta, f); !converged {
+			m := SVR{Kernel: kernel, C: c, Epsilon: eps, maxIter: s.maxIter}
+			if _, converged := m.solve(gram, trY, w); !converged {
 				res.Capped++
 			}
 			for te := range pred {
 				row := cross[te*n : te*n+n]
 				var out float64
-				for i, b := range beta {
+				for i, b := range w.beta {
 					if b != 0 {
 						out += b * row[i]
 					}
@@ -148,7 +148,7 @@ type SearchResult struct {
 	// Score is the winner's mean held-out score over the folds.
 	Score float64
 	// Fits counts the SVR fits the search ran; Capped those that
-	// stopped at the sweep cap without converging.
+	// stopped at the iteration cap without converging.
 	Fits, Capped int
 }
 

@@ -27,72 +27,35 @@ func randomProblem(rng *stats.Rng, n, d int) ([][]float64, []float64) {
 	return X, y
 }
 
-func sameBits(a, b []float64) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if math.Float64bits(a[i]) != math.Float64bits(b[i]) {
-			return false
-		}
-	}
-	return true
-}
-
-// TestSVRFitMatchesReference pins the flat-Gram, unrolled fit to the
-// original [][]float64 loop bit for bit. n runs from 1 to 70 so the
-// eight-wide unrolled update meets every remainder.
-func TestSVRFitMatchesReference(t *testing.T) {
-	rng := stats.NewRng(20)
-	kernels := []Kernel{RBF{Sigma: 0.1}, RBF{Sigma: 0.5}, Polynomial{Degree: 2, Coef0: 1}, LinearKernel{}}
-	grid := PaperSVRGrid()
-	for n := 1; n <= 70; n++ {
-		X, y := randomProblem(rng, n, 1+n%3)
-		kernel := kernels[n%len(kernels)]
-		c := grid.Cs[rng.Intn(len(grid.Cs))]
-		eps := grid.Epsilons[rng.Intn(len(grid.Epsilons))]
-		got := &SVR{Kernel: kernel, C: c, Epsilon: eps}
-		want := &refSVR{Kernel: kernel, C: c, Epsilon: eps}
-		if err := got.Fit(X, y); err != nil {
-			t.Fatal(err)
-		}
-		if err := want.Fit(X, y); err != nil {
-			t.Fatal(err)
-		}
-		if !sameBits(got.beta, want.beta) {
-			t.Fatalf("n=%d %v C=%v ε=%v: β differs from the reference\n got %v\nwant %v", n, kernel, c, eps, got.beta, want.beta)
-		}
-		for i := range got.train {
-			if !sameBits(got.train[i], want.train[i]) {
-				t.Fatalf("n=%d: support vector %d differs", n, i)
-			}
-		}
-		x := X[rng.Intn(n)]
-		if g, w := got.Predict(x), want.Predict(x); math.Float64bits(g) != math.Float64bits(w) {
-			t.Fatalf("n=%d: Predict = %v, reference %v", n, g, w)
-		}
-	}
-}
-
 func TestSVRReportsConvergence(t *testing.T) {
 	// An easy problem: a few well-separated points under a wide
-	// insensitivity tube converge in a handful of sweeps.
+	// insensitivity tube converge in a handful of Newton steps.
 	X := AsMatrix([]float64{0, 0.5, 1})
 	y := []float64{0, 0.25, 1}
 	easy := &SVR{Kernel: RBF{Sigma: 0.3}, C: 10, Epsilon: 0.05}
 	if err := easy.Fit(X, y); err != nil {
 		t.Fatal(err)
 	}
-	if !easy.Converged() || easy.Sweeps() < 1 || easy.Sweeps() >= 1000 {
-		t.Fatalf("easy fit: converged=%v after %d sweeps, want converged under the cap", easy.Converged(), easy.Sweeps())
+	if !easy.Converged() || easy.Iterations() < 1 || easy.Iterations() > 2*len(X) {
+		t.Fatalf("easy fit: converged=%v after %d iterations, want converged within %d", easy.Converged(), easy.Iterations(), 2*len(X))
 	}
 
-	capped := &SVR{Kernel: RBF{Sigma: 0.3}, C: 10, Epsilon: 0.05, MaxIter: 1}
+	capped := &SVR{Kernel: RBF{Sigma: 0.3}, C: 10, Epsilon: 0.05, maxIter: 1}
 	if err := capped.Fit(X, y); err != nil {
 		t.Fatal(err)
 	}
-	if capped.Converged() || capped.Sweeps() != 1 {
-		t.Fatalf("MaxIter 1: converged=%v after %d sweeps, want not converged after 1", capped.Converged(), capped.Sweeps())
+	if capped.Converged() || capped.Iterations() != 1 {
+		t.Fatalf("cap 1: converged=%v after %d iterations, want not converged after 1", capped.Converged(), capped.Iterations())
+	}
+
+	// A tube wider than every target needs no step at all.
+	flat := &SVR{Kernel: RBF{Sigma: 0.3}, C: 10, Epsilon: 2, maxIter: 1}
+	if err := flat.Fit(X, y); err != nil {
+		t.Fatal(err)
+	}
+	if !flat.Converged() || flat.Iterations() != 0 || flat.SupportVectors() != 0 {
+		t.Fatalf("wide tube: converged=%v after %d iterations with %d support vectors, want converged at β = 0",
+			flat.Converged(), flat.Iterations(), flat.SupportVectors())
 	}
 }
 
@@ -101,7 +64,7 @@ func TestSVRReportsConvergence(t *testing.T) {
 var smallGrid = SVRGrid{Cs: []float64{10, 50, 100}, Epsilons: []float64{0.01, 0.04, 0.1}}
 
 // TestSVRSearchMatchesReference runs the task search against the
-// original point-by-point CrossValScore search: same (kernel, C, ε)
+// point-by-point CrossValScore search over SVR.Fit: same (kernel, C, ε)
 // and a bit-equal score, under MAE and MAPE, k from 2 to 5, for RBF
 // and polynomial kernel families.
 func TestSVRSearchMatchesReference(t *testing.T) {
@@ -195,10 +158,11 @@ func TestSVRSearchTieKeepsFirst(t *testing.T) {
 	}
 }
 
-// TestSVRSearchCountsCappedFits compares the search's capped-fit count
-// with SVR.Converged over the same fold fits, and checks that tasks run
-// concurrently, as campaign units run them, select what a serial run
-// selects.
+// TestSVRSearchCountsCappedFits checks that tasks run concurrently, as
+// campaign units run them, select what a serial run selects, and that
+// the search counts no capped fit. It then lowers the iteration cap
+// until fits do stop at it, and compares the search's count with
+// SVR.Converged over the same fold fits.
 func TestSVRSearchCountsCappedFits(t *testing.T) {
 	X, y := randomProblem(stats.NewRng(12), 25, 1)
 	kernels := []Kernel{RBF{Sigma: 0.05}, RBF{Sigma: 0.5}}
@@ -226,30 +190,24 @@ func TestSVRSearchCountsCappedFits(t *testing.T) {
 		t.Fatal(err)
 	}
 	if got != serial {
-		t.Fatalf("reverse-order tasks selected %+v, serial run %+v", got, serial)
+		t.Fatalf("concurrent tasks selected %+v, serial run %+v", got, serial)
+	}
+	if got.Capped != 0 {
+		t.Fatalf("%d of %d fits stopped at the iteration cap", got.Capped, got.Fits)
 	}
 
-	folds, err := KFold(len(X), 4, stats.NewRng(6))
+	search.maxIter = 3
+	capped, err := search.Run()
 	if err != nil {
 		t.Fatal(err)
 	}
 	want := 0
 	for _, kernel := range kernels {
-		for _, fold := range folds {
-			held := map[int]bool{}
-			for _, i := range fold {
-				held[i] = true
-			}
-			var trX [][]float64
-			var trY []float64
-			for i := range X {
-				if !held[i] {
-					trX, trY = append(trX, X[i]), append(trY, y[i])
-				}
-			}
+		for fold := range search.folds {
+			trX, trY := foldTraining(search, fold)
 			for _, c := range smallGrid.Cs {
 				for _, eps := range smallGrid.Epsilons {
-					m := &SVR{Kernel: kernel, C: c, Epsilon: eps}
+					m := &SVR{Kernel: kernel, C: c, Epsilon: eps, maxIter: search.maxIter}
 					if err := m.Fit(trX, trY); err != nil {
 						t.Fatal(err)
 					}
@@ -260,11 +218,11 @@ func TestSVRSearchCountsCappedFits(t *testing.T) {
 			}
 		}
 	}
-	if got.Capped != want {
-		t.Fatalf("search counted %d capped fits, SVR.Converged says %d", got.Capped, want)
+	if capped.Capped != want {
+		t.Fatalf("search counted %d capped fits, SVR.Converged says %d", capped.Capped, want)
 	}
-	if got.Capped == 0 {
-		t.Fatal("expected some fits to stop at the cap on this problem")
+	if capped.Capped == 0 {
+		t.Fatal("expected some fits to stop at a cap of 3 iterations")
 	}
 }
 
