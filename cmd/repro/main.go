@@ -284,11 +284,7 @@ func writeExperimentsObserved(w io.Writer, runners []experiments.Runner, seed in
 	// one campaign overlaps the head of the next.
 	plans := make([]*campaign.Plan, len(runners))
 	for i, r := range runners {
-		if col != nil {
-			plans[i] = r.PlanTraced(seed, col)
-		} else {
-			plans[i] = r.Plan(seed)
-		}
+		plans[i] = r.PlanTraced(seed, col)
 	}
 	engine := campaign.Engine{Workers: parallel}
 	if timings != nil {

@@ -33,13 +33,18 @@ type Unit struct {
 	Key string
 	// Run executes the replication with the derived seed.
 	Run func(seed int64) (any, error)
-	// RunScratch, when set, runs the replication with a pooled
-	// per-worker scratch arena and takes precedence over Run. The
-	// arena is exclusively the unit's for the duration of the call;
-	// anything borrowed from it must not escape into the unit's output
-	// (see Scratch).
+	// RunScratch, when set, takes precedence over Run and receives an
+	// empty Scratch.
+	//
+	// Deprecated: use Run. RunScratch and Scratch remain only for
+	// callers written against the retired per-worker arena.
 	RunScratch func(seed int64, s *Scratch) (any, error)
 }
+
+// Scratch is what RunScratch receives. It holds nothing.
+//
+// Deprecated: use Unit.Run.
+type Scratch struct{}
 
 // Plan is a declared campaign: a base seed, an ordered list of
 // independent units, and a reduce that assembles the final value from
@@ -620,12 +625,7 @@ func runUnit(u Unit, seed int64) (out any, err error) {
 		}
 	}()
 	if u.RunScratch != nil {
-		s := scratchPool.Get().(*Scratch)
-		// Return the arena even when the unit panics: its buffers are
-		// reset before reuse, so a half-written arena is harmless.
-		defer scratchPool.Put(s)
-		s.Reset()
-		return u.RunScratch(seed, s)
+		return u.RunScratch(seed, &Scratch{})
 	}
 	return u.Run(seed)
 }

@@ -204,6 +204,49 @@ func TestPanicBecomesUnitError(t *testing.T) {
 	}
 }
 
+// The deprecated RunScratch takes precedence over Run.
+func TestRunScratchPrecedence(t *testing.T) {
+	p := &Plan{
+		Seed: 1,
+		Units: []Unit{{
+			Key: "u",
+			Run: func(seed int64) (any, error) {
+				return nil, fmt.Errorf("plain Run must not be called when RunScratch is set")
+			},
+			RunScratch: func(seed int64, s *Scratch) (any, error) {
+				if s == nil {
+					return nil, fmt.Errorf("nil scratch")
+				}
+				return seed, nil
+			},
+		}},
+	}
+	out, err := Engine{Workers: 1}.Run(p)
+	if err != nil {
+		t.Fatalf("Run: %v", err)
+	}
+	if out.([]any)[0].(int64) != Derive(1, 0, "u") {
+		t.Fatalf("unexpected seed output %v", out)
+	}
+}
+
+// A panicking RunScratch unit fails its campaign like a panicking Run
+// unit.
+func TestRunScratchPanicRecovered(t *testing.T) {
+	p := &Plan{
+		Seed: 5,
+		Units: []Unit{{
+			Key:        "boom",
+			RunScratch: func(seed int64, s *Scratch) (any, error) { panic("kaboom") },
+		}},
+	}
+	_, err := Engine{Workers: 1}.Run(p)
+	var ue *UnitError
+	if !errors.As(err, &ue) || ue.Key != "boom" {
+		t.Fatalf("expected UnitError for 'boom', got %v", err)
+	}
+}
+
 func TestNilReduceReturnsOrderedOutputs(t *testing.T) {
 	p := sumPlan(11, 10)
 	p.Reduce = nil

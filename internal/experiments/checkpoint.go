@@ -26,8 +26,7 @@ type Fig5Point struct {
 	CoV     float64
 }
 
-func planFigure5(seed int64) *campaign.Plan {
-	p := newPlan(seed)
+func planFigure5(p *plan) *campaign.Plan {
 	p.unit("ckpt-dataset", func(s int64) (any, error) {
 		return collectCheckpointDataset(5, s), nil
 	})
@@ -81,8 +80,7 @@ type CheckpointSequentialResult struct {
 	Difference          float64
 }
 
-func planCheckpointSequential(seed int64) *campaign.Plan {
-	p := newPlan(seed)
+func planCheckpointSequential(p *plan) *campaign.Plan {
 	// Both arms run inside one unit with the same seed: the paired
 	// design cancels step-time noise so the difference isolates the
 	// checkpoint overhead (§IV-B's methodology).

@@ -28,18 +28,17 @@ var paperTableIII = map[model.GPU][]float64{
 	model.V100: {92.38, 95.90, 106.36, 191.72, 93.52},
 }
 
-func planTableIII(seed int64) *campaign.Plan {
+func planTableIII(p *plan) *campaign.Plan {
 	resnet32 := model.ResNet32()
-	p := newPlan(seed)
 	declare := func(g model.GPU, label string, workers []train.WorkerSpec) {
 		n := int64(len(workers))
-		p.sunit(fmt.Sprintf("table3/%v/%s", g, label), func(s int64, scr *campaign.Scratch) (any, error) {
-			r, err := runSessionScratch(train.Config{
+		p.unit(fmt.Sprintf("table3/%v/%s", g, label), func(s int64) (any, error) {
+			r, err := runSession(train.Config{
 				Model:       resnet32,
 				Workers:     workers,
 				TargetSteps: 800 * n,
 				Seed:        s,
-			}, scr)
+			})
 			if err != nil {
 				return nil, err
 			}
@@ -92,16 +91,15 @@ type Figure4Result struct {
 	Speeds map[string][]float64
 }
 
-func planFigure4(seed int64) *campaign.Plan {
-	p := newPlan(seed)
+func planFigure4(p *plan) *campaign.Plan {
 	for _, m := range model.CanonicalModels() {
 		for n := 1; n <= 8; n++ {
 			steps := int64(600 * n)
 			if m.Name == "ShakeShakeBig" {
 				steps = int64(300 * n) // slow model; fewer steps suffice
 			}
-			p.sunit(fmt.Sprintf("fig4/%s/%d", m.Name, n), func(s int64, scr *campaign.Scratch) (any, error) {
-				return measureClusterSpeed(m, train.Homogeneous(model.P100, n), 1, steps, s, scr)
+			p.unit(fmt.Sprintf("fig4/%s/%d", m.Name, n), func(s int64) (any, error) {
+				return measureClusterSpeed(m, train.Homogeneous(model.P100, n), 1, steps, s)
 			})
 		}
 	}
@@ -147,14 +145,13 @@ type Figure12Result struct {
 	DetectorDeviation float64
 }
 
-func planFigure12(seed int64) *campaign.Plan {
-	p := newPlan(seed)
+func planFigure12(p *plan) *campaign.Plan {
 	models := []model.Model{model.ResNet15(), model.ResNet32()}
 	for _, m := range models {
 		for _, ps := range []int{1, 2} {
 			for n := 1; n <= 8; n++ {
-				p.sunit(fmt.Sprintf("fig12/%s/ps%d/%d", m.Name, ps, n), func(s int64, scr *campaign.Scratch) (any, error) {
-					return measureClusterSpeed(m, train.Homogeneous(model.P100, n), ps, int64(700*n), s, scr)
+				p.unit(fmt.Sprintf("fig12/%s/ps%d/%d", m.Name, ps, n), func(s int64) (any, error) {
+					return measureClusterSpeed(m, train.Homogeneous(model.P100, n), ps, int64(700*n), s)
 				})
 			}
 		}

@@ -108,8 +108,7 @@ type elasticEntry struct {
 	Score float64
 }
 
-func planElastic(seed int64) *campaign.Plan {
-	p := newPlan(seed)
+func planElastic(p *plan) *campaign.Plan {
 	steps, deadline, penalty := elasticWorkload()
 	for _, regime := range elasticRegimes() {
 		for rep := 0; rep < elasticReplications; rep++ {
@@ -117,7 +116,7 @@ func planElastic(seed int64) *campaign.Plan {
 			// identical cloud randomness, so score differences are pure
 			// membership policy — the fleet/regret experiments' fairness
 			// discipline.
-			cellSeed := campaign.Derive(seed, uint64(rep), "elastic/"+regime.label)
+			cellSeed := campaign.Derive(p.seed, uint64(rep), "elastic/"+regime.label)
 			for _, policy := range manager.ElasticPolicies() {
 				regime, policy, rep := regime, policy, rep
 				sc := Scenario{
@@ -128,8 +127,8 @@ func planElastic(seed int64) *campaign.Plan {
 					Cluster:  elasticCluster(),
 					Elastic:  policy,
 				}
-				p.stunit(fmt.Sprintf("elastic/%s/%s/rep%d", regime.label, policy, rep), func(_ int64, rec *obs.Recorder, scr *campaign.Scratch) (any, error) {
-					out, err := runScenario(sc, steps, elasticCheckpointInterval, SessionOptions{Trace: rec, Scratch: scr}, cellSeed)
+				p.tunit(fmt.Sprintf("elastic/%s/%s/rep%d", regime.label, policy, rep), func(_ int64, rec *obs.Recorder) (any, error) {
+					out, err := runScenario(sc, steps, elasticCheckpointInterval, SessionOptions{Trace: rec}, cellSeed)
 					if err != nil {
 						return nil, err
 					}

@@ -63,33 +63,13 @@ func TestElasticBeatsStaticAtGoldenSeed(t *testing.T) {
 	}
 }
 
-// TestElasticExperimentIsWorkerCountInvariant is the determinism
-// acceptance for the elastic kernel: the full campaign renders byte-
-// identically at -parallel 1 and 8, like every other campaign.
-func TestElasticExperimentIsWorkerCountInvariant(t *testing.T) {
-	if testing.Short() {
-		t.Skip("full elastic campaign in -short mode")
-	}
-	r, _ := ByID("elastic")
-	render := func(workers int) string {
-		res, err := r.RunWorkers(42, workers)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return res.String()
-	}
-	want := render(1)
-	if got := render(8); got != want {
-		t.Fatal("elastic experiment output depends on worker count")
-	}
-}
-
 // TestElasticCellsShareSeedsAcrossPolicies pins the comparison's
 // fairness contract: within one (regime, replication) cell every
 // policy must face identical cloud randomness, so the plan declares
 // one unit per policy per cell, grouped in declaration order.
 func TestElasticCellsShareSeedsAcrossPolicies(t *testing.T) {
-	plan := planElastic(7)
+	r, _ := ByID("elastic")
+	plan := r.Plan(7)
 	policies := 3 // static, elastic, surge
 	want := len(elasticRegimes()) * elasticReplications * policies
 	if len(plan.Units) != want {

@@ -35,7 +35,7 @@ type validationRun struct {
 	Cost    float64
 }
 
-func planEndToEnd(seed int64) *campaign.Plan {
+func planEndToEnd(p *plan) *campaign.Plan {
 	const (
 		region   = cloud.USCentral1
 		nw       = 64000
@@ -43,7 +43,6 @@ func planEndToEnd(seed int64) *campaign.Plan {
 		sessions = 3
 	)
 	resnet32 := model.ResNet32()
-	p := newPlan(seed)
 
 	// 1. K80 speed measurements for the Eq. 4 speed model (§III).
 	dataset := p.declareSpeedDataset([]model.GPU{model.K80})

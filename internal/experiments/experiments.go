@@ -30,9 +30,9 @@ type Runner struct {
 	ID string
 	// Title describes the paper artifact being reproduced.
 	Title string
-	// Plan declares the experiment's replication grid for the given
-	// campaign seed.
-	Plan func(seed int64) *campaign.Plan
+	// declare adds the experiment's replication grid to p and
+	// finalizes it.
+	declare func(p *plan) *campaign.Plan
 }
 
 // Run executes the experiment sequentially (one worker).
@@ -40,25 +40,20 @@ func (r Runner) Run(seed int64) (Result, error) {
 	return r.RunWorkers(seed, 1)
 }
 
-// Tracing state consulted by newPlan. Plan building is single-threaded
-// (runners declare their grids before the engine schedules anything),
-// so package-level state set around the Plan call is safe; PlanTraced
-// is the only writer.
-var (
-	activeCollector *obs.Collector
-	activePrefix    string
-)
+// Plan declares the experiment's replication grid for the given
+// campaign seed, untraced.
+func (r Runner) Plan(seed int64) *campaign.Plan {
+	return r.PlanTraced(seed, nil)
+}
 
 // PlanTraced builds the runner's plan with sim-plane tracing attached:
 // every traceable unit gets a recorder registered in col under
 // "<id>/<unit index> <unit key>". Unit recorders are created here, at
 // declaration time, and each is written only by its own unit's
 // goroutine — so the collector's exported stream is deterministic at
-// any worker count.
+// any worker count. A nil col plans untraced.
 func (r Runner) PlanTraced(seed int64, col *obs.Collector) *campaign.Plan {
-	activeCollector, activePrefix = col, r.ID
-	defer func() { activeCollector, activePrefix = nil, "" }()
-	return r.Plan(seed)
+	return r.declare(&plan{seed: seed, col: col, prefix: r.ID})
 }
 
 // RunWorkers executes the experiment's campaign on a pool of the given
@@ -74,25 +69,25 @@ func (r Runner) RunWorkers(seed int64, workers int) (Result, error) {
 // All lists every experiment in paper order, plus the scenario sweep.
 func All() []Runner {
 	return []Runner{
-		{ID: "table1", Title: "Table I: training speed, simplest cluster (4 models × 3 GPUs)", Plan: planTableI},
-		{ID: "fig2", Title: "Fig. 2: training speed vs. steps on K80 (warm-up and stability)", Plan: planFigure2},
-		{ID: "fig3", Title: "Fig. 3: step time vs. normalized computation and model complexity", Plan: planFigure3},
-		{ID: "table2", Title: "Table II: step-time prediction models (k-fold and test MAE)", Plan: planTableII},
-		{ID: "table3", Title: "Table III: per-worker step time in homogeneous/heterogeneous clusters", Plan: planTableIII},
-		{ID: "fig4", Title: "Fig. 4: cluster training speed vs. number of P100 workers", Plan: planFigure4},
-		{ID: "fig5", Title: "Fig. 5: checkpoint duration vs. checkpoint size", Plan: planFigure5},
-		{ID: "ckptseq", Title: "§IV-B: checkpoint overhead is additive (sequential with training)", Plan: planCheckpointSequential},
-		{ID: "table4", Title: "Table IV: checkpoint-time prediction models", Plan: planTableIV},
-		{ID: "fig6", Title: "Fig. 6: startup time breakdown (transient vs. on-demand)", Plan: planFigure6},
-		{ID: "fig7", Title: "Fig. 7: startup time after revocations (immediate vs. delayed)", Plan: planFigure7},
-		{ID: "table5", Title: "Table V: transient revocations by region and GPU", Plan: planTableV},
-		{ID: "fig8", Title: "Fig. 8: lifetime CDFs by region and GPU", Plan: planFigure8},
-		{ID: "fig9", Title: "Fig. 9: time-of-day impact on revocations", Plan: planFigure9},
-		{ID: "fig10", Title: "Fig. 10: worker replacement overhead (cold vs. warm)", Plan: planFigure10},
-		{ID: "fig11", Title: "Fig. 11: TensorFlow-specific recomputation overhead", Plan: planFigure11},
-		{ID: "fig12", Title: "Fig. 12: parameter-server bottleneck detection and mitigation", Plan: planFigure12},
-		{ID: "endtoend", Title: "§VI-A: end-to-end training time prediction (Eqs. 4–5)", Plan: planEndToEnd},
-		{ID: "sweep", Title: "Scenario sweep: cluster size × GPU × region × tier (measured sessions)", Plan: planDefaultSweep},
+		{ID: "table1", Title: "Table I: training speed, simplest cluster (4 models × 3 GPUs)", declare: planTableI},
+		{ID: "fig2", Title: "Fig. 2: training speed vs. steps on K80 (warm-up and stability)", declare: planFigure2},
+		{ID: "fig3", Title: "Fig. 3: step time vs. normalized computation and model complexity", declare: planFigure3},
+		{ID: "table2", Title: "Table II: step-time prediction models (k-fold and test MAE)", declare: planTableII},
+		{ID: "table3", Title: "Table III: per-worker step time in homogeneous/heterogeneous clusters", declare: planTableIII},
+		{ID: "fig4", Title: "Fig. 4: cluster training speed vs. number of P100 workers", declare: planFigure4},
+		{ID: "fig5", Title: "Fig. 5: checkpoint duration vs. checkpoint size", declare: planFigure5},
+		{ID: "ckptseq", Title: "§IV-B: checkpoint overhead is additive (sequential with training)", declare: planCheckpointSequential},
+		{ID: "table4", Title: "Table IV: checkpoint-time prediction models", declare: planTableIV},
+		{ID: "fig6", Title: "Fig. 6: startup time breakdown (transient vs. on-demand)", declare: planFigure6},
+		{ID: "fig7", Title: "Fig. 7: startup time after revocations (immediate vs. delayed)", declare: planFigure7},
+		{ID: "table5", Title: "Table V: transient revocations by region and GPU", declare: planTableV},
+		{ID: "fig8", Title: "Fig. 8: lifetime CDFs by region and GPU", declare: planFigure8},
+		{ID: "fig9", Title: "Fig. 9: time-of-day impact on revocations", declare: planFigure9},
+		{ID: "fig10", Title: "Fig. 10: worker replacement overhead (cold vs. warm)", declare: planFigure10},
+		{ID: "fig11", Title: "Fig. 11: TensorFlow-specific recomputation overhead", declare: planFigure11},
+		{ID: "fig12", Title: "Fig. 12: parameter-server bottleneck detection and mitigation", declare: planFigure12},
+		{ID: "endtoend", Title: "§VI-A: end-to-end training time prediction (Eqs. 4–5)", declare: planEndToEnd},
+		{ID: "sweep", Title: "Scenario sweep: cluster size × GPU × region × tier (measured sessions)", declare: DefaultSweep().declare},
 	}
 }
 
@@ -103,11 +98,11 @@ func All() []Runner {
 // paper did not publish numbers for.
 func Extras() []Runner {
 	return []Runner{
-		{ID: "revmodels", Title: "Revocation-model comparison: cost/time under each lifetime regime (same grid)", Plan: planRevModels},
-		{ID: "fleet", Title: "Fleet scheduler comparison: multi-job contention on a capacity-constrained transient pool", Plan: planFleet},
-		{ID: "providers", Title: "Cross-provider arbitrage: single-market fleets vs. scheduling across gce+aws+serverless markets", Plan: planProviders},
-		{ID: "regret", Title: "Scheduler regret: every policy scored against a clairvoyant per-job oracle across contention regimes", Plan: planRegret},
-		{ID: "elastic", Title: "Elastic clusters: static vs. risk-driven resizing of a mixed-GPU cluster under each revocation regime", Plan: planElastic},
+		{ID: "revmodels", Title: "Revocation-model comparison: cost/time under each lifetime regime (same grid)", declare: planRevModels},
+		{ID: "fleet", Title: "Fleet scheduler comparison: multi-job contention on a capacity-constrained transient pool", declare: planFleet},
+		{ID: "providers", Title: "Cross-provider arbitrage: single-market fleets vs. scheduling across gce+aws+serverless markets", declare: planProviders},
+		{ID: "regret", Title: "Scheduler regret: every policy scored against a clairvoyant per-job oracle across contention regimes", declare: planRegret},
+		{ID: "elastic", Title: "Elastic clusters: static vs. risk-driven resizing of a mixed-GPU cluster under each revocation regime", declare: planElastic},
 	}
 }
 
@@ -147,14 +142,10 @@ type plan struct {
 	seed  int64
 	units []campaign.Unit
 
-	// col/prefix snapshot the package tracing state at newPlan time, so
-	// traced units resolve their recorders at declaration.
+	// col, when non-nil, receives one recorder per traced unit, keyed
+	// under prefix.
 	col    *obs.Collector
 	prefix string
-}
-
-func newPlan(seed int64) *plan {
-	return &plan{seed: seed, col: activeCollector, prefix: activePrefix}
 }
 
 // unit declares one replication and returns its index into the reduce
@@ -164,45 +155,26 @@ func (p *plan) unit(key string, run func(seed int64) (any, error)) int {
 	return len(p.units) - 1
 }
 
-// sunit declares one scratch-aware replication: run receives a pooled
-// per-worker arena for its summarization temporaries. Outputs must not
-// alias scratch memory (see campaign.Scratch).
-func (p *plan) sunit(key string, run func(seed int64, s *campaign.Scratch) (any, error)) int {
-	p.units = append(p.units, campaign.Unit{Key: key, RunScratch: run})
-	return len(p.units) - 1
-}
-
-// recorder returns the trace recorder for the unit about to be
-// declared, or nil when the plan is untraced. The key embeds the unit
-// index, so collector keys are unique and sort in declaration order.
-func (p *plan) recorder(key string) *obs.Recorder {
-	if p.col == nil {
-		return nil
-	}
-	return p.col.Unit(fmt.Sprintf("%s/%04d %s", p.prefix, len(p.units), key))
-}
-
 // tunit declares one traceable replication: run receives the unit's
-// recorder (nil when untraced), resolved at declaration time.
+// recorder, nil when the plan is untraced. The recorder key embeds the
+// unit index, so collector keys are unique and sort in declaration
+// order.
 func (p *plan) tunit(key string, run func(seed int64, rec *obs.Recorder) (any, error)) int {
-	rec := p.recorder(key)
+	var rec *obs.Recorder
+	if p.col != nil {
+		rec = p.col.Unit(fmt.Sprintf("%s/%04d %s", p.prefix, len(p.units), key))
+	}
 	return p.unit(key, func(seed int64) (any, error) { return run(seed, rec) })
-}
-
-// stunit declares one traceable, scratch-aware replication.
-func (p *plan) stunit(key string, run func(seed int64, rec *obs.Recorder, s *campaign.Scratch) (any, error)) int {
-	rec := p.recorder(key)
-	return p.sunit(key, func(seed int64, s *campaign.Scratch) (any, error) { return run(seed, rec, s) })
 }
 
 // session declares one training session on a fresh kernel; the engine
 // supplies the session seed. The unit output is the train.Result.
 func (p *plan) session(key string, cfg train.Config) int {
-	return p.stunit(key, func(seed int64, rec *obs.Recorder, s *campaign.Scratch) (any, error) {
+	return p.tunit(key, func(seed int64, rec *obs.Recorder) (any, error) {
 		cfg := cfg
 		cfg.Seed = seed
 		cfg.Trace = rec
-		return runSessionScratch(cfg, s)
+		return runSession(cfg)
 	})
 }
 
@@ -217,11 +189,9 @@ func (p *plan) build(reduce func(outs []any) (Result, error)) *campaign.Plan {
 
 // then finalizes the plan with a second stage instead of a reduce:
 // next turns the declared units' outputs into a follow-up plan whose
-// units run on the same workers (see campaign.Plan.Then). next runs
-// while the engine does, so it builds its plan as &plan{seed: seed}
-// rather than through newPlan, which reads the tracing state only
-// plan-building time may touch; follow-up units hold analysis, not
-// simulated sessions, and have nothing to trace.
+// units run on the same workers (see campaign.Plan.Then). next builds
+// its plan as &plan{seed: seed}, untraced: follow-up units hold
+// analysis, not simulated sessions, and have nothing to trace.
 func (p *plan) then(next func(outs []any) (*campaign.Plan, error)) *campaign.Plan {
 	return &campaign.Plan{Seed: p.seed, Units: p.units, Then: next}
 }

@@ -3,9 +3,11 @@ package experiments
 import (
 	"math"
 	"strings"
+	"sync"
 	"testing"
 
 	"repro/internal/model"
+	"repro/internal/obs"
 )
 
 // runByID executes one registered experiment sequentially.
@@ -62,6 +64,44 @@ func TestRegistryCoversEveryPaperArtifact(t *testing.T) {
 	}
 	if _, ok := ByID("nope"); ok {
 		t.Fatal("ByID(nope) should fail")
+	}
+}
+
+// TestPlanTracedIsolatesConcurrentCollectors plans four runners at
+// once, each into its own collector: every recorder must land in its
+// own runner's collector, under that runner's ID. Planning is cheap,
+// so this runs in -short mode too, where CI adds -race.
+func TestPlanTracedIsolatesConcurrentCollectors(t *testing.T) {
+	ids := []string{"fig2", "table1", "sweep", "elastic"}
+	cols := make([]*obs.Collector, len(ids))
+	var wg sync.WaitGroup
+	for i, id := range ids {
+		r, ok := ByID(id)
+		if !ok {
+			t.Fatalf("experiment %q not registered", id)
+		}
+		col := obs.NewCollector()
+		cols[i] = col
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for range 50 {
+				r.PlanTraced(42, col)
+			}
+		}()
+	}
+	wg.Wait()
+	for i, id := range ids {
+		keys := cols[i].Units()
+		if len(keys) == 0 {
+			t.Errorf("%s: collector is empty", id)
+		}
+		for _, k := range keys {
+			if !strings.HasPrefix(k, id+"/") {
+				t.Errorf("%s: collector holds %q", id, k)
+				break
+			}
+		}
 	}
 }
 

@@ -82,8 +82,7 @@ type fleetEntry struct {
 	Result    *fleet.Result
 }
 
-func planFleet(seed int64) *campaign.Plan {
-	p := newPlan(seed)
+func planFleet(p *plan) *campaign.Plan {
 	schedulers := []string{"fifo", "cost-greedy", "deadline-aware"}
 	for _, regime := range fleetRegimes() {
 		for _, sched := range schedulers {
@@ -100,9 +99,9 @@ func planFleet(seed int64) *campaign.Plan {
 					Scheduler:    sched,
 					Capacity:     uniformCapacity(regime.slotsPerCell),
 					HorizonHours: fleetHorizonHours,
-					WorkloadSeed: campaign.Derive(seed, uint64(rep), "fleet/workload/"+regime.name),
+					WorkloadSeed: campaign.Derive(p.seed, uint64(rep), "fleet/workload/"+regime.name),
 				}
-				simSeed := campaign.Derive(seed, uint64(rep), "fleet/sim/"+regime.name)
+				simSeed := campaign.Derive(p.seed, uint64(rep), "fleet/sim/"+regime.name)
 				p.tunit(fmt.Sprintf("fleet/%s/%s/rep%d", regime.name, sched, rep), func(_ int64, rec *obs.Recorder) (any, error) {
 					res, err := fleet.RunTraced(cfg, simSeed, rec)
 					if err != nil {

@@ -44,7 +44,8 @@ func TestFleetExperimentIsWorkerCountInvariant(t *testing.T) {
 // fairness contract: within one (regime, replication) cell, every
 // scheduler faces the identical job stream.
 func TestFleetRegimesShareWorkloadAcrossSchedulers(t *testing.T) {
-	plan := planFleet(7)
+	r, _ := ByID("fleet")
+	plan := r.Plan(7)
 	// Two units of the same regime and rep but different schedulers
 	// must carry configs whose workload seeds match; probe via the
 	// unit keys (regime/scheduler/rep encoding).

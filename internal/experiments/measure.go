@@ -3,7 +3,6 @@ package experiments
 import (
 	"fmt"
 
-	"repro/internal/campaign"
 	"repro/internal/core"
 	"repro/internal/model"
 	"repro/internal/sim"
@@ -14,13 +13,6 @@ import (
 // runSession builds, runs to completion, and summarizes one training
 // session on a fresh kernel.
 func runSession(cfg train.Config) (train.Result, error) {
-	return runSessionScratch(cfg, nil)
-}
-
-// runSessionScratch is runSession with the result summarization's
-// temporaries borrowed from a campaign scratch arena (nil allocates).
-// The returned Result never aliases the arena.
-func runSessionScratch(cfg train.Config, scr *campaign.Scratch) (train.Result, error) {
 	k := &sim.Kernel{}
 	c, err := train.NewCluster(k, cfg)
 	if err != nil {
@@ -28,32 +20,23 @@ func runSessionScratch(cfg train.Config, scr *campaign.Scratch) (train.Result, e
 	}
 	c.Start()
 	k.Run()
-	res := c.ResultScratch(statsScratch(scr))
+	res := c.Result()
 	if cfg.TargetSteps > 0 && !res.Done {
 		return res, fmt.Errorf("experiments: session stalled at step %d of %d", res.GlobalSteps, cfg.TargetSteps)
 	}
 	return res, nil
 }
 
-// statsScratch unwraps the stats arena from an optional campaign
-// scratch.
-func statsScratch(scr *campaign.Scratch) *stats.Scratch {
-	if scr == nil {
-		return nil
-	}
-	return &scr.Stats
-}
-
 // measureWorkerStepTime measures the steady-state step time of a
 // single worker of the given GPU training the given model (the
 // paper's TFProf-based per-worker measurement, §III-A).
-func measureWorkerStepTime(g model.GPU, m model.Model, steps int64, seed int64, scr *campaign.Scratch) (mean, std float64, err error) {
-	res, err := runSessionScratch(train.Config{
+func measureWorkerStepTime(g model.GPU, m model.Model, steps int64, seed int64) (mean, std float64, err error) {
+	res, err := runSession(train.Config{
 		Model:       m,
 		Workers:     train.Homogeneous(g, 1),
 		TargetSteps: steps,
 		Seed:        seed,
-	}, scr)
+	})
 	if err != nil {
 		return 0, 0, err
 	}
@@ -66,14 +49,14 @@ func measureWorkerStepTime(g model.GPU, m model.Model, steps int64, seed int64, 
 
 // measureClusterSpeed measures the steady-state cluster speed for a
 // worker placement (the paper's hook-based cluster logging, §III-A).
-func measureClusterSpeed(m model.Model, workers []train.WorkerSpec, ps int, steps int64, seed int64, scr *campaign.Scratch) (float64, error) {
-	res, err := runSessionScratch(train.Config{
+func measureClusterSpeed(m model.Model, workers []train.WorkerSpec, ps int, steps int64, seed int64) (float64, error) {
+	res, err := runSession(train.Config{
 		Model:            m,
 		Workers:          workers,
 		ParameterServers: ps,
 		TargetSteps:      steps,
 		Seed:             seed,
-	}, scr)
+	})
 	if err != nil {
 		return 0, err
 	}
@@ -97,8 +80,8 @@ func (p *plan) declareSpeedDataset(gpus []model.GPU) func(outs []any) *speedData
 	models := model.Zoo()
 	for _, g := range gpus {
 		for _, m := range models {
-			p.sunit(fmt.Sprintf("speed/%v/%s", g, m.Name), func(seed int64, s *campaign.Scratch) (any, error) {
-				mean, _, err := measureWorkerStepTime(g, m, 1500, seed, s)
+			p.unit(fmt.Sprintf("speed/%v/%s", g, m.Name), func(seed int64) (any, error) {
+				mean, _, err := measureWorkerStepTime(g, m, 1500, seed)
 				if err != nil {
 					return nil, fmt.Errorf("measuring %s on %v: %w", m.Name, g, err)
 				}

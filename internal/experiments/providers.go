@@ -77,8 +77,7 @@ type providerEntry struct {
 	Result *fleet.Result
 }
 
-func planProviders(seed int64) *campaign.Plan {
-	p := newPlan(seed)
+func planProviders(p *plan) *campaign.Plan {
 	for _, regime := range fleetRegimes() {
 		capacity := unionCapacity(regime.slotsPerCell, providerMarkets())
 		for _, fl := range providerFleets() {
@@ -95,9 +94,9 @@ func planProviders(seed int64) *campaign.Plan {
 					Providers:    fl.providers,
 					Capacity:     capacity,
 					HorizonHours: fleetHorizonHours,
-					WorkloadSeed: campaign.Derive(seed, uint64(rep), "providers/workload/"+regime.name),
+					WorkloadSeed: campaign.Derive(p.seed, uint64(rep), "providers/workload/"+regime.name),
 				}
-				simSeed := campaign.Derive(seed, uint64(rep), "providers/sim/"+regime.name)
+				simSeed := campaign.Derive(p.seed, uint64(rep), "providers/sim/"+regime.name)
 				p.tunit(fmt.Sprintf("providers/%s/%s/rep%d", regime.name, fl.name, rep), func(_ int64, rec *obs.Recorder) (any, error) {
 					res, err := fleet.RunTraced(cfg, simSeed, rec)
 					if err != nil {

@@ -114,8 +114,7 @@ type regretEntry struct {
 	OracleUSD   float64
 }
 
-func planRegret(seed int64) *campaign.Plan {
-	p := newPlan(seed)
+func planRegret(p *plan) *campaign.Plan {
 	schedulers := fleet.SchedulerNames()
 	for _, regime := range fleetRegimes() {
 		for _, sched := range schedulers {
@@ -132,9 +131,9 @@ func planRegret(seed int64) *campaign.Plan {
 					Scheduler:    sched,
 					Capacity:     uniformCapacity(regime.slotsPerCell),
 					HorizonHours: fleetHorizonHours,
-					WorkloadSeed: campaign.Derive(seed, uint64(rep), "regret/workload/"+regime.name),
+					WorkloadSeed: campaign.Derive(p.seed, uint64(rep), "regret/workload/"+regime.name),
 				}
-				simSeed := campaign.Derive(seed, uint64(rep), "regret/sim/"+regime.name)
+				simSeed := campaign.Derive(p.seed, uint64(rep), "regret/sim/"+regime.name)
 				p.tunit(fmt.Sprintf("regret/%s/%s/rep%d", regime.name, sched, rep), func(_ int64, rec *obs.Recorder) (any, error) {
 					res, err := fleet.RunTraced(cfg, simSeed, rec)
 					if err != nil {

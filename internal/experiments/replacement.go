@@ -25,9 +25,8 @@ var paperFigure10 = map[string][2]float64{
 	"ShakeShakeBig":   {90.6, 29.8},
 }
 
-func planFigure10(seed int64) *campaign.Plan {
+func planFigure10(p *plan) *campaign.Plan {
 	const trials = 20
-	p := newPlan(seed)
 	for _, m := range model.CanonicalModels() {
 		for _, cold := range []bool{true, false} {
 			for trial := 0; trial < trials; trial++ {
@@ -112,13 +111,12 @@ type Figure11Result struct {
 	OverheadSeconds []float64
 }
 
-func planFigure11(seed int64) *campaign.Plan {
+func planFigure11(p *plan) *campaign.Plan {
 	const (
 		ckptInterval = 4000
 		revokeAfter  = 1000 // chief revoked 1k steps past the checkpoint (§V-A)
 	)
 	joinAts := []int64{1500, 2000, 2500, 3000, 3500}
-	p := newPlan(seed)
 	for _, joinAt := range joinAts {
 		for _, reuseIP := range []bool{true, false} {
 			p.unit(fmt.Sprintf("fig11/%d/reuse=%v", joinAt, reuseIP), func(s int64) (any, error) {

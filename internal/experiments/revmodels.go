@@ -61,9 +61,8 @@ type revModelsEntry struct {
 	Outcome  ScenarioOutcome
 }
 
-func planRevModels(seed int64) *campaign.Plan {
+func planRevModels(p *plan) *campaign.Plan {
 	spec := revModelsSpec()
-	p := newPlan(seed)
 	type entrant struct {
 		name string
 		lm   cloud.LifetimeModel
@@ -76,7 +75,7 @@ func planRevModels(seed int64) *campaign.Plan {
 		}
 		entrants = append(entrants, entrant{name, lm})
 	}
-	replay, replayErr := replayLifetimeModel(seed)
+	replay, replayErr := replayLifetimeModel(p.seed)
 	if replayErr == nil {
 		entrants = append(entrants, entrant{"replay", replay})
 	}
@@ -86,8 +85,8 @@ func planRevModels(seed int64) *campaign.Plan {
 			sc.RevModel = e.name
 			steps := spec.StepsPerWorker * int64(sc.Workers)
 			for rep := 0; rep < revModelsReplications; rep++ {
-				p.sunit(fmt.Sprintf("revmodels/%s/rep%d", sc.Label(), rep), func(unitSeed int64, scr *campaign.Scratch) (any, error) {
-					out, err := runScenarioWith(e.lm, sc, steps, spec.CheckpointInterval, SessionOptions{Scratch: scr}, unitSeed)
+				p.unit(fmt.Sprintf("revmodels/%s/rep%d", sc.Label(), rep), func(unitSeed int64) (any, error) {
+					out, err := runScenarioWith(e.lm, sc, steps, spec.CheckpointInterval, SessionOptions{}, unitSeed)
 					if err != nil {
 						return nil, err
 					}

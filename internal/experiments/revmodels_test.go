@@ -13,7 +13,8 @@ import (
 // replication), every shipped builtin plus the trace replay entered,
 // and unit keys distinct.
 func TestRevModelsPlanCoversEveryRegime(t *testing.T) {
-	plan := planRevModels(3)
+	r, _ := ByID("revmodels")
+	plan := r.Plan(3)
 	cells := len(revModelsSpec().Scenarios())
 	regimes := []string{"table5", "weibull", "diurnal", "replay"}
 	if want := len(regimes) * cells * revModelsReplications; len(plan.Units) != want {

@@ -23,8 +23,7 @@ type Figure6Result struct {
 	Summaries []trace.StartupSummary
 }
 
-func planFigure6(seed int64) *campaign.Plan {
-	p := newPlan(seed)
+func planFigure6(p *plan) *campaign.Plan {
 	// One unit per (GPU, region, tier) cell, declared in the order the
 	// legacy single-kernel study reported them.
 	for _, g := range []model.GPU{model.K80, model.P100} {
@@ -73,8 +72,7 @@ type Figure7Result struct {
 	Delayed   []trace.PostRevocationResult
 }
 
-func planFigure7(seed int64) *campaign.Plan {
-	p := newPlan(seed)
+func planFigure7(p *plan) *campaign.Plan {
 	for _, timing := range []trace.AcquisitionTiming{trace.Immediate, trace.Delayed} {
 		p.unit(fmt.Sprintf("fig7/%v", timing), func(s int64) (any, error) {
 			k, prov := newCloud(s)
@@ -126,8 +124,7 @@ var paperTableV = map[model.GPU]map[cloud.Region]float64{
 	},
 }
 
-func planTableV(seed int64) *campaign.Plan {
-	p := newPlan(seed)
+func planTableV(p *plan) *campaign.Plan {
 	declareRevocationStudy(p, "revstudy/paper-campaign")
 	return p.build(func(outs []any) (Result, error) {
 		return &TableVResult{Study: outs[0].(*trace.RevocationStudy)}, nil
@@ -171,8 +168,7 @@ type Figure8Result struct {
 	Study *trace.RevocationStudy
 }
 
-func planFigure8(seed int64) *campaign.Plan {
-	p := newPlan(seed)
+func planFigure8(p *plan) *campaign.Plan {
 	declareRevocationStudy(p, "revstudy/paper-campaign")
 	return p.build(func(outs []any) (Result, error) {
 		return &Figure8Result{Study: outs[0].(*trace.RevocationStudy)}, nil
@@ -213,10 +209,9 @@ type Figure9Result struct {
 	Histograms map[model.GPU]*stats.HourHistogram
 }
 
-func planFigure9(seed int64) *campaign.Plan {
+func planFigure9(p *plan) *campaign.Plan {
 	// Aggregate three campaigns for less noisy hour-of-day structure
 	// (the paper aggregates twelve days of launches).
-	p := newPlan(seed)
 	for i := 0; i < 3; i++ {
 		declareRevocationStudy(p, fmt.Sprintf("fig9/study-%d", i))
 	}

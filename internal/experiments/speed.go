@@ -28,8 +28,7 @@ var PaperTableI = map[model.GPU][]float64{
 	model.V100: {27.38, 15.61, 8.80, 2.18},
 }
 
-func planTableI(seed int64) *campaign.Plan {
-	p := newPlan(seed)
+func planTableI(p *plan) *campaign.Plan {
 	for _, g := range model.AllGPUs() {
 		for _, m := range model.CanonicalModels() {
 			// 4000 measured steps, matching §III-A.
@@ -81,8 +80,7 @@ type Figure2Result struct {
 	SteadyCoV map[string]float64
 }
 
-func planFigure2(seed int64) *campaign.Plan {
-	p := newPlan(seed)
+func planFigure2(p *plan) *campaign.Plan {
 	for _, m := range model.CanonicalModels() {
 		p.session(fmt.Sprintf("fig2/%s", m.Name), train.Config{
 			Model:       m,
@@ -137,9 +135,8 @@ type Fig3Point struct {
 	Cnorm, CmNorm, StepSeconds float64
 }
 
-func planFigure3(seed int64) *campaign.Plan {
+func planFigure3(p *plan) *campaign.Plan {
 	gpus := []model.GPU{model.K80, model.P100}
-	p := newPlan(seed)
 	dataset := p.declareSpeedDataset(gpus)
 	return p.build(func(outs []any) (Result, error) {
 		return reduceFigure3(gpus, dataset(outs))

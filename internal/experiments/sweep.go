@@ -217,11 +217,6 @@ type SessionOptions struct {
 	// Trace, when non-nil, receives the session's sim-plane timeline
 	// (manager.Config.Trace); tracing never perturbs the measurement.
 	Trace *obs.Recorder
-	// Scratch, when non-nil, lends the measurement a per-worker arena
-	// for its summarization temporaries (campaign units pass theirs
-	// through here). Scratch never changes what is measured, only
-	// where temporaries live.
-	Scratch *campaign.Scratch
 }
 
 // runScenario measures one scenario with a full managed session on a
@@ -285,7 +280,7 @@ func runScenarioWith(lm cloud.LifetimeModel, sc Scenario, steps, ic int64, opts 
 			sc.Label(), steps, sess.Cluster().GlobalStep())
 	}
 	sess.TerminateAll()
-	res := sess.Cluster().ResultScratch(statsScratch(opts.Scratch))
+	res := sess.Cluster().Result()
 	return ScenarioOutcome{
 		Scenario:          sc,
 		TrainingSeconds:   sess.TrainingSeconds(),
@@ -302,20 +297,18 @@ func runScenarioWith(lm cloud.LifetimeModel, sc Scenario, steps, ic int64, opts 
 
 // MeasureScenario measures one scenario with a full managed session —
 // the building block cmd/cmdare and the examples use to validate an
-// Eq. 4/5 pick against the simulated cloud. Unlike SweepSpec.Plan,
-// the step target is explicit rather than scaled per worker.
+// Eq. 4/5 pick against the simulated cloud. Unlike a sweep's units,
+// whose step target scales per worker, it takes the target as given.
 func MeasureScenario(sc Scenario, steps, ic int64, opts SessionOptions, seed int64) (ScenarioOutcome, error) {
 	return runScenario(sc, steps, ic, opts, seed)
 }
 
-// Plan declares the sweep as a campaign: one unit per scenario.
-func (s SweepSpec) Plan(seed int64) *campaign.Plan {
-	p := newPlan(seed)
-	scenarios := s.Scenarios()
-	for _, sc := range scenarios {
+// declare adds the sweep to p as a campaign: one unit per scenario.
+func (s SweepSpec) declare(p *plan) *campaign.Plan {
+	for _, sc := range s.Scenarios() {
 		steps := s.StepsPerWorker * int64(sc.Workers)
-		p.stunit("sweep/"+sc.Label(), func(unitSeed int64, rec *obs.Recorder, scr *campaign.Scratch) (any, error) {
-			return runScenario(sc, steps, s.CheckpointInterval, SessionOptions{Trace: rec, Scratch: scr}, unitSeed)
+		p.tunit("sweep/"+sc.Label(), func(unitSeed int64, rec *obs.Recorder) (any, error) {
+			return runScenario(sc, steps, s.CheckpointInterval, SessionOptions{Trace: rec}, unitSeed)
 		})
 	}
 	return p.build(func(outs []any) (Result, error) {
@@ -340,10 +333,6 @@ func DefaultSweep() SweepSpec {
 		StepsPerWorker:     2000,
 		CheckpointInterval: 1000,
 	}
-}
-
-func planDefaultSweep(seed int64) *campaign.Plan {
-	return DefaultSweep().Plan(seed)
 }
 
 // SweepResult renders the measured grid.

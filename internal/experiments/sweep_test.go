@@ -45,7 +45,7 @@ func TestSweepMeasuresEveryScenario(t *testing.T) {
 		StepsPerWorker:     1000,
 		CheckpointInterval: 500,
 	}
-	r := Runner{ID: "sweep-test", Title: "test sweep", Plan: spec.Plan}
+	r := Runner{ID: "sweep-test", Title: "test sweep", declare: spec.declare}
 	res, err := r.RunWorkers(21, 4)
 	if err != nil {
 		t.Fatal(err)

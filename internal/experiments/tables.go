@@ -98,12 +98,11 @@ type TableIIResult struct {
 	Rows []RegressionRow
 }
 
-func planTableII(seed int64) *campaign.Plan {
+func planTableII(p *plan) *campaign.Plan {
 	gpus := []model.GPU{model.K80, model.P100}
-	p := newPlan(seed)
 	dataset := p.declareSpeedDataset(gpus)
 	return p.then(func(outs []any) (*campaign.Plan, error) {
-		return planTableIIModels(seed, gpus, dataset(outs))
+		return planTableIIModels(p.seed, gpus, dataset(outs))
 	})
 }
 
@@ -240,13 +239,12 @@ type TableIVResult struct {
 	Rows []RegressionRow
 }
 
-func planTableIV(seed int64) *campaign.Plan {
-	p := newPlan(seed)
+func planTableIV(p *plan) *campaign.Plan {
 	p.unit("ckpt-dataset", func(s int64) (any, error) {
 		return collectCheckpointDataset(5, s), nil
 	})
 	return p.then(func(outs []any) (*campaign.Plan, error) {
-		return planTableIVModels(seed, outs[0].(*checkpointDataset))
+		return planTableIVModels(p.seed, outs[0].(*checkpointDataset))
 	})
 }
 

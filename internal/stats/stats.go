@@ -108,13 +108,6 @@ func Quantile(xs []float64, p float64) float64 {
 	sorted := make([]float64, len(xs))
 	copy(sorted, xs)
 	sort.Float64s(sorted)
-	return quantileSorted(sorted, p)
-}
-
-// quantileSorted interpolates the p-quantile of an already-sorted
-// non-empty sample. Quantile and Scratch.Quantile both evaluate this
-// one expression, which is what makes their results bit-identical.
-func quantileSorted(sorted []float64, p float64) float64 {
 	if len(sorted) == 1 {
 		return sorted[0]
 	}

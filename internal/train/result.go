@@ -2,10 +2,10 @@ package train
 
 import (
 	"fmt"
+	"math"
 
 	"repro/internal/model"
 	"repro/internal/profile"
-	"repro/internal/stats"
 )
 
 // WorkerStat summarizes one worker's steady-state behavior, the
@@ -47,24 +47,8 @@ type Result struct {
 
 // Result snapshots the cluster's current state.
 func (c *Cluster) Result() Result {
-	return c.ResultScratch(nil)
-}
-
-// ResultScratch is Result with its summarization temporaries borrowed
-// from the arena instead of allocated — the form campaign units use so
-// replications recycle their series buffers. The returned Result is
-// fully owned by the caller (nothing in it aliases the arena); a nil
-// arena falls back to allocating. Results are bit-identical either
-// way.
-func (c *Cluster) ResultScratch(s *stats.Scratch) Result {
 	series := c.tracker.SpeedSeries()
-	var buf []float64
-	if s != nil {
-		buf = s.Floats(len(series))[:0]
-	} else {
-		buf = make([]float64, 0, len(series))
-	}
-	steady, cov := steadyOf(series, float64(c.startedAt)+c.warmupHorizonSeconds(), buf)
+	steady, cov := steadyOf(series, float64(c.startedAt)+c.warmupHorizonSeconds())
 	r := Result{
 		Done:              c.done,
 		GlobalSteps:       c.globalStep,
@@ -115,21 +99,36 @@ func (c *Cluster) warmupHorizonSeconds() float64 {
 
 // steadyOf averages the windowed speeds recorded after the warm-up
 // horizon, always discarding at least the first window (the paper's
-// discard-the-first-100-steps rule). The post-warm-up speeds are
-// gathered into buf, whose backing array the caller provides (possibly
-// scratch-borrowed); it must be empty with capacity for the series.
-func steadyOf(series []profile.SpeedSample, warmupEndTime float64, buf []float64) (mean, cov float64) {
-	used := buf
-	for i, s := range series {
-		if i == 0 || s.Time <= warmupEndTime {
-			continue
-		}
-		used = append(used, s.Speed)
+// discard-the-first-100-steps rule). Window times never decrease, so
+// the kept windows are a suffix of the series, summed in place: the two
+// passes evaluate exactly stats.Mean and stats.CoV over their speeds.
+func steadyOf(series []profile.SpeedSample, warmupEndTime float64) (mean, cov float64) {
+	start := min(1, len(series))
+	for start < len(series) && series[start].Time <= warmupEndTime {
+		start++
 	}
-	if len(used) == 0 {
+	kept := series[start:]
+	if len(kept) == 0 {
 		return 0, 0
 	}
-	return stats.Mean(used), stats.CoV(used)
+	var sum float64
+	for _, s := range kept {
+		sum += s.Speed
+	}
+	mean = sum / float64(len(kept))
+	if mean == 0 {
+		return mean, 0
+	}
+	var variance float64
+	if len(kept) > 1 {
+		var ss float64
+		for _, s := range kept {
+			d := s.Speed - mean
+			ss += d * d
+		}
+		variance = ss / float64(len(kept)-1)
+	}
+	return mean, math.Sqrt(variance) / mean
 }
 
 // WorkerStatByGPU returns the first worker stat for the given GPU
