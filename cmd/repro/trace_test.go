@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"io"
+	"math"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -12,6 +13,7 @@ import (
 
 	"repro/internal/experiments"
 	"repro/internal/obs"
+	"repro/internal/train"
 )
 
 // TestTracedAllMatchesGolden is the tracing-neutrality guarantee: the
@@ -42,6 +44,37 @@ func TestTracedAllMatchesGolden(t *testing.T) {
 	}
 	if col.Len() == 0 {
 		t.Fatal("traced run recorded no events")
+	}
+	checkTraceInvariants(t, col)
+}
+
+// checkTraceInvariants asserts what every unit's trace must hold: event
+// times never decrease, and within each scope the speed windows close
+// at completed steps 100, 200, 300, … with no gap (the paper's 100-step
+// window, §III-A).
+func checkTraceInvariants(t *testing.T, col *obs.Collector) {
+	t.Helper()
+	var windows int
+	for _, key := range col.Units() {
+		last := math.Inf(-1)
+		next := map[string]int64{}
+		for _, e := range col.Unit(key).Events() {
+			if e.T < last {
+				t.Fatalf("%s: %s event at t=%v follows t=%v", key, e.Kind, e.T, last)
+			}
+			last = e.T
+			if e.Kind != train.EventSpeed {
+				continue
+			}
+			next[e.Scope] += 100
+			if e.Step != next[e.Scope] {
+				t.Fatalf("%s: scope %q speed window closes at step %d, want %d", key, e.Scope, e.Step, next[e.Scope])
+			}
+			windows++
+		}
+	}
+	if windows == 0 {
+		t.Fatal("traced run closed no speed windows")
 	}
 }
 

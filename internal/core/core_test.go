@@ -5,8 +5,8 @@ import (
 	"testing"
 
 	"repro/internal/model"
-	"repro/internal/profile"
 	"repro/internal/stats"
+	"repro/internal/train"
 )
 
 // zooSpeedObservations builds a noiseless training set from the
@@ -301,10 +301,10 @@ func TestEstimateValidation(t *testing.T) {
 
 func TestDetector(t *testing.T) {
 	d := NewDetector()
-	mk := func(speeds []float64) []profile.SpeedSample {
-		var out []profile.SpeedSample
+	mk := func(speeds []float64) []train.SpeedSample {
+		var out []train.SpeedSample
 		for i, s := range speeds {
-			out = append(out, profile.SpeedSample{Time: float64(i) * 10, Speed: s, Step: int64(i+1) * 100})
+			out = append(out, train.SpeedSample{Time: float64(i) * 10, Speed: s, Step: int64(i+1) * 100})
 		}
 		return out
 	}
@@ -349,7 +349,7 @@ func TestDetectorErrors(t *testing.T) {
 	if _, err := d.Check(10, nil); err == nil {
 		t.Error("empty series should error")
 	}
-	short := []profile.SpeedSample{{Time: 0, Speed: 5}}
+	short := []train.SpeedSample{{Time: 0, Speed: 5}}
 	if _, err := d.Check(10, short); err == nil {
 		t.Error("all-warm-up series should error")
 	}

@@ -3,8 +3,8 @@ package core
 import (
 	"fmt"
 
-	"repro/internal/profile"
 	"repro/internal/stats"
+	"repro/internal/train"
 )
 
 // Detector flags parameter-server bottlenecks (and straggling workers)
@@ -41,7 +41,7 @@ type Verdict struct {
 // Check compares a predicted cluster speed with a measured speed
 // series. It returns an error if no sample survives the warm-up
 // filter: judging with no data would silently pass bottlenecks.
-func (d *Detector) Check(predicted float64, series []profile.SpeedSample) (Verdict, error) {
+func (d *Detector) Check(predicted float64, series []train.SpeedSample) (Verdict, error) {
 	if predicted <= 0 {
 		return Verdict{}, fmt.Errorf("core: non-positive predicted speed %v", predicted)
 	}

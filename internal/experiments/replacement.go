@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/campaign"
 	"repro/internal/model"
+	"repro/internal/obs"
 	"repro/internal/sim"
 	"repro/internal/train"
 )
@@ -57,14 +58,16 @@ func planFigure10(p *plan) *campaign.Plan {
 
 // figure10Trial runs one replacement trial: a single-K80 session with
 // a worker joining five seconds in, returning the request-to-join
-// latency.
+// latency read off the session's private timeline.
 func figure10Trial(m model.Model, cold bool, seed int64) (float64, error) {
 	k := &sim.Kernel{}
+	rec := obs.NewRecorder()
 	c, err := train.NewCluster(k, train.Config{
 		Model:         m,
 		Workers:       train.Homogeneous(model.K80, 1),
 		DisableWarmup: true,
 		Seed:          seed,
+		Trace:         rec,
 	})
 	if err != nil {
 		return 0, err
@@ -76,11 +79,11 @@ func figure10Trial(m model.Model, cold bool, seed int64) (float64, error) {
 		return 0, err
 	}
 	k.RunUntil(sim.Time(400))
-	joins := c.Result().EventsOf(train.EventJoin)
+	joins := rec.EventsOf(train.EventJoin)
 	if len(joins) != 1 {
 		return 0, fmt.Errorf("figure10: expected one join, got %d", len(joins))
 	}
-	return joins[0].Time - requestedAt, nil
+	return joins[0].T - requestedAt, nil
 }
 
 // String renders the cold/warm bars.
@@ -140,15 +143,18 @@ func planFigure11(p *plan) *campaign.Plan {
 // ckptInterval, chief revoked revokeAfter steps later, replacement
 // joining when the session has advanced joinAt steps past the
 // checkpoint. It returns the time from the first checkpoint to the
-// next one (the "time to reach the next designated checkpoint").
+// next one (the "time to reach the next designated checkpoint"), read
+// off the session's private timeline.
 func figure11Trial(seed, joinAt int64, reuseIP bool, ckptInterval, revokeAfter int64) (float64, error) {
 	k := &sim.Kernel{}
+	rec := obs.NewRecorder()
 	c, err := train.NewCluster(k, train.Config{
 		Model:              model.ResNet15(),
 		Workers:            train.Homogeneous(model.K80, 2),
 		CheckpointInterval: ckptInterval,
 		DisableWarmup:      true,
 		Seed:               seed,
+		Trace:              rec,
 	})
 	if err != nil {
 		return 0, err
@@ -171,11 +177,11 @@ func figure11Trial(seed, joinAt int64, reuseIP bool, ckptInterval, revokeAfter i
 	// Run until the second checkpoint lands (bounded horizon keeps a
 	// logic bug from hanging the experiment).
 	k.RunUntil(sim.Time(4 * 3600))
-	ckpts := c.Result().EventsOf(train.EventCheckpoint)
+	ckpts := rec.EventsOf(train.EventCheckpoint)
 	if len(ckpts) < 2 {
 		return 0, fmt.Errorf("figure11: only %d checkpoints completed", len(ckpts))
 	}
-	return ckpts[1].Time - ckpts[0].Time, nil
+	return ckpts[1].T - ckpts[0].T, nil
 }
 
 // String renders the overhead curve.

@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/cloud"
 	"repro/internal/model"
+	"repro/internal/obs"
 	"repro/internal/sim"
 	"repro/internal/stats"
 	"repro/internal/train"
@@ -87,7 +88,10 @@ func TestElasticPolicyRegistry(t *testing.T) {
 // per check until the floor (half the initial size) and no further.
 func TestElasticShrinksToFloorUnderRisk(t *testing.T) {
 	k, p := calmEnv(t, 11)
-	s, err := NewSession(p, elasticConfig("elastic", 4, constRisk(3.0)))
+	cfg := elasticConfig("elastic", 4, constRisk(3.0))
+	rec := obs.NewRecorder()
+	cfg.Trace = rec
+	s, err := NewSession(p, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -101,11 +105,10 @@ func TestElasticShrinksToFloorUnderRisk(t *testing.T) {
 	if got := len(s.Cluster().LiveWorkers()); got != 2 {
 		t.Fatalf("live cluster workers = %d, want 2", got)
 	}
-	res := s.Cluster().Result()
-	if got := len(res.EventsOf(train.EventShrink)); got != 2 {
+	if got := len(rec.EventsOf(train.EventShrink)); got != 2 {
 		t.Fatalf("shrink events = %d, want 2", got)
 	}
-	if got := len(res.EventsOf(train.EventRevocation)); got != 0 {
+	if got := len(rec.EventsOf(train.EventRevocation)); got != 0 {
 		t.Fatalf("voluntary scale-in recorded as revocation (%d events)", got)
 	}
 	// The auto-derived batch policy keeps the global batch exact on the

@@ -244,7 +244,7 @@ func NewSession(p *cloud.Provider, cfg Config) (*Session, error) {
 	return s, nil
 }
 
-// Cluster exposes the underlying training cluster (for trackers,
+// Cluster exposes the underlying training cluster (for speed series,
 // bottleneck checks, and assertions).
 func (s *Session) Cluster() *train.Cluster { return s.cluster }
 

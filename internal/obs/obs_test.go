@@ -11,7 +11,7 @@ import (
 func TestNilRecorderIsSafe(t *testing.T) {
 	var r *Recorder
 	r.Record(Event{T: 1, Kind: "x"})
-	if r.Len() != 0 || r.Events() != nil {
+	if r.Len() != 0 || r.Events() != nil || r.EventsOf("x") != nil {
 		t.Fatal("nil recorder should report empty")
 	}
 	if s := r.Scoped("a"); s != nil {
@@ -35,6 +35,16 @@ func TestRecorderScoping(t *testing.T) {
 	}
 	if evs[0].Scope != "" || evs[1].Scope != "job3" || evs[2].Scope != "job3/w0" {
 		t.Fatalf("scopes wrong: %+v", evs)
+	}
+	// EventsOf reads the shared buffer: a child sees its parent's and
+	// its siblings' events of the kind.
+	j3.Scoped("w1").Record(Event{T: 4, Kind: "c"})
+	cs := j3.EventsOf("c")
+	if len(cs) != 2 || cs[0].Scope != "job3/w0" || cs[1].Scope != "job3/w1" {
+		t.Fatalf("EventsOf(c) = %+v, want the w0 and w1 events", cs)
+	}
+	if as := j3.EventsOf("a"); len(as) != 1 || as[0].Scope != "" {
+		t.Fatalf("EventsOf(a) = %+v, want the parent's event", as)
 	}
 }
 

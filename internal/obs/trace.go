@@ -18,9 +18,10 @@
 //
 // This is the reproduction of CM-DARE's own posture: the paper's
 // performance tracker runs on every training server, logs training
-// speed, and feeds the profiler (Fig. 1, steps 4 and 7). internal/
-// profile computes the windowed speeds; this package gives every layer
-// a timeline to fold them into.
+// speed, and feeds the profiler (Fig. 1, steps 4 and 7). A recorder is
+// a session's only timeline: the training kernel closes its windowed
+// speeds onto it beside checkpoints, revocations and joins, and every
+// layer above adds its own events to the same stream.
 package obs
 
 import (
@@ -131,6 +132,22 @@ func (r *Recorder) Events() []Event {
 	}
 	out := make([]Event, len(r.st.events))
 	copy(out, r.st.events)
+	return out
+}
+
+// EventsOf returns the recorded events of one kind, in record order.
+// It reads the shared buffer, so it spans every scope recording into
+// it: the recorder's own, its parent's and its siblings'. Nil-safe.
+func (r *Recorder) EventsOf(kind string) []Event {
+	if r == nil {
+		return nil
+	}
+	var out []Event
+	for _, e := range r.st.events {
+		if e.Kind == kind {
+			out = append(out, e)
+		}
+	}
 	return out
 }
 

@@ -6,10 +6,10 @@ import (
 )
 
 // lru is the planner's seed-keyed result cache. Keys are canonical
-// identities plus the campaign seed — single-scenario keys (cacheKey)
-// and fleet keys (fleetCacheKey) share the one namespace, with
-// disjoint prefixes keeping the families apart — and values are the
-// corresponding finished results. Simulations are pure functions of
+// identities plus the campaign seed (cacheKey) — single-scenario and
+// fleet keys share the one namespace, with disjoint prefixes keeping
+// the families apart — and values are the corresponding finished
+// results (see simulated). Simulations are pure functions of
 // their key, so entries never go stale; capacity is the only reason to
 // evict, and least-recently-used is the right victim because planning
 // sessions revisit the scenarios they are deciding between.

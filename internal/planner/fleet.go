@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 
-	"repro/internal/campaign"
 	"repro/internal/fleet"
 	"repro/internal/obs"
 )
@@ -105,13 +104,6 @@ func (q FleetQuery) config() (fleet.Config, error) {
 	return cfg, nil
 }
 
-// fleetCacheKey is the fleet family's full result identity: canonical
-// config key plus the campaign seed, in the same cache namespace as
-// single-scenario keys (the "fleet|" prefix keeps them disjoint).
-func fleetCacheKey(cfg fleet.Config, seed int64) string {
-	return fmt.Sprintf("%s|seed=%d", cfg.Key(), seed)
-}
-
 // FleetItem is one NDJSON line of a fleet response: one job's outcome,
 // one sim-plane trace event (traced queries only), or the trailing
 // summary.
@@ -155,28 +147,16 @@ func (p *Planner) Fleet(ctx context.Context, q FleetQuery, emit func(FleetItem) 
 	if err != nil {
 		return &BadRequestError{err}
 	}
-	key := fleetCacheKey(cfg, q.Seed)
-	var res *fleet.Result
-	var events []obs.Event
-	var cached bool
-	if q.Trace {
-		v, c, err := p.cached(ctx, key+"|trace=1", func() (any, error) {
-			return p.simulateFleetTraced(ctx, cfg, q.Seed)
+	// The fleet's unit key, cfg.Key(), starts "fleet|", keeping its
+	// cache lines disjoint from single-scenario ones.
+	s, cached, err := p.simulate(ctx, cfg.Key(), q.Seed, q.Trace,
+		func(unitSeed int64, rec *obs.Recorder) (any, error) {
+			return p.runFleet(cfg, unitSeed, rec)
 		})
-		if err != nil {
-			return err
-		}
-		tf := v.(tracedFleet)
-		res, events, cached = tf.res, tf.events, c
-	} else {
-		v, c, err := p.cached(ctx, key, func() (any, error) {
-			return p.simulateFleet(ctx, cfg, q.Seed)
-		})
-		if err != nil {
-			return err
-		}
-		res, cached = v.(*fleet.Result), c
+	if err != nil {
+		return err
 	}
+	res, events := s.value.(*fleet.Result), s.events
 	for i := range res.Jobs {
 		if err := emit(FleetItem{Job: &res.Jobs[i]}); err != nil {
 			return err
@@ -204,60 +184,4 @@ func (p *Planner) Fleet(ctx context.Context, q FleetQuery, emit func(FleetItem) 
 		Revocations:    res.Revocations,
 		Cached:         cached,
 	}})
-}
-
-// simulateFleet runs one fleet simulation as a single-unit campaign
-// plan on the shared pool, like simulate does for scenarios: the same
-// bounded admission queue backpressures fleet and scenario traffic
-// together, and the unit inherits the engine's panic containment.
-func (p *Planner) simulateFleet(ctx context.Context, cfg fleet.Config, seed int64) (*fleet.Result, error) {
-	plan := &campaign.Plan{
-		Seed: seed,
-		Units: []campaign.Unit{{
-			Key: cfg.Key(),
-			Run: func(unitSeed int64) (any, error) {
-				p.inflight.Add(1)
-				defer p.inflight.Add(-1)
-				return p.runFleet(cfg, unitSeed)
-			},
-		}},
-	}
-	v, err := campaign.Engine{Pool: p.pool}.RunContext(ctx, plan)
-	if err != nil {
-		return nil, err
-	}
-	return v.([]any)[0].(*fleet.Result), nil
-}
-
-// tracedFleet is what the cache stores for a traced fleet query.
-type tracedFleet struct {
-	res    *fleet.Result
-	events []obs.Event
-}
-
-// simulateFleetTraced is simulateFleet with the sim-plane recorder
-// attached. The unit Key is identical to simulateFleet's, so the
-// derived simulation seed — and the result — is exactly the untraced
-// query's; only the cache key differs.
-func (p *Planner) simulateFleetTraced(ctx context.Context, cfg fleet.Config, seed int64) (tracedFleet, error) {
-	plan := &campaign.Plan{
-		Seed: seed,
-		Units: []campaign.Unit{{
-			Key: cfg.Key(),
-			Run: func(unitSeed int64) (any, error) {
-				p.inflight.Add(1)
-				defer p.inflight.Add(-1)
-				res, events, err := p.runFleetTraced(cfg, unitSeed)
-				if err != nil {
-					return nil, err
-				}
-				return tracedFleet{res: res, events: events}, nil
-			},
-		}},
-	}
-	v, err := campaign.Engine{Pool: p.pool}.RunContext(ctx, plan)
-	if err != nil {
-		return tracedFleet{}, err
-	}
-	return v.([]any)[0].(tracedFleet), nil
 }

@@ -14,14 +14,20 @@ import (
 	"testing"
 
 	"repro/internal/fleet"
+	"repro/internal/obs"
 )
 
 // fakeFleet replaces the real fleet simulation with a cheap pure
 // function of (config key, seed), counting invocations — the probe for
-// "how many fleet simulations actually ran".
-func fakeFleet(runs *atomic.Int64) func(cfg fleet.Config, seed int64) (*fleet.Result, error) {
-	return func(cfg fleet.Config, seed int64) (*fleet.Result, error) {
+// "how many fleet simulations actually ran". Given a recorder, it
+// records a canned three-event job timeline.
+func fakeFleet(runs *atomic.Int64) func(cfg fleet.Config, seed int64, trace *obs.Recorder) (*fleet.Result, error) {
+	return func(cfg fleet.Config, seed int64, trace *obs.Recorder) (*fleet.Result, error) {
 		runs.Add(1)
+		job0 := trace.Scoped("job0")
+		job0.Record(obs.Event{T: 0, Kind: "job-arrive"})
+		job0.Record(obs.Event{T: 5, Kind: "job-place"})
+		job0.Record(obs.Event{T: 90, Kind: "job-done"})
 		jobs := make([]fleet.JobResult, cfg.Workload.Jobs)
 		for i := range jobs {
 			jobs[i] = fleet.JobResult{ID: i, Done: true, DeadlineMet: true, CostUSD: float64(seed%97) + float64(i)}

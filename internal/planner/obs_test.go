@@ -14,7 +14,6 @@ import (
 	"testing"
 
 	"repro/internal/experiments"
-	"repro/internal/fleet"
 	"repro/internal/obs"
 )
 
@@ -69,20 +68,6 @@ func TestMeasureTracedMatchesUntraced(t *testing.T) {
 	}
 }
 
-// fakeFleetTraced pairs fakeFleet with a canned event stream.
-func fakeFleetTraced(runs *atomic.Int64) func(cfg fleet.Config, seed int64) (*fleet.Result, []obs.Event, error) {
-	inner := fakeFleet(runs)
-	return func(cfg fleet.Config, seed int64) (*fleet.Result, []obs.Event, error) {
-		res, err := inner(cfg, seed)
-		events := []obs.Event{
-			{T: 0, Kind: "job-arrive", Scope: "job0"},
-			{T: 5, Kind: "job-place", Scope: "job0"},
-			{T: 90, Kind: "job-done", Scope: "job0"},
-		}
-		return res, events, err
-	}
-}
-
 // TestHTTPFleetTraceLines checks the traced fleet stream shape: job
 // lines, then one line per event, then the summary — and that an
 // untraced query of the same config is cached independently.
@@ -91,7 +76,6 @@ func TestHTTPFleetTraceLines(t *testing.T) {
 	defer p.Close()
 	var runs atomic.Int64
 	p.runFleet = fakeFleet(&runs)
-	p.runFleetTraced = fakeFleetTraced(&runs)
 	srv := httptest.NewServer(p.Handler())
 	defer srv.Close()
 
@@ -237,7 +221,7 @@ func TestStatsCarriesPoolUtilization(t *testing.T) {
 func TestRejectionCounted(t *testing.T) {
 	p := New(Config{Workers: 1, QueueDepth: 1, CacheSize: 16})
 	defer p.Close()
-	p.measure = func(sc experiments.Scenario, steps, ic, seed int64) (experiments.ScenarioOutcome, error) {
+	p.measure = func(sc experiments.Scenario, steps, ic, seed int64, trace *obs.Recorder) (experiments.ScenarioOutcome, error) {
 		return experiments.ScenarioOutcome{Scenario: sc}, nil
 	}
 	ctx, cancel := context.WithCancel(context.Background())

@@ -103,18 +103,13 @@ type Planner struct {
 	hits, misses, coalesced, evictions atomic.Int64
 	inflight, rejections               atomic.Int64
 
-	// measure runs one scenario simulation; swapped out by tests to
-	// count and stub runs.
-	measure func(sc experiments.Scenario, steps, ic, seed int64) (experiments.ScenarioOutcome, error)
-	// runFleet runs one fleet simulation; swapped out by tests, like
-	// measure.
-	runFleet func(cfg fleet.Config, seed int64) (*fleet.Result, error)
-	// measureTraced and runFleetTraced are the trace-opt-in variants:
-	// the same simulations run with a sim-plane recorder attached,
-	// returning the events alongside the result. Swapped out by tests,
-	// like measure and runFleet.
-	measureTraced  func(sc experiments.Scenario, steps, ic, seed int64) (experiments.ScenarioOutcome, []obs.Event, error)
-	runFleetTraced func(cfg fleet.Config, seed int64) (*fleet.Result, []obs.Event, error)
+	// measure runs one scenario simulation, recording its sim-plane
+	// events on trace (nil: untraced); swapped out by tests to count
+	// and stub runs.
+	measure func(sc experiments.Scenario, steps, ic, seed int64, trace *obs.Recorder) (experiments.ScenarioOutcome, error)
+	// runFleet runs one fleet simulation, traced like measure; swapped
+	// out by tests, like measure.
+	runFleet func(cfg fleet.Config, seed int64, trace *obs.Recorder) (*fleet.Result, error)
 
 	// Service-plane metrics, built lazily by Metrics(): func-metrics
 	// over the atomics above plus the per-endpoint latency histograms
@@ -135,20 +130,10 @@ func New(cfg Config) *Planner {
 	return &Planner{
 		pool:  campaign.NewPool(cfg.Workers, cfg.QueueDepth),
 		cache: newLRU(cfg.CacheSize),
-		measure: func(sc experiments.Scenario, steps, ic, seed int64) (experiments.ScenarioOutcome, error) {
-			return experiments.MeasureScenario(sc, steps, ic, experiments.SessionOptions{}, seed)
+		measure: func(sc experiments.Scenario, steps, ic, seed int64, trace *obs.Recorder) (experiments.ScenarioOutcome, error) {
+			return experiments.MeasureScenario(sc, steps, ic, experiments.SessionOptions{Trace: trace}, seed)
 		},
-		runFleet: fleet.Run,
-		measureTraced: func(sc experiments.Scenario, steps, ic, seed int64) (experiments.ScenarioOutcome, []obs.Event, error) {
-			rec := obs.NewRecorder()
-			out, err := experiments.MeasureScenario(sc, steps, ic, experiments.SessionOptions{Trace: rec}, seed)
-			return out, rec.Events(), err
-		},
-		runFleetTraced: func(cfg fleet.Config, seed int64) (*fleet.Result, []obs.Event, error) {
-			rec := obs.NewRecorder()
-			res, err := fleet.RunTraced(cfg, seed, rec)
-			return res, rec.Events(), err
-		},
+		runFleet: fleet.RunTraced,
 	}
 }
 
@@ -175,13 +160,14 @@ func (p *Planner) Stats() Stats {
 	}
 }
 
-// cacheKey is the planner's full result identity: canonical scenario
-// key (grid-shape independent) plus the campaign seed. The simulation
-// seed handed to the kernel is campaign.Derive(seed, 0, scenario key),
-// a pure function of this same identity — so equal keys are guaranteed
-// equal outcomes and the cache can never serve a wrong answer.
-func cacheKey(sc experiments.Scenario, steps, ic, seed int64) string {
-	return fmt.Sprintf("%s|seed=%d", experiments.ScenarioKey(sc, steps, ic), seed)
+// cacheKey is the planner's full result identity: a simulation's unit
+// key (the grid-shape independent scenario key, or a fleet config key)
+// plus the campaign seed. The simulation seed handed to the kernel is
+// campaign.Derive(seed, 0, unit key), a pure function of this same
+// identity — so equal keys are guaranteed equal outcomes and the cache
+// can never serve a wrong answer.
+func cacheKey(unitKey string, seed int64) string {
+	return fmt.Sprintf("%s|seed=%d", unitKey, seed)
 }
 
 // interruptedError reports errors meaning the measurement never ran
@@ -194,17 +180,16 @@ func interruptedError(err error) bool {
 		errors.Is(err, context.DeadlineExceeded)
 }
 
-// measureCached is every measured query's path: cache, then
-// singleflight, then one unit dispatched onto the shared pool.
-func (p *Planner) measureCached(ctx context.Context, sc experiments.Scenario, steps, ic, seed int64) (out experiments.ScenarioOutcome, cached bool, err error) {
-	key := cacheKey(sc, steps, ic, seed)
-	v, cached, err := p.cached(ctx, key, func() (any, error) {
-		return p.simulate(ctx, sc, steps, ic, seed)
-	})
+// measureCached is every measured query's path through simulate.
+func (p *Planner) measureCached(ctx context.Context, sc experiments.Scenario, steps, ic, seed int64, trace bool) (out experiments.ScenarioOutcome, events []obs.Event, cached bool, err error) {
+	s, cached, err := p.simulate(ctx, experiments.ScenarioKey(sc, steps, ic), seed, trace,
+		func(unitSeed int64, rec *obs.Recorder) (any, error) {
+			return p.measure(sc, steps, ic, unitSeed, rec)
+		})
 	if err != nil {
-		return experiments.ScenarioOutcome{}, false, err
+		return experiments.ScenarioOutcome{}, nil, false, err
 	}
-	return v.(experiments.ScenarioOutcome), cached, nil
+	return s.value.(experiments.ScenarioOutcome), s.events, cached, nil
 }
 
 // cached is the shared cache → singleflight → run path behind every
@@ -256,60 +241,55 @@ func (p *Planner) cached(ctx context.Context, key string, run func() (any, error
 	}
 }
 
-// simulate runs one scenario as a single-unit campaign plan on the
-// shared pool, inheriting the engine's seed derivation and panic
-// containment.
-func (p *Planner) simulate(ctx context.Context, sc experiments.Scenario, steps, ic, seed int64) (experiments.ScenarioOutcome, error) {
-	plan := &campaign.Plan{
-		Seed: seed,
-		Units: []campaign.Unit{{
-			Key: experiments.ScenarioKey(sc, steps, ic),
-			Run: func(unitSeed int64) (any, error) {
-				p.inflight.Add(1)
-				defer p.inflight.Add(-1)
-				return p.measure(sc, steps, ic, unitSeed)
-			},
-		}},
-	}
-	v, err := campaign.Engine{Pool: p.pool}.RunContext(ctx, plan)
-	if err != nil {
-		return experiments.ScenarioOutcome{}, err
-	}
-	return v.([]any)[0].(experiments.ScenarioOutcome), nil
-}
-
-// tracedOutcome is what the cache stores for a traced scenario query:
-// the outcome plus its sim-plane event trace.
-type tracedOutcome struct {
-	out    experiments.ScenarioOutcome
+// simulated is what the cache holds for one simulation: its result
+// and, for a traced query, the sim-plane events it recorded.
+type simulated struct {
+	value  any
 	events []obs.Event
 }
 
-// simulateTraced is simulate with the sim-plane recorder attached. The
-// unit Key is identical to simulate's, so the derived simulation seed
-// — and therefore the outcome — is exactly the untraced query's;
-// only the cache key (the "|trace=1" suffix) differs.
-func (p *Planner) simulateTraced(ctx context.Context, sc experiments.Scenario, steps, ic, seed int64) (tracedOutcome, error) {
-	plan := &campaign.Plan{
-		Seed: seed,
-		Units: []campaign.Unit{{
-			Key: experiments.ScenarioKey(sc, steps, ic),
-			Run: func(unitSeed int64) (any, error) {
-				p.inflight.Add(1)
-				defer p.inflight.Add(-1)
-				out, events, err := p.measureTraced(sc, steps, ic, unitSeed)
-				if err != nil {
-					return nil, err
-				}
-				return tracedOutcome{out: out, events: events}, nil
-			},
-		}},
+// simulate is every simulation's path: cache, then singleflight, then
+// one unit dispatched onto the shared pool, so scenario and fleet
+// traffic share one bounded admission queue and the engine's seed
+// derivation and panic containment. run receives the unit seed and a
+// fresh recorder when trace is set (nil otherwise). The unit key, and
+// so the derived seed, never depends on trace: a traced result is the
+// untraced one plus its events, cached under its own "|trace=1" key.
+func (p *Planner) simulate(ctx context.Context, unitKey string, seed int64, trace bool, run func(unitSeed int64, rec *obs.Recorder) (any, error)) (simulated, bool, error) {
+	key := cacheKey(unitKey, seed)
+	if trace {
+		key += "|trace=1"
 	}
-	v, err := campaign.Engine{Pool: p.pool}.RunContext(ctx, plan)
+	v, cached, err := p.cached(ctx, key, func() (any, error) {
+		plan := &campaign.Plan{
+			Seed: seed,
+			Units: []campaign.Unit{{
+				Key: unitKey,
+				Run: func(unitSeed int64) (any, error) {
+					p.inflight.Add(1)
+					defer p.inflight.Add(-1)
+					var rec *obs.Recorder
+					if trace {
+						rec = obs.NewRecorder()
+					}
+					out, err := run(unitSeed, rec)
+					if err != nil {
+						return nil, err
+					}
+					return simulated{value: out, events: rec.Events()}, nil
+				},
+			}},
+		}
+		outs, err := campaign.Engine{Pool: p.pool}.RunContext(ctx, plan)
+		if err != nil {
+			return nil, err
+		}
+		return outs.([]any)[0], nil
+	})
 	if err != nil {
-		return tracedOutcome{}, err
+		return simulated{}, false, err
 	}
-	return v.([]any)[0].(tracedOutcome), nil
+	return v.(simulated), cached, nil
 }
 
 // Outcome is the wire form of one measured scenario.
@@ -476,30 +456,19 @@ func resolveCheckpointInterval(ic int64) (int64, error) {
 
 // Measure answers a single-scenario query with a full measured session
 // (cached, coalesced). A traced query runs the identical simulation
-// with the recorder attached and caches under its own key.
+// with a recorder attached and caches under its own key.
 func (p *Planner) Measure(ctx context.Context, q ScenarioQuery) (Outcome, error) {
 	sc, steps, ic, err := q.scenario()
 	if err != nil {
 		return Outcome{}, &BadRequestError{err}
 	}
-	if q.Trace {
-		key := cacheKey(sc, steps, ic, q.Seed) + "|trace=1"
-		v, cached, err := p.cached(ctx, key, func() (any, error) {
-			return p.simulateTraced(ctx, sc, steps, ic, q.Seed)
-		})
-		if err != nil {
-			return Outcome{}, err
-		}
-		to := v.(tracedOutcome)
-		w := wireOutcome(to.out, steps, ic, q.Seed, cached)
-		w.Trace = to.events
-		return w, nil
-	}
-	out, cached, err := p.measureCached(ctx, sc, steps, ic, q.Seed)
+	out, events, cached, err := p.measureCached(ctx, sc, steps, ic, q.Seed, q.Trace)
 	if err != nil {
 		return Outcome{}, err
 	}
-	return wireOutcome(out, steps, ic, q.Seed, cached), nil
+	w := wireOutcome(out, steps, ic, q.Seed, cached)
+	w.Trace = events
+	return w, nil
 }
 
 // BadRequestError marks a query the client phrased wrong, as opposed
@@ -674,7 +643,7 @@ func (p *Planner) measureGrid(ctx context.Context, scenarios []experiments.Scena
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			out, cached, err := p.measureCached(ctx, sc, stepsFor(sc), ic, seed)
+			out, _, cached, err := p.measureCached(ctx, sc, stepsFor(sc), ic, seed, false)
 			results[i] <- gridResult{out, cached, err}
 		}()
 	}

@@ -13,13 +13,14 @@ import (
 	"repro/internal/cloud"
 	"repro/internal/experiments"
 	"repro/internal/model"
+	"repro/internal/obs"
 )
 
 // fakeMeasure replaces the real simulation with a deterministic pure
 // function of the scenario, counting invocations. It is the planner
 // tests' probe for "how many simulations actually ran".
-func fakeMeasure(sims *atomic.Int64) func(sc experiments.Scenario, steps, ic, seed int64) (experiments.ScenarioOutcome, error) {
-	return func(sc experiments.Scenario, steps, ic, seed int64) (experiments.ScenarioOutcome, error) {
+func fakeMeasure(sims *atomic.Int64) func(sc experiments.Scenario, steps, ic, seed int64, trace *obs.Recorder) (experiments.ScenarioOutcome, error) {
+	return func(sc experiments.Scenario, steps, ic, seed int64, trace *obs.Recorder) (experiments.ScenarioOutcome, error) {
 		sims.Add(1)
 		return experiments.ScenarioOutcome{
 			Scenario:        sc,
@@ -46,9 +47,9 @@ func TestConcurrentIdenticalQueriesRunOneSimulation(t *testing.T) {
 	var sims atomic.Int64
 	release := make(chan struct{})
 	inner := fakeMeasure(&sims)
-	p.measure = func(sc experiments.Scenario, steps, ic, seed int64) (experiments.ScenarioOutcome, error) {
+	p.measure = func(sc experiments.Scenario, steps, ic, seed int64, trace *obs.Recorder) (experiments.ScenarioOutcome, error) {
 		<-release
-		return inner(sc, steps, ic, seed)
+		return inner(sc, steps, ic, seed, trace)
 	}
 
 	const callers = 16
@@ -57,7 +58,7 @@ func TestConcurrentIdenticalQueriesRunOneSimulation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	key := cacheKey(sc, steps, ic, q.Seed)
+	key := cacheKey(experiments.ScenarioKey(sc, steps, ic), q.Seed)
 
 	var wg sync.WaitGroup
 	outcomes := make([]Outcome, callers)
@@ -233,7 +234,7 @@ func TestSweepCancellationStopsDispatch(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	var sims atomic.Int64
-	p.measure = func(sc experiments.Scenario, steps, ic, seed int64) (experiments.ScenarioOutcome, error) {
+	p.measure = func(sc experiments.Scenario, steps, ic, seed int64, trace *obs.Recorder) (experiments.ScenarioOutcome, error) {
 		if sims.Add(1) == 3 {
 			// Cancellation lands while this simulation is in flight; it
 			// finishes, everything behind it in the queue is skipped.
@@ -282,9 +283,9 @@ func TestSimulationSeedIsPureFunctionOfCacheKey(t *testing.T) {
 	var gotSeed atomic.Int64
 	var sims atomic.Int64
 	inner := fakeMeasure(&sims)
-	p.measure = func(sc experiments.Scenario, steps, ic, seed int64) (experiments.ScenarioOutcome, error) {
+	p.measure = func(sc experiments.Scenario, steps, ic, seed int64, trace *obs.Recorder) (experiments.ScenarioOutcome, error) {
 		gotSeed.Store(seed)
-		return inner(sc, steps, ic, seed)
+		return inner(sc, steps, ic, seed, trace)
 	}
 	q := testQuery(42)
 	if _, err := p.Measure(context.Background(), q); err != nil {
@@ -324,12 +325,12 @@ func TestCheapestPicksCheapestFeasible(t *testing.T) {
 	defer p.Close()
 	var sims atomic.Int64
 	inner := fakeMeasure(&sims)
-	p.measure = func(sc experiments.Scenario, steps, ic, seed int64) (experiments.ScenarioOutcome, error) {
+	p.measure = func(sc experiments.Scenario, steps, ic, seed int64, trace *obs.Recorder) (experiments.ScenarioOutcome, error) {
 		if sc.Tier == cloud.Transient {
 			return experiments.ScenarioOutcome{}, fmt.Errorf("did not finish within a week")
 		}
 		// workers=1 → 10 h, $100; workers=2 → 5 h, $200.
-		return inner(sc, steps, ic, seed)
+		return inner(sc, steps, ic, seed, trace)
 	}
 	q := CheapestQuery{
 		GridQuery: GridQuery{
@@ -382,7 +383,7 @@ func TestCanceledLeaderDoesNotPoisonFollowers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	key := cacheKey(sc, steps, ic, q.Seed)
+	key := cacheKey(experiments.ScenarioKey(sc, steps, ic), q.Seed)
 
 	leaderCtx, cancelLeader := context.WithCancel(context.Background())
 	leaderErr := make(chan error, 1)

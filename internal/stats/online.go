@@ -3,8 +3,8 @@ package stats
 import "math"
 
 // Accumulator computes streaming mean and variance with Welford's
-// algorithm. The training-performance tracker uses it to summarize
-// per-step timings without retaining every sample.
+// algorithm. Each training worker uses one to summarize its per-step
+// timings without retaining every sample.
 //
 // The zero value is an empty accumulator ready to use.
 type Accumulator struct {

@@ -71,7 +71,7 @@ func (c *Cluster) rebalance() {
 		}
 		c.cfg.Trace.Record(obs.Event{
 			T:      c.k.Now().Seconds(),
-			Kind:   "rebalance",
+			Kind:   EventRebalance,
 			Step:   c.globalStep,
 			Detail: b.String(),
 		})
@@ -134,8 +134,7 @@ func (c *Cluster) syncContribution(w *Worker) {
 	if c.done || w.dead {
 		return // a dead worker's in-flight share was already written off
 	}
-	w.stepsDone++
-	w.stepRec.Record(float64(c.k.Now() - w.stepStart))
+	w.recordStep()
 	if !c.roundActive || !c.roundPending[w.name] {
 		return
 	}

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"repro/internal/model"
+	"repro/internal/obs"
 	"repro/internal/sim"
 )
 
@@ -144,6 +145,8 @@ func TestSyncRemoveWorkerShrinks(t *testing.T) {
 	k := &sim.Kernel{}
 	cfg := syncConfig(4*model.ReferenceBatch, true, Mixed(2, 1, 1))
 	cfg.TargetSteps = 300
+	rec := obs.NewRecorder()
+	cfg.Trace = rec
 	c := MustCluster(k, cfg)
 	c.Start()
 	k.RunUntil(sim.Time(10))
@@ -155,11 +158,10 @@ func TestSyncRemoveWorkerShrinks(t *testing.T) {
 	if !c.Done() {
 		t.Fatal("cluster did not finish after scale-in")
 	}
-	res := c.Result()
-	if got := len(res.EventsOf(EventShrink)); got != 1 {
+	if got := len(rec.EventsOf(EventShrink)); got != 1 {
 		t.Fatalf("shrink events = %d, want 1", got)
 	}
-	if got := len(res.EventsOf(EventRevocation)); got != 0 {
+	if got := len(rec.EventsOf(EventRevocation)); got != 0 {
 		t.Fatalf("revocation events = %d, want 0", got)
 	}
 	total := 0

@@ -5,59 +5,39 @@ import (
 
 	"repro/internal/model"
 	"repro/internal/obs"
-	"repro/internal/profile"
 	"repro/internal/sim"
 	"repro/internal/stats"
 )
 
-// EventKind labels entries in the cluster's session timeline.
-type EventKind int
-
+// Event kinds the session records on Config.Trace, its timeline.
 const (
 	// EventCheckpoint: the chief finished writing a checkpoint.
-	EventCheckpoint EventKind = iota + 1
+	EventCheckpoint = "checkpoint"
 	// EventRevocation: a worker was revoked / killed.
-	EventRevocation
+	EventRevocation = "revocation"
 	// EventJoin: a (replacement) worker joined and started training.
-	EventJoin
+	EventJoin = "join"
 	// EventRollback: the session restarted from the last checkpoint
 	// (unmodified TensorFlow's chief-IP-reuse behavior, §V-E).
-	EventRollback
+	EventRollback = "rollback"
 	// EventChiefHandoff: checkpoint duty moved to another worker
 	// (CM-DARE's transient-TensorFlow behavior).
-	EventChiefHandoff
+	EventChiefHandoff = "chief-handoff"
 	// EventShrink: a worker was retired voluntarily (an elastic
 	// scale-in, not a revocation).
-	EventShrink
+	EventShrink = "shrink"
+	// EventRebalance: synchronous-mode batch shares were recomputed;
+	// Detail lists them in join order.
+	EventRebalance = "rebalance"
+	// EventSpeed: a speed window closed; Step counts completed global
+	// steps and Value is the window's steps/s.
+	EventSpeed = "speed"
 )
 
-// String names the event kind.
-func (k EventKind) String() string {
-	switch k {
-	case EventCheckpoint:
-		return "checkpoint"
-	case EventRevocation:
-		return "revocation"
-	case EventJoin:
-		return "join"
-	case EventRollback:
-		return "rollback"
-	case EventChiefHandoff:
-		return "chief-handoff"
-	case EventShrink:
-		return "shrink"
-	default:
-		return fmt.Sprintf("EventKind(%d)", int(k))
-	}
-}
-
-// Event is one timeline entry.
-type Event struct {
-	Kind   EventKind
-	Time   float64 // simulation seconds
-	Step   int64   // global step at the time
-	Worker string
-}
+// speedWindowSteps is the paper's measurement window (§III-A): cluster
+// speed is averaged over 100-step windows, and each worker's first 100
+// steps are discarded as warm-up before its step-time statistics.
+const speedWindowSteps = 100
 
 // Cluster is one asynchronous parameter-server training session on the
 // simulation kernel. It is not safe for concurrent use; all methods
@@ -81,8 +61,6 @@ type Cluster struct {
 	// unmodified TensorFlow (false: duty waits for a replacement).
 	chiefHandoff bool
 
-	tracker *profile.Tracker
-
 	started      bool
 	globalStep   int64
 	lastCkptStep int64
@@ -90,10 +68,16 @@ type Cluster struct {
 	startedAt    sim.Time
 	doneAt       sim.Time
 
+	// completedSteps counts every global step ever completed; unlike
+	// globalStep it never rolls back. Every speedWindowSteps of them
+	// close one speed window, opened at windowStart.
+	completedSteps int64
+	windowStart    float64
+	series         []SpeedSample
+
 	ckptCount   int
 	ckptSeconds float64
 
-	events    []Event
 	stepHooks map[int64][]func()
 	// nextHook is the smallest registered hook step (0 when none),
 	// letting the per-step hot path skip the map probe entirely.
@@ -122,15 +106,6 @@ func NewCluster(k *sim.Kernel, cfg Config) (*Cluster, error) {
 		workers:      make(map[string]*Worker),
 		chiefHandoff: true,
 		stepHooks:    make(map[int64][]func()),
-		tracker:      profile.NewTracker(cfg.SpeedWindowSteps),
-	}
-	if cfg.Trace != nil {
-		// Fold the tracker's windowed speed samples into the trace
-		// timeline as the paper's performance tracker would log them.
-		trace := cfg.Trace
-		c.tracker.OnSample = func(s profile.SpeedSample) {
-			trace.Record(obs.Event{T: s.Time, Kind: "speed", Step: s.Step, Value: s.Speed})
-		}
 	}
 	for i := 0; i < cfg.ParameterServers; i++ {
 		c.shards = append(c.shards, sim.NewServer(k))
@@ -175,7 +150,6 @@ func (c *Cluster) newWorker(spec WorkerSpec) string {
 		computeMean: compute,
 		computeDist: stats.MakeLogNormalDist(compute, model.StepTimeCoV),
 		rng:         c.rng.Fork(),
-		stepRec:     c.tracker.StepRecorder(name),
 	}
 	w.bindHandlers()
 	c.workers[name] = w
@@ -190,7 +164,7 @@ func (c *Cluster) Start() {
 	}
 	c.started = true
 	c.startedAt = c.k.Now()
-	c.tracker.Begin(c.k.Now().Seconds())
+	c.windowStart = c.k.Now().Seconds()
 	if c.syncEnabled() {
 		c.rebalance()
 		c.startRound()
@@ -217,16 +191,6 @@ func (c *Cluster) LastCheckpointStep() int64 { return c.lastCkptStep }
 
 // Done reports whether the session reached its target steps.
 func (c *Cluster) Done() bool { return c.done }
-
-// Tracker exposes the session's performance tracker.
-func (c *Cluster) Tracker() *profile.Tracker { return c.tracker }
-
-// Events returns the session timeline.
-func (c *Cluster) Events() []Event {
-	out := make([]Event, len(c.events))
-	copy(out, c.events)
-	return out
-}
 
 // LiveWorkers returns the names of workers currently training, in
 // join order.
@@ -292,7 +256,7 @@ func (c *Cluster) RemoveWorker(name string) error {
 }
 
 // retire is the shared exit path for revocations and scale-ins.
-func (c *Cluster) retire(name string, kind EventKind) error {
+func (c *Cluster) retire(name, kind string) error {
 	w, ok := c.workers[name]
 	if !ok {
 		return fmt.Errorf("train: no worker %q", name)
@@ -363,28 +327,32 @@ func (c *Cluster) rollback() {
 	c.globalStep = c.lastCkptStep
 }
 
-// addEvent appends a timeline entry at the current time and step, and
-// mirrors it onto the trace recorder when one is attached.
-func (c *Cluster) addEvent(kind EventKind, worker string) {
-	c.events = append(c.events, Event{
-		Kind:   kind,
-		Time:   c.k.Now().Seconds(),
-		Step:   c.globalStep,
-		Worker: worker,
-	})
+// addEvent records a timeline entry at the current time and step.
+func (c *Cluster) addEvent(kind, worker string) {
 	c.cfg.Trace.Record(obs.Event{
 		T:      c.k.Now().Seconds(),
-		Kind:   kind.String(),
+		Kind:   kind,
 		Worker: worker,
 		Step:   c.globalStep,
 	})
 }
 
-// completeGlobalStep advances the global counter, feeds the tracker,
-// runs step hooks, and finishes the session at the target.
+// completeGlobalStep advances the global counter, closes a speed
+// window every speedWindowSteps completed steps, runs step hooks, and
+// finishes the session at the target.
 func (c *Cluster) completeGlobalStep() {
 	c.globalStep++
-	c.tracker.RecordGlobalStep(c.k.Now().Seconds())
+	c.completedSteps++
+	if c.completedSteps%speedWindowSteps == 0 {
+		now := c.k.Now().Seconds()
+		speed := 0.0
+		if elapsed := now - c.windowStart; elapsed > 0 {
+			speed = speedWindowSteps / elapsed
+		}
+		c.series = append(c.series, SpeedSample{Step: c.completedSteps, Time: now, Speed: speed})
+		c.windowStart = now
+		c.cfg.Trace.Record(obs.Event{T: now, Kind: EventSpeed, Step: c.completedSteps, Value: speed})
+	}
 	// nextHook tracks the smallest registered hook step, so the per-step
 	// hot path pays one integer compare instead of a map probe. WhenStep
 	// only registers future steps and the counter climbs one step at a

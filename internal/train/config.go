@@ -98,9 +98,6 @@ type Config struct {
 	TargetSteps int64
 	// CheckpointInterval is Ic in steps; 0 disables checkpointing.
 	CheckpointInterval int64
-	// SpeedWindowSteps is the profiler averaging window (default 100,
-	// the paper's methodology).
-	SpeedWindowSteps int64
 	// DisableWarmup skips the warm-up transient; microbenchmarks that
 	// start measurement after warm-up use this to save simulated time.
 	DisableWarmup bool
@@ -111,11 +108,12 @@ type Config struct {
 	Batch *BatchPolicy
 	// Seed drives all randomness in the session.
 	Seed int64
-	// Trace, when non-nil, receives the session's sim-plane event
-	// timeline (checkpoints, revocations, joins, rebalances, windowed
-	// speed samples). Recording draws no randomness and schedules no
-	// events, so a traced session's results are byte-identical to an
-	// untraced one's.
+	// Trace, when non-nil, is the session's timeline: it receives
+	// every Event* kind (checkpoints, revocations, joins, rebalances,
+	// windowed speed samples) as it happens. Result carries no
+	// timeline, only the speed series; nil records nothing. Recording
+	// draws no randomness and schedules no events, so a traced
+	// session's Result is identical to an untraced one's.
 	Trace *obs.Recorder
 }
 
@@ -137,12 +135,6 @@ func (c *Config) validate() error {
 	}
 	if c.TargetSteps < 0 || c.CheckpointInterval < 0 {
 		return fmt.Errorf("train: negative step counts")
-	}
-	if c.SpeedWindowSteps == 0 {
-		c.SpeedWindowSteps = 100
-	}
-	if c.SpeedWindowSteps < 0 {
-		return fmt.Errorf("train: negative speed window")
 	}
 	if c.Batch != nil {
 		if err := c.Batch.validate(); err != nil {

@@ -3,10 +3,21 @@ package train
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"repro/internal/model"
-	"repro/internal/profile"
 )
+
+// SpeedSample is the cluster training speed over one window.
+type SpeedSample struct {
+	// Step counts the global steps completed by the end of the window,
+	// never rolled back.
+	Step int64
+	// Time is the simulation time (seconds) at the end of the window.
+	Time float64
+	// Speed is steps/second averaged over the window.
+	Speed float64
+}
 
 // WorkerStat summarizes one worker's steady-state behavior, the
 // quantity Table III reports.
@@ -33,7 +44,7 @@ type Result struct {
 	// SpeedCoV is the coefficient of variation of the windowed speed.
 	SpeedCoV float64
 	// SpeedSeries is the per-window speed trace (Fig. 2).
-	SpeedSeries []profile.SpeedSample
+	SpeedSeries []SpeedSample
 	// Workers holds per-worker steady-state step times for workers
 	// with post-warm-up data.
 	Workers []WorkerStat
@@ -41,13 +52,12 @@ type Result struct {
 	// overhead actually paid.
 	CheckpointCount   int
 	CheckpointSeconds float64
-	// Events is the session timeline.
-	Events []Event
 }
 
-// Result snapshots the cluster's current state.
+// Result snapshots the cluster's current state. The snapshot shares
+// the windows closed so far with the cluster, which only appends.
 func (c *Cluster) Result() Result {
-	series := c.tracker.SpeedSeries()
+	series := slices.Clip(c.series)
 	steady, cov := steadyOf(series, float64(c.startedAt)+c.warmupHorizonSeconds())
 	r := Result{
 		Done:              c.done,
@@ -57,23 +67,21 @@ func (c *Cluster) Result() Result {
 		SpeedSeries:       series,
 		CheckpointCount:   c.ckptCount,
 		CheckpointSeconds: c.ckptSeconds,
-		Events:            c.Events(),
 	}
 	if c.done {
 		r.TotalSeconds = float64(c.doneAt - c.startedAt)
 	}
 	for _, name := range c.order {
 		w := c.workers[name]
-		mean, std, ok := c.tracker.WorkerStepTime(name)
-		if !ok {
+		if w.steady.N() == 0 {
 			continue
 		}
 		r.Workers = append(r.Workers, WorkerStat{
 			Name:         name,
 			GPU:          w.gpu,
 			Steps:        w.stepsDone,
-			MeanStepTime: mean,
-			StdStepTime:  std,
+			MeanStepTime: w.steady.Mean(),
+			StdStepTime:  w.steady.Std(),
 		})
 	}
 	return r
@@ -102,7 +110,7 @@ func (c *Cluster) warmupHorizonSeconds() float64 {
 // discard-the-first-100-steps rule). Window times never decrease, so
 // the kept windows are a suffix of the series, summed in place: the two
 // passes evaluate exactly stats.Mean and stats.CoV over their speeds.
-func steadyOf(series []profile.SpeedSample, warmupEndTime float64) (mean, cov float64) {
+func steadyOf(series []SpeedSample, warmupEndTime float64) (mean, cov float64) {
 	start := min(1, len(series))
 	for start < len(series) && series[start].Time <= warmupEndTime {
 		start++
@@ -141,15 +149,4 @@ func (r Result) WorkerStatByGPU(g model.GPU) (WorkerStat, error) {
 		}
 	}
 	return WorkerStat{}, fmt.Errorf("train: no worker stat for GPU %v", g)
-}
-
-// EventsOf filters the timeline by kind.
-func (r Result) EventsOf(kind EventKind) []Event {
-	var out []Event
-	for _, e := range r.Events {
-		if e.Kind == kind {
-			out = append(out, e)
-		}
-	}
-	return out
 }

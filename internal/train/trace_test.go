@@ -1,6 +1,7 @@
 package train
 
 import (
+	"reflect"
 	"testing"
 
 	"repro/internal/model"
@@ -11,8 +12,8 @@ import (
 // TestWindowedSpeedDropsAfterRevocation is the paper's performance-
 // tracker story in miniature: in synchronous mode the global batch is
 // fixed, so a mid-run revocation hands the survivors bigger shares and
-// the tracker's windowed speed visibly drops — and the same samples
-// land in the trace timeline as "speed" events.
+// the windowed speed visibly drops — and the same samples land in the
+// trace timeline as speed events.
 func TestWindowedSpeedDropsAfterRevocation(t *testing.T) {
 	rec := obs.NewRecorder()
 	k := &sim.Kernel{}
@@ -74,28 +75,21 @@ func TestWindowedSpeedDropsAfterRevocation(t *testing.T) {
 	}
 
 	// The trace timeline holds the same story: speed samples matching
-	// the tracker's series, the revocation, and the share rebalances.
-	kinds := map[string]int{}
-	var speeds []obs.Event
-	for _, e := range rec.Events() {
-		kinds[e.Kind]++
-		if e.Kind == "speed" {
-			speeds = append(speeds, e)
-		}
+	// the series, the revocation, and the share rebalances.
+	if n := len(rec.EventsOf(EventRevocation)); n != 1 {
+		t.Fatalf("trace has %d revocation events, want 1", n)
 	}
-	if kinds["revocation"] != 1 {
-		t.Fatalf("trace has %d revocation events, want 1", kinds["revocation"])
+	if n := len(rec.EventsOf(EventRebalance)); n < 2 { // Start + post-revocation
+		t.Fatalf("trace has %d rebalance events, want >= 2", n)
 	}
-	if kinds["rebalance"] < 2 { // Start + post-revocation
-		t.Fatalf("trace has %d rebalance events, want >= 2", kinds["rebalance"])
-	}
+	speeds := rec.EventsOf(EventSpeed)
 	if len(speeds) != len(res.SpeedSeries) {
-		t.Fatalf("trace has %d speed events, tracker emitted %d windows", len(speeds), len(res.SpeedSeries))
+		t.Fatalf("trace has %d speed events, series has %d windows", len(speeds), len(res.SpeedSeries))
 	}
 	for i, e := range speeds {
 		s := res.SpeedSeries[i]
 		if e.T != s.Time || e.Step != s.Step || e.Value != s.Speed {
-			t.Fatalf("speed event %d diverges from tracker sample: %+v vs %+v", i, e, s)
+			t.Fatalf("speed event %d diverges from series sample: %+v vs %+v", i, e, s)
 		}
 	}
 }
@@ -124,11 +118,7 @@ func TestTraceNeutral(t *testing.T) {
 	if rec.Len() == 0 {
 		t.Fatal("trace recorded nothing")
 	}
-	if plain.TotalSeconds != traced.TotalSeconds ||
-		plain.GlobalSteps != traced.GlobalSteps ||
-		plain.SteadySpeed != traced.SteadySpeed ||
-		plain.CheckpointCount != traced.CheckpointCount ||
-		len(plain.Events) != len(traced.Events) {
+	if !reflect.DeepEqual(plain, traced) {
 		t.Fatalf("tracing perturbed the simulation:\nplain  %+v\ntraced %+v", plain, traced)
 	}
 }

@@ -6,24 +6,27 @@ import (
 	"testing/quick"
 
 	"repro/internal/model"
+	"repro/internal/obs"
 	"repro/internal/sim"
 )
 
 func TestCheckpointEventsMonotone(t *testing.T) {
-	res := runCluster(t, Config{
+	rec := obs.NewRecorder()
+	runCluster(t, Config{
 		Model:              model.ResNet15(),
 		Workers:            Homogeneous(model.V100, 2),
 		TargetSteps:        8000,
 		CheckpointInterval: 1000,
 		DisableWarmup:      true,
 		Seed:               51,
+		Trace:              rec,
 	})
-	ckpts := res.EventsOf(EventCheckpoint)
+	ckpts := rec.EventsOf(EventCheckpoint)
 	if len(ckpts) < 6 {
 		t.Fatalf("checkpoints = %d, want ≥6", len(ckpts))
 	}
 	for i := 1; i < len(ckpts); i++ {
-		if ckpts[i].Time <= ckpts[i-1].Time {
+		if ckpts[i].T <= ckpts[i-1].T {
 			t.Fatal("checkpoint times not strictly increasing")
 		}
 		// Events record the global step at checkpoint *completion*;
@@ -140,16 +143,22 @@ func TestAddWorkerValidation(t *testing.T) {
 	}
 }
 
+// TestEventKindStrings pins each event kind's wire value: the kinds
+// are the trace's NDJSON "kind" field, and trace_fig2.golden only
+// covers speed.
 func TestEventKindStrings(t *testing.T) {
-	for kind, want := range map[EventKind]string{
-		EventCheckpoint:   "checkpoint",
-		EventRevocation:   "revocation",
-		EventJoin:         "join",
-		EventRollback:     "rollback",
-		EventChiefHandoff: "chief-handoff",
+	for _, c := range []struct{ kind, want string }{
+		{EventCheckpoint, "checkpoint"},
+		{EventRevocation, "revocation"},
+		{EventJoin, "join"},
+		{EventRollback, "rollback"},
+		{EventChiefHandoff, "chief-handoff"},
+		{EventShrink, "shrink"},
+		{EventRebalance, "rebalance"},
+		{EventSpeed, "speed"},
 	} {
-		if kind.String() != want {
-			t.Errorf("EventKind %d = %q, want %q", int(kind), kind.String(), want)
+		if c.kind != c.want {
+			t.Errorf("event kind %q, want %q", c.kind, c.want)
 		}
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/model"
+	"repro/internal/obs"
 	"repro/internal/sim"
 )
 
@@ -265,6 +266,7 @@ func TestChiefRevocationHandoff(t *testing.T) {
 	// CM-DARE: when the chief is revoked, another worker takes over
 	// checkpoint duty and checkpoints keep flowing.
 	k := &sim.Kernel{}
+	rec := obs.NewRecorder()
 	c := MustCluster(k, Config{
 		Model:              model.ResNet15(),
 		Workers:            Homogeneous(model.K80, 2),
@@ -272,6 +274,7 @@ func TestChiefRevocationHandoff(t *testing.T) {
 		CheckpointInterval: 500,
 		DisableWarmup:      true,
 		Seed:               11,
+		Trace:              rec,
 	})
 	chief := c.Chief()
 	c.WhenStep(1200, func() {
@@ -285,7 +288,7 @@ func TestChiefRevocationHandoff(t *testing.T) {
 	if !res.Done {
 		t.Fatal("session did not finish after chief revocation")
 	}
-	handoffs := res.EventsOf(EventChiefHandoff)
+	handoffs := rec.EventsOf(EventChiefHandoff)
 	if len(handoffs) != 1 {
 		t.Fatalf("chief handoffs = %d, want 1", len(handoffs))
 	}
@@ -296,8 +299,8 @@ func TestChiefRevocationHandoff(t *testing.T) {
 	// At least one checkpoint after the handoff, written by the new
 	// chief.
 	var postHandoff int
-	for _, e := range res.EventsOf(EventCheckpoint) {
-		if e.Time > handoffs[0].Time {
+	for _, e := range rec.EventsOf(EventCheckpoint) {
+		if e.T > handoffs[0].T {
 			postHandoff++
 			if e.Worker != newChief {
 				t.Errorf("post-handoff checkpoint written by %s, want %s", e.Worker, newChief)
@@ -312,11 +315,13 @@ func TestChiefRevocationHandoff(t *testing.T) {
 func TestRevocationHalvesTwoWorkerSpeed(t *testing.T) {
 	// Killing one of two identical workers should halve throughput.
 	k := &sim.Kernel{}
+	rec := obs.NewRecorder()
 	c := MustCluster(k, Config{
 		Model:         model.ResNet15(),
 		Workers:       Homogeneous(model.K80, 2),
 		DisableWarmup: true,
 		Seed:          13,
+		Trace:         rec,
 	})
 	c.WhenStep(4000, func() {
 		if err := c.KillWorker(c.LiveWorkers()[1]); err != nil {
@@ -325,8 +330,8 @@ func TestRevocationHalvesTwoWorkerSpeed(t *testing.T) {
 	})
 	c.Start()
 	k.RunUntil(sim.Time(500))
-	series := c.Tracker().SpeedSeries()
-	revTime := c.Events()[0].Time
+	series := c.Result().SpeedSeries
+	revTime := rec.EventsOf(EventRevocation)[0].T
 	var before, after []float64
 	for _, s := range series {
 		switch {
@@ -355,11 +360,13 @@ func mean(xs []float64) float64 {
 
 func TestColdReplacementJoinsAfterOverhead(t *testing.T) {
 	k := &sim.Kernel{}
+	rec := obs.NewRecorder()
 	c := MustCluster(k, Config{
 		Model:         model.ResNet15(),
 		Workers:       Homogeneous(model.K80, 2),
 		DisableWarmup: true,
 		Seed:          17,
+		Trace:         rec,
 	})
 	var killedAt, joinRequestedAt float64
 	c.WhenStep(2000, func() {
@@ -375,11 +382,11 @@ func TestColdReplacementJoinsAfterOverhead(t *testing.T) {
 	})
 	c.Start()
 	k.RunUntil(sim.Time(800))
-	joins := c.Result().EventsOf(EventJoin)
+	joins := rec.EventsOf(EventJoin)
 	if len(joins) != 1 {
 		t.Fatalf("joins = %d, want 1", len(joins))
 	}
-	overhead := joins[0].Time - joinRequestedAt
+	overhead := joins[0].T - joinRequestedAt
 	// One lognormal draw at CoV 0.05: allow ±3σ.
 	if math.Abs(overhead-75.6) > 12 {
 		t.Errorf("cold join overhead = %.1f s, want ≈75.6 (Fig. 10)", overhead)
@@ -393,12 +400,14 @@ func TestReuseChiefIPRollsBack(t *testing.T) {
 	// §V-E: an unmodified-TensorFlow replacement that reuses the
 	// chief's address restarts the session from the last checkpoint.
 	k := &sim.Kernel{}
+	rec := obs.NewRecorder()
 	c := MustCluster(k, Config{
 		Model:              model.ResNet15(),
 		Workers:            Homogeneous(model.K80, 2),
 		CheckpointInterval: 1000,
 		DisableWarmup:      true,
 		Seed:               19,
+		Trace:              rec,
 	})
 	c.SetChiefHandoff(false)
 	chief := c.Chief()
@@ -412,8 +421,7 @@ func TestReuseChiefIPRollsBack(t *testing.T) {
 	})
 	c.Start()
 	k.RunUntil(sim.Time(700))
-	res := c.Result()
-	rollbacks := res.EventsOf(EventRollback)
+	rollbacks := rec.EventsOf(EventRollback)
 	if len(rollbacks) != 1 {
 		t.Fatalf("rollbacks = %d, want 1", len(rollbacks))
 	}
@@ -432,12 +440,14 @@ func TestReuseChiefIPRollsBack(t *testing.T) {
 
 func TestWithoutHandoffNoCheckpointsAfterChiefDeath(t *testing.T) {
 	k := &sim.Kernel{}
+	rec := obs.NewRecorder()
 	c := MustCluster(k, Config{
 		Model:              model.ResNet15(),
 		Workers:            Homogeneous(model.K80, 2),
 		CheckpointInterval: 500,
 		DisableWarmup:      true,
 		Seed:               23,
+		Trace:              rec,
 	})
 	c.SetChiefHandoff(false)
 	chief := c.Chief()
@@ -448,11 +458,10 @@ func TestWithoutHandoffNoCheckpointsAfterChiefDeath(t *testing.T) {
 	})
 	c.Start()
 	k.RunUntil(sim.Time(600))
-	res := c.Result()
-	revTime := res.EventsOf(EventRevocation)[0].Time
-	for _, e := range res.EventsOf(EventCheckpoint) {
-		if e.Time > revTime {
-			t.Fatalf("checkpoint at %.1f s after chief death without handoff", e.Time)
+	revTime := rec.EventsOf(EventRevocation)[0].T
+	for _, e := range rec.EventsOf(EventCheckpoint) {
+		if e.T > revTime {
+			t.Fatalf("checkpoint at %.1f s after chief death without handoff", e.T)
 		}
 	}
 	if c.Chief() != "" {

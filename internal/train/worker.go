@@ -2,7 +2,6 @@ package train
 
 import (
 	"repro/internal/model"
-	"repro/internal/profile"
 	"repro/internal/sim"
 	"repro/internal/stats"
 )
@@ -31,11 +30,13 @@ type Worker struct {
 	computeDist stats.LogNormalDist
 	syncDist    stats.LogNormalDist
 	rng         *stats.Rng
-	stepRec     profile.StepRecorder
 
 	dead      bool
 	stepsDone int64
 	stepStart sim.Time
+	// steady holds the step times of steps past the worker's first
+	// speedWindowSteps, the warm-up the paper discards (Table III).
+	steady stats.Accumulator
 
 	// Prebound timer handlers, interned in the kernel's callback table
 	// once per worker lifetime and scheduled by id thereafter.
@@ -120,14 +121,22 @@ func (w *Worker) finishStep() {
 	if w.dead {
 		return // revoked mid-flight: gradient discarded
 	}
-	w.stepsDone++
-	w.stepRec.Record(float64(w.c.k.Now() - w.stepStart))
+	w.recordStep()
 	w.c.completeGlobalStep()
 	if w.name == w.c.chief && w.c.checkpointDue() {
 		w.c.runCheckpoint(w)
 		return
 	}
 	w.startStep()
+}
+
+// recordStep accounts one finished step; steps past the warm-up feed
+// the worker's steady-state step-time statistics.
+func (w *Worker) recordStep() {
+	w.stepsDone++
+	if w.stepsDone > speedWindowSteps {
+		w.steady.Add(float64(w.c.k.Now() - w.stepStart))
+	}
 }
 
 // join enters the running session once the replacement overhead
