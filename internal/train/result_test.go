@@ -162,52 +162,56 @@ func TestSpeedWindowsAreExact(t *testing.T) {
 // async session with no rollback the stats account for every global
 // step.
 func TestWorkerStatsSkipWarmup(t *testing.T) {
-	k := &sim.Kernel{}
-	c := MustCluster(k, Config{
-		Model:         model.ResNet15(),
-		Workers:       Homogeneous(model.K80, 2),
-		DisableWarmup: true,
-		Seed:          31,
-	})
-	c.Start()
-	k.RunUntil(sim.Time(60))
-	late, err := c.AddWorker(WorkerSpec{GPU: model.K80}, JoinMode{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	k.RunUntil(sim.Time(80)) // a warm join takes ≈15 s; 100 steps ≈10 s more
-	if n := c.workers[late].stepsDone; n == 0 || n > speedWindowSteps {
-		t.Fatalf("late worker finished %d steps, want 1..%d", n, speedWindowSteps)
-	}
-	for _, ws := range c.Result().Workers {
-		if ws.Name == late {
-			t.Fatalf("worker with %d steps has a stat %+v", ws.Steps, ws)
+	t.Run("warming_worker_has_no_stat", func(t *testing.T) {
+		k := &sim.Kernel{}
+		c := MustCluster(k, Config{
+			Model:         model.ResNet15(),
+			Workers:       Homogeneous(model.K80, 2),
+			DisableWarmup: true,
+			Seed:          31,
+		})
+		c.Start()
+		k.RunUntil(sim.Time(60))
+		late, err := c.AddWorker(WorkerSpec{GPU: model.K80}, JoinMode{})
+		if err != nil {
+			t.Fatal(err)
 		}
-	}
-
-	// One worker with warm-up on: its steady mean is Table I's step
-	// time, not inflated by the warm-up steps' ≈1.75× average.
-	cfg := Config{Model: model.ResNet15(), Workers: Homogeneous(model.K80, 1), TargetSteps: 600, Seed: 37}
-	res := runCluster(t, cfg)
-	if len(res.Workers) != 1 {
-		t.Fatalf("one-worker session has %d stats", len(res.Workers))
-	}
-	want := model.StepTime(model.K80, cfg.Model.GFLOPs)
-	if got := res.Workers[0].MeanStepTime; math.Abs(got-want)/want > 0.02 {
-		t.Fatalf("steady step time = %.4f s, want ≈%.4f (warm-up discarded)", got, want)
-	}
-
-	res = runCluster(t, Config{
-		Model:       model.ResNet15(),
-		Workers:     Mixed(2, 1, 1),
-		TargetSteps: 4000,
-		Seed:        41,
+		k.RunUntil(sim.Time(80)) // a warm join takes ≈15 s; 100 steps ≈10 s more
+		if n := c.workers[late].stepsDone; n == 0 || n > speedWindowSteps {
+			t.Fatalf("late worker finished %d steps, want 1..%d", n, speedWindowSteps)
+		}
+		for _, ws := range c.Result().Workers {
+			if ws.Name == late {
+				t.Fatalf("worker with %d steps has a stat %+v", ws.Steps, ws)
+			}
+		}
 	})
-	var sum int64
-	for _, ws := range res.Workers {
-		sum += ws.Steps
-	}
-	if len(res.Workers) != 4 || sum != res.GlobalSteps {
-		t.Fatalf("%d stats summing to %d steps, want 4 summing to %d", len(res.Workers), sum, res.GlobalSteps)
-	}
+
+	t.Run("steady_mean_skips_warmup", func(t *testing.T) {
+		// One worker with warm-up on: its steady mean is Table I's step
+		// time, not inflated by the warm-up steps' ≈1.75× average.
+		cfg := Config{Model: model.ResNet15(), Workers: Homogeneous(model.K80, 1), TargetSteps: 600, Seed: 37}
+		res := runCluster(t, cfg)
+		if len(res.Workers) != 1 {
+			t.Fatalf("one-worker session has %d stats", len(res.Workers))
+		}
+		want := model.StepTime(model.K80, cfg.Model.GFLOPs)
+		if got := res.Workers[0].MeanStepTime; math.Abs(got-want)/want > 0.02 {
+			t.Fatalf("steady step time = %.4f s, want ≈%.4f (warm-up discarded)", got, want)
+		}
+
+		res = runCluster(t, Config{
+			Model:       model.ResNet15(),
+			Workers:     Mixed(2, 1, 1),
+			TargetSteps: 4000,
+			Seed:        41,
+		})
+		var sum int64
+		for _, ws := range res.Workers {
+			sum += ws.Steps
+		}
+		if len(res.Workers) != 4 || sum != res.GlobalSteps {
+			t.Fatalf("%d stats summing to %d steps, want 4 summing to %d", len(res.Workers), sum, res.GlobalSteps)
+		}
+	})
 }
