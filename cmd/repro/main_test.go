@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"repro/internal/experiments"
+	"repro/internal/obs"
 )
 
 var update = flag.Bool("update", false, "rewrite the golden snapshots instead of comparing")
@@ -64,9 +65,9 @@ func checkGolden(t *testing.T, exp string) {
 		}
 		runners = []experiments.Runner{r}
 	}
-	render := func(workers int) []byte {
+	render := func(workers int, col *obs.Collector) []byte {
 		var buf bytes.Buffer
-		printed, err := writeExperiments(&buf, runners, 42, workers)
+		printed, err := writeExperimentsObserved(&buf, runners, 42, workers, col, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -75,15 +76,26 @@ func checkGolden(t *testing.T, exp string) {
 		}
 		return buf.Bytes()
 	}
+	// An extra's golden render also carries a trace collector (the
+	// -parallel 8 one where there are two), so its trace invariants are
+	// checked without another render and the traced output must still
+	// match the snapshot. TestTracedAllMatchesGolden traces "all".
+	var col *obs.Collector
+	if exp != "all" {
+		col = obs.NewCollector()
+	}
 	row := goldens[exp]
 	var got []byte
 	if row.parallel {
-		got = render(1)
-		if wide := render(8); !bytes.Equal(got, wide) {
+		got = render(1, nil)
+		if wide := render(8, col); !bytes.Equal(got, wide) {
 			t.Fatalf("-parallel 8 changed %s output:\n%s", exp, firstDivergence(wide, got))
 		}
 	} else {
-		got = render(runtime.GOMAXPROCS(0))
+		got = render(runtime.GOMAXPROCS(0), col)
+	}
+	if col != nil {
+		checkTraceInvariants(t, col)
 	}
 
 	path := filepath.Join("testdata", row.golden)

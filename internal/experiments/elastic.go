@@ -27,10 +27,6 @@ import (
 // (hour-free lifetimes), so elasticity should pay off exactly where
 // its forecast models the world.
 
-// elasticReplications is how many independent seeds each
-// (regime, policy) cell averages.
-const elasticReplications = 2
-
 // elasticSlack scales the analytic ideal runtime into the deadline:
 // room for startup, checkpoint stalls, and modest disruption, but not
 // for giving up half the cluster all day.
@@ -81,10 +77,9 @@ func elasticWorkload() (steps int64, deadlineHours, penaltyPerHour float64) {
 		weights[i] = model.StepsPerSecond(g, m)
 		penaltyPerHour += model.HourlyPrice(g, true)
 	}
-	// The default batch-policy clamps (train.BatchPolicy's quarter and
-	// 4× of the reference batch) keep the analytic shares aligned with
-	// the simulated session's.
-	shares := model.BatchShares(model.ReferenceBatch*len(gpus), weights, model.ReferenceBatch/4, model.ReferenceBatch*4)
+	// The session's own share clamps keep the analytic shares aligned
+	// with the simulated session's.
+	shares := model.BatchShares(model.ReferenceBatch*len(gpus), weights, model.MinBatchShare, model.MaxBatchShare)
 	round, err := core.SyncRoundSeconds(gpus, shares, m.GFLOPs)
 	if err != nil {
 		panic(fmt.Sprintf("experiments: elastic workload: %v", err))
@@ -111,14 +106,13 @@ type elasticEntry struct {
 func planElastic(p *plan) *campaign.Plan {
 	steps, deadline, penalty := elasticWorkload()
 	for _, regime := range elasticRegimes() {
-		for rep := 0; rep < elasticReplications; rep++ {
+		for rep := 0; rep < replications; rep++ {
 			// One seed per (regime, rep) cell, shared by every policy:
 			// identical cloud randomness, so score differences are pure
 			// membership policy — the fleet/regret experiments' fairness
 			// discipline.
 			cellSeed := campaign.Derive(p.seed, uint64(rep), "elastic/"+regime.label)
 			for _, policy := range manager.ElasticPolicies() {
-				regime, policy, rep := regime, policy, rep
 				sc := Scenario{
 					Model:    model.ShakeShakeBig(),
 					Region:   cloud.USWest1,
@@ -150,55 +144,21 @@ func planElastic(p *plan) *campaign.Plan {
 		}
 	}
 	return p.build(func(outs []any) (Result, error) {
-		res := &ElasticResult{Replications: elasticReplications, Steps: steps, DeadlineHours: deadline, PenaltyPerHour: penalty}
-		for _, o := range outs {
-			res.Entries = append(res.Entries, o.(elasticEntry))
-		}
-		return res, nil
+		return &ElasticResult{Steps: steps, DeadlineHours: deadline, PenaltyPerHour: penalty, Entries: collect[elasticEntry](outs)}, nil
 	})
 }
 
+// cell keys the entry's row: one per (regime, policy).
+func (e elasticEntry) cell() string { return e.Regime + "|" + e.Policy }
+
+func (e elasticEntry) score() float64 { return e.Score }
+
 // ElasticResult renders the static-vs-elastic comparison.
 type ElasticResult struct {
-	Replications   int
 	Steps          int64
 	DeadlineHours  float64
 	PenaltyPerHour float64
 	Entries        []elasticEntry
-}
-
-type elasticAgg struct {
-	regime, policy              string
-	n                           int
-	hours, cost, score          float64
-	revocations, grows, shrinks float64
-	late                        int
-}
-
-// meanScores aggregates per (regime, policy), preserving declaration
-// order.
-func (r *ElasticResult) meanScores() (order []string, rows map[string]*elasticAgg) {
-	rows = make(map[string]*elasticAgg)
-	for _, e := range r.Entries {
-		key := e.Regime + "|" + e.Policy
-		a := rows[key]
-		if a == nil {
-			a = &elasticAgg{regime: e.Regime, policy: e.Policy}
-			rows[key] = a
-			order = append(order, key)
-		}
-		a.n++
-		a.hours += e.Hours
-		a.cost += e.Outcome.CostUSD
-		a.score += e.Score
-		a.revocations += float64(e.Outcome.Revocations)
-		a.grows += float64(e.Outcome.Grows)
-		a.shrinks += float64(e.Outcome.Shrinks)
-		if e.Hours > e.DeadlineHours {
-			a.late++
-		}
-	}
-	return order, rows
 }
 
 // RegimesWhereElasticBeats lists the regimes where the "elastic"
@@ -207,15 +167,15 @@ func (r *ElasticResult) meanScores() (order []string, rows map[string]*elasticAg
 // forecast matches table5 and diurnal but not weibull, so the expected
 // answer is a strict subset of the regimes, not all of them.
 func (r *ElasticResult) RegimesWhereElasticBeats() []string {
-	_, rows := r.meanScores()
+	score := map[string]float64{}
+	for _, row := range rowsOf(r.Entries, elasticEntry.cell) {
+		score[row.runs[0].cell()] = row.mean(elasticEntry.score)
+	}
 	var wins []string
 	for _, regime := range elasticRegimes() {
-		e := rows[regime.label+"|elastic"]
-		s := rows[regime.label+"|static"]
-		if e == nil || s == nil {
-			continue
-		}
-		if e.score/float64(e.n) < s.score/float64(s.n) {
+		e, okE := score[regime.label+"|elastic"]
+		s, okS := score[regime.label+"|static"]
+		if okE && okS && e < s {
 			wins = append(wins, regime.label)
 		}
 	}
@@ -226,20 +186,23 @@ func (r *ElasticResult) RegimesWhereElasticBeats() []string {
 // replications, in declaration order.
 func (r *ElasticResult) String() string {
 	t := newTable(fmt.Sprintf("Elastic vs. static mixed cluster — %v us-west1 transient, %d sync rounds, deadline %.1f h, mean of %d runs per cell",
-		elasticCluster(), r.Steps, r.DeadlineHours, r.Replications),
+		elasticCluster(), r.Steps, r.DeadlineHours, replications),
 		"regime", "policy", "hours", "cost ($)", "late", "score ($)", "revoked", "grown", "shrunk")
-	order, rows := r.meanScores()
-	for _, key := range order {
-		a := rows[key]
-		n := float64(a.n)
-		t.addRow(a.regime, a.policy,
-			fmt.Sprintf("%.2f", a.hours/n),
-			fmt.Sprintf("%.2f", a.cost/n),
-			fmt.Sprintf("%d/%d", a.late, a.n),
-			fmt.Sprintf("%.2f", a.score/n),
-			fmt.Sprintf("%.1f", a.revocations/n),
-			fmt.Sprintf("%.1f", a.grows/n),
-			fmt.Sprintf("%.1f", a.shrinks/n))
+	for _, row := range rowsOf(r.Entries, elasticEntry.cell) {
+		late := 0
+		for _, e := range row.runs {
+			if e.Hours > e.DeadlineHours {
+				late++
+			}
+		}
+		t.addRow(row.runs[0].Regime, row.runs[0].Policy,
+			fmt.Sprintf("%.2f", row.mean(func(e elasticEntry) float64 { return e.Hours })),
+			fmt.Sprintf("%.2f", row.mean(func(e elasticEntry) float64 { return e.Outcome.CostUSD })),
+			fmt.Sprintf("%d/%d", late, len(row.runs)),
+			fmt.Sprintf("%.2f", row.mean(elasticEntry.score)),
+			fmt.Sprintf("%.1f", row.mean(func(e elasticEntry) float64 { return float64(e.Outcome.Revocations) })),
+			fmt.Sprintf("%.1f", row.mean(func(e elasticEntry) float64 { return float64(e.Outcome.Grows) })),
+			fmt.Sprintf("%.1f", row.mean(func(e elasticEntry) float64 { return float64(e.Outcome.Shrinks) })))
 	}
 	if wins := r.RegimesWhereElasticBeats(); len(wins) > 0 {
 		t.addNote("elastic beats static (mean score) under: %v", wins)

@@ -71,7 +71,7 @@ func TestElasticCellsShareSeedsAcrossPolicies(t *testing.T) {
 	r, _ := ByID("elastic")
 	plan := r.Plan(7)
 	policies := 3 // static, elastic, surge
-	want := len(elasticRegimes()) * elasticReplications * policies
+	want := len(elasticRegimes()) * replications * policies
 	if len(plan.Units) != want {
 		t.Fatalf("elastic plan has %d units, want %d", len(plan.Units), want)
 	}

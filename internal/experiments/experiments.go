@@ -196,6 +196,52 @@ func (p *plan) then(next func(outs []any) (*campaign.Plan, error)) *campaign.Pla
 	return &campaign.Plan{Seed: p.seed, Units: p.units, Then: next}
 }
 
+// collect casts a plan's unit outputs, in declaration order, to T.
+func collect[T any](outs []any) []T {
+	runs := make([]T, len(outs))
+	for i, o := range outs {
+		runs[i] = o.(T)
+	}
+	return runs
+}
+
+// replications is how many independent draws each extra averages per
+// (regime, entrant) cell; revocation arrival is the dominant noise
+// source, and a single run can get lucky.
+const replications = 2
+
+// row is one rendered line of a replicated comparison: the runs that
+// share a cell, in declaration order.
+type row[T any] struct{ runs []T }
+
+// rowsOf groups runs by cell key into rows, in order of each cell's
+// first run.
+func rowsOf[T any](runs []T, key func(T) string) []row[T] {
+	var rows []row[T]
+	index := make(map[string]int)
+	for _, r := range runs {
+		k := key(r)
+		i, ok := index[k]
+		if !ok {
+			i = len(rows)
+			index[k] = i
+			rows = append(rows, row[T]{})
+		}
+		rows[i].runs = append(rows[i].runs, r)
+	}
+	return rows
+}
+
+// mean averages f over the row's runs: summed in declaration order,
+// then divided once, so every rendered digit is reproducible.
+func (r row[T]) mean(f func(T) float64) float64 {
+	var sum float64
+	for _, run := range r.runs {
+		sum += f(run)
+	}
+	return sum / float64(len(r.runs))
+}
+
 // table is a minimal text-table builder used by all renderers.
 type table struct {
 	title   string

@@ -12,16 +12,13 @@ import (
 
 // The fleet experiment compares admission policies on a shared,
 // capacity-constrained transient pool: the multi-tenant reading of the
-// paper's §V churn characterization. Every scheduler faces the same
-// reproducible job stream and the same provider seed inside each
-// (regime, replication) cell, so rows within a cell differ only by
-// policy.
+// paper's §V churn characterization. It is the first of three fleet
+// comparisons (with providers and regret) declared through
+// fleetComparison: every entrant faces the same reproducible job
+// stream and the same provider seed inside each (regime, replication)
+// cell, so rows within a cell differ only by market access and policy.
 
-// fleetReplications is how many independent (workload, provider-seed)
-// draws each (scheduler, regime) measurement averages.
-const fleetReplications = 2
-
-// fleetRegime is one contention level of the comparison.
+// fleetRegime is one contention level of a fleet comparison.
 type fleetRegime struct {
 	name string
 	// slotsPerCell caps every offered (region, GPU) cell of the
@@ -44,21 +41,7 @@ func fleetRegimes() []fleetRegime {
 	}
 }
 
-// uniformCapacity caps every offered cell at n slots.
-func uniformCapacity(n int) cloud.Capacity {
-	if n <= 0 {
-		return nil
-	}
-	cap := cloud.Capacity{}
-	for _, g := range model.AllGPUs() {
-		for _, r := range cloud.OfferedRegions(g) {
-			cap[cloud.PoolKey{Region: r, GPU: g}] = n
-		}
-	}
-	return cap
-}
-
-// fleetWorkload is the job stream every scheduler faces: ten jobs
+// fleetWorkload is the job stream every entrant faces: ten jobs
 // arriving at two per hour, sized from the catalog, over a two-day
 // horizon so even slack deadlines resolve inside the run.
 func fleetWorkload(arrival fleet.ArrivalProcess) fleet.WorkloadSpec {
@@ -75,99 +58,135 @@ func fleetWorkload(arrival fleet.ArrivalProcess) fleet.WorkloadSpec {
 // running at the horizon count as deadline misses.
 const fleetHorizonHours = 48
 
-// fleetEntry is one (scheduler, regime) replication.
-type fleetEntry struct {
-	Scheduler string
-	Regime    string
-	Result    *fleet.Result
+// fleetTitle is a fleet comparison's table title: what it compares,
+// then the shared workload shape.
+func fleetTitle(what string) string {
+	w := fleetWorkload(fleet.ArrivalPoisson)
+	return fmt.Sprintf("%s — %d jobs, %g/h, %d steps/worker, %dh horizon, mean of %d runs per cell",
+		what, w.Jobs, w.RatePerHour, w.StepsPerWorker, fleetHorizonHours, replications)
 }
 
-func planFleet(p *plan) *campaign.Plan {
-	schedulers := []string{"fifo", "cost-greedy", "deadline-aware"}
+// entrant is one column of a fleet comparison: a scheduler with access
+// to one or more markets (none: the default market).
+type entrant struct {
+	name      string
+	scheduler string
+	providers []string
+}
+
+// schedulerEntrants enters each named scheduler in the default market,
+// under its own name.
+func schedulerEntrants(names ...string) []entrant {
+	out := make([]entrant, len(names))
+	for i, name := range names {
+		out[i] = entrant{name: name, scheduler: name}
+	}
+	return out
+}
+
+// fleetRun is one (regime, entrant, replication) run of a fleet
+// comparison.
+type fleetRun struct {
+	Regime, Entrant string
+	Config          fleet.Config
+	Result          *fleet.Result
+}
+
+// cell keys the run's row: one per (regime, entrant).
+func (r fleetRun) cell() string { return r.Regime + "|" + r.Entrant }
+
+func (r fleetRun) done() float64     { return float64(r.Result.Completed) }
+func (r fleetRun) misses() float64   { return float64(r.Result.DeadlineMisses) }
+func (r fleetRun) wait() float64     { return r.Result.MeanWaitHours }
+func (r fleetRun) makespan() float64 { return r.Result.MakespanHours }
+func (r fleetRun) cost() float64     { return r.Result.TotalCostUSD }
+func (r fleetRun) revoked() float64  { return float64(r.Result.Revocations) }
+
+// unionCapacity caps, at n slots, every (region, GPU) cell any of the
+// named markets offers — one slot budget shared by every entrant of a
+// regime, so single-market and cross-market fleets are compared under
+// the same per-cell scarcity (a market simply cannot reach cells
+// outside its own catalog).
+func unionCapacity(n int, markets []string) cloud.Capacity {
+	if n <= 0 {
+		return nil
+	}
+	cap := cloud.Capacity{}
+	for _, name := range markets {
+		spec, err := cloud.LookupProvider(name)
+		if err != nil {
+			continue // validated at registration; unreachable for builtins
+		}
+		for _, g := range model.AllGPUs() {
+			for _, r := range spec.OfferedRegions(g) {
+				cap[cloud.PoolKey{Region: r, GPU: g}] = n
+			}
+		}
+	}
+	return cap
+}
+
+// fleetComparison declares a fleet comparison and finalizes the plan:
+// one traced unit per (regime, entrant, replication), keyed
+// <id>/<regime>/<entrant>/rep<k>, then reduce over the runs in
+// declaration order. The workload and simulation seeds derive from
+// the plan seed, id, regime and replication alone, and capacity caps
+// every cell any of markets offers, so the entrants of one (regime,
+// replication) cell face identical arrivals, cloud randomness and slot
+// budget.
+func (p *plan) fleetComparison(id string, markets []string, entrants []entrant, reduce func([]fleetRun) (Result, error)) *campaign.Plan {
 	for _, regime := range fleetRegimes() {
-		for _, sched := range schedulers {
-			regime, sched := regime, sched
-			for rep := 0; rep < fleetReplications; rep++ {
-				rep := rep
-				// Workload and provider seeds are shared across the
-				// schedulers of one (regime, rep) cell — policies are
-				// compared on identical arrivals and identical cloud
-				// randomness — so the unit derives them from the plan
-				// seed itself rather than using the per-unit seed.
+		capacity := unionCapacity(regime.slotsPerCell, markets)
+		for _, e := range entrants {
+			for rep := 0; rep < replications; rep++ {
 				cfg := fleet.Config{
 					Workload:     fleetWorkload(regime.arrival),
-					Scheduler:    sched,
-					Capacity:     uniformCapacity(regime.slotsPerCell),
+					Scheduler:    e.scheduler,
+					Providers:    e.providers,
+					Capacity:     capacity,
 					HorizonHours: fleetHorizonHours,
-					WorkloadSeed: campaign.Derive(p.seed, uint64(rep), "fleet/workload/"+regime.name),
+					WorkloadSeed: campaign.Derive(p.seed, uint64(rep), id+"/workload/"+regime.name),
 				}
-				simSeed := campaign.Derive(p.seed, uint64(rep), "fleet/sim/"+regime.name)
-				p.tunit(fmt.Sprintf("fleet/%s/%s/rep%d", regime.name, sched, rep), func(_ int64, rec *obs.Recorder) (any, error) {
+				simSeed := campaign.Derive(p.seed, uint64(rep), id+"/sim/"+regime.name)
+				p.tunit(fmt.Sprintf("%s/%s/%s/rep%d", id, regime.name, e.name, rep), func(_ int64, rec *obs.Recorder) (any, error) {
 					res, err := fleet.RunTraced(cfg, simSeed, rec)
 					if err != nil {
 						return nil, err
 					}
-					return fleetEntry{Scheduler: sched, Regime: regime.name, Result: res}, nil
+					return fleetRun{Regime: regime.name, Entrant: e.name, Config: cfg, Result: res}, nil
 				})
 			}
 		}
 	}
-	return p.build(func(outs []any) (Result, error) {
-		res := &FleetResult{Replications: fleetReplications}
-		for _, o := range outs {
-			res.Entries = append(res.Entries, o.(fleetEntry))
-		}
-		return res, nil
+	return p.build(func(outs []any) (Result, error) { return reduce(collect[fleetRun](outs)) })
+}
+
+func planFleet(p *plan) *campaign.Plan {
+	entrants := schedulerEntrants("fifo", "cost-greedy", "deadline-aware")
+	return p.fleetComparison("fleet", []string{cloud.DefaultProviderName}, entrants, func(runs []fleetRun) (Result, error) {
+		return &FleetResult{Runs: runs}, nil
 	})
 }
 
 // FleetResult renders the scheduler comparison.
 type FleetResult struct {
-	Replications int
-	Entries      []fleetEntry
+	Runs []fleetRun
 }
 
 // String renders one row per (regime, scheduler), averaged over the
 // replications, in unit declaration order.
 func (r *FleetResult) String() string {
-	w := fleetWorkload(fleet.ArrivalPoisson)
-	t := newTable(fmt.Sprintf("Fleet scheduler comparison — %d jobs, %g/h, %d steps/worker, %dh horizon, mean of %d runs per cell",
-		w.Jobs, w.RatePerHour, w.StepsPerWorker, fleetHorizonHours, r.Replications),
+	t := newTable(fleetTitle("Fleet scheduler comparison"),
 		"regime", "scheduler", "done", "misses", "wait (h)", "makespan (h)", "cost ($)", "revoked")
-	type agg struct {
-		n                                       int
-		done, misses, wait, makespan, cost, rev float64
-	}
-	var order []string
-	rows := make(map[string]*agg)
-	labels := make(map[string][2]string)
-	for _, e := range r.Entries {
-		key := e.Regime + "|" + e.Scheduler
-		a := rows[key]
-		if a == nil {
-			a = &agg{}
-			rows[key] = a
-			order = append(order, key)
-			labels[key] = [2]string{e.Regime, e.Scheduler}
-		}
-		a.n++
-		a.done += float64(e.Result.Completed)
-		a.misses += float64(e.Result.DeadlineMisses)
-		a.wait += e.Result.MeanWaitHours
-		a.makespan += e.Result.MakespanHours
-		a.cost += e.Result.TotalCostUSD
-		a.rev += float64(e.Result.Revocations)
-	}
-	for _, key := range order {
-		a := rows[key]
-		n := float64(a.n)
-		t.addRow(labels[key][0], labels[key][1],
-			fmt.Sprintf("%.1f", a.done/n),
-			fmt.Sprintf("%.1f", a.misses/n),
-			fmt.Sprintf("%.2f", a.wait/n),
-			fmt.Sprintf("%.1f", a.makespan/n),
-			fmt.Sprintf("%.2f", a.cost/n),
-			fmt.Sprintf("%.1f", a.rev/n))
+	for _, row := range rowsOf(r.Runs, fleetRun.cell) {
+		run := row.runs[0]
+		t.addRow(run.Regime, run.Entrant,
+			fmt.Sprintf("%.1f", row.mean(fleetRun.done)),
+			fmt.Sprintf("%.1f", row.mean(fleetRun.misses)),
+			fmt.Sprintf("%.2f", row.mean(fleetRun.wait)),
+			fmt.Sprintf("%.1f", row.mean(fleetRun.makespan)),
+			fmt.Sprintf("%.2f", row.mean(fleetRun.cost)),
+			fmt.Sprintf("%.1f", row.mean(fleetRun.revoked)))
 	}
 	t.addNote("regimes: ample = infinite pool, tight = 4 transient slots per offered cell (poisson arrivals), scarce = 2 slots per cell (bursty arrivals)")
 	t.addNote("schedulers in one cell share the job stream and provider seed; rows differ only by policy")

@@ -49,8 +49,8 @@ func TestFleetRegimesShareWorkloadAcrossSchedulers(t *testing.T) {
 	// Two units of the same regime and rep but different schedulers
 	// must carry configs whose workload seeds match; probe via the
 	// unit keys (regime/scheduler/rep encoding).
-	if len(plan.Units) != len(fleetRegimes())*3*fleetReplications {
-		t.Fatalf("fleet plan has %d units, want %d", len(plan.Units), len(fleetRegimes())*3*fleetReplications)
+	if len(plan.Units) != len(fleetRegimes())*3*replications {
+		t.Fatalf("fleet plan has %d units, want %d", len(plan.Units), len(fleetRegimes())*3*replications)
 	}
 	// The config construction itself is what the fairness rests on;
 	// reproduce it for two schedulers of one cell and compare streams.

@@ -7,7 +7,6 @@ import (
 	"repro/internal/cloud"
 	"repro/internal/fleet"
 	"repro/internal/model"
-	"repro/internal/obs"
 	"repro/internal/stats"
 )
 
@@ -27,10 +26,6 @@ import (
 // deadline must cost more than any plausible overspend, or a policy
 // could buy regret down by abandoning jobs.
 const regretMissPenalty = 2.0
-
-// regretReplications is how many independent (workload, provider-seed)
-// draws each (scheduler, regime) measurement averages.
-const regretReplications = 2
 
 // jobOracle is the clairvoyant bound for one job: the cheapest
 // idealized transient bill over every offered GPU class that meets the
@@ -76,8 +71,8 @@ func oracleFor(spec fleet.JobSpec) jobOracle {
 // Per-job regret is max(0, realized − oracle) — a never-admitted job
 // must not earn credit for spending nothing — plus the miss penalty
 // when a feasible deadline was blown.
-func scoreRegret(res *fleet.Result, specs []fleet.JobSpec) regretEntry {
-	var e regretEntry
+func scoreRegret(res *fleet.Result, specs []fleet.JobSpec) regretScore {
+	var e regretScore
 	oracles := make(map[int]jobOracle, len(specs))
 	for _, spec := range specs {
 		oracles[spec.ID] = oracleFor(spec)
@@ -102,11 +97,8 @@ func scoreRegret(res *fleet.Result, specs []fleet.JobSpec) regretEntry {
 	return e
 }
 
-// regretEntry is one (scheduler, regime) replication's score.
-type regretEntry struct {
-	Scheduler   string
-	Regime      string
-	Rep         int
+// regretScore is one fleet run's score against the oracle.
+type regretScore struct {
 	Jobs        int
 	Misses      int
 	TotalRegret float64
@@ -114,46 +106,26 @@ type regretEntry struct {
 	OracleUSD   float64
 }
 
+// regretRun is one fleet run with its score.
+type regretRun struct {
+	fleetRun
+	regretScore
+}
+
+func (r regretRun) regret() float64 { return r.TotalRegret }
+
 func planRegret(p *plan) *campaign.Plan {
-	schedulers := fleet.SchedulerNames()
-	for _, regime := range fleetRegimes() {
-		for _, sched := range schedulers {
-			regime, sched := regime, sched
-			for rep := 0; rep < regretReplications; rep++ {
-				rep := rep
-				// As in the fleet experiment, the workload and provider
-				// seeds are shared across the schedulers of one (regime,
-				// rep) cell — every policy faces identical arrivals and
-				// identical cloud randomness, so regret differences are
-				// pure policy.
-				cfg := fleet.Config{
-					Workload:     fleetWorkload(regime.arrival),
-					Scheduler:    sched,
-					Capacity:     uniformCapacity(regime.slotsPerCell),
-					HorizonHours: fleetHorizonHours,
-					WorkloadSeed: campaign.Derive(p.seed, uint64(rep), "regret/workload/"+regime.name),
-				}
-				simSeed := campaign.Derive(p.seed, uint64(rep), "regret/sim/"+regime.name)
-				p.tunit(fmt.Sprintf("regret/%s/%s/rep%d", regime.name, sched, rep), func(_ int64, rec *obs.Recorder) (any, error) {
-					res, err := fleet.RunTraced(cfg, simSeed, rec)
-					if err != nil {
-						return nil, err
-					}
-					specs, err := cfg.Workload.Generate(stats.NewRng(cfg.WorkloadSeed))
-					if err != nil {
-						return nil, err
-					}
-					e := scoreRegret(res, specs)
-					e.Scheduler, e.Regime, e.Rep = sched, regime.name, rep
-					return e, nil
-				})
+	entrants := schedulerEntrants(fleet.SchedulerNames()...)
+	return p.fleetComparison("regret", []string{cloud.DefaultProviderName}, entrants, func(runs []fleetRun) (Result, error) {
+		res := &RegretResult{}
+		for _, run := range runs {
+			// Score against the run's own job stream, regenerated from
+			// its config exactly as the fleet generated it.
+			specs, err := run.Config.Workload.Generate(stats.NewRng(run.Config.WorkloadSeed))
+			if err != nil {
+				return nil, err
 			}
-		}
-	}
-	return p.build(func(outs []any) (Result, error) {
-		res := &RegretResult{Replications: regretReplications}
-		for _, o := range outs {
-			res.Entries = append(res.Entries, o.(regretEntry))
+			res.Runs = append(res.Runs, regretRun{run, scoreRegret(run.Result, specs)})
 		}
 		return res, nil
 	})
@@ -161,37 +133,7 @@ func planRegret(p *plan) *campaign.Plan {
 
 // RegretResult renders the scheduler-vs-oracle comparison.
 type RegretResult struct {
-	Replications int
-	Entries      []regretEntry
-}
-
-// meanRegret aggregates total regret per (regime, scheduler), averaged
-// over replications, preserving declaration order.
-func (r *RegretResult) meanRegret() (order []string, rows map[string]*regretAgg) {
-	rows = make(map[string]*regretAgg)
-	for _, e := range r.Entries {
-		key := e.Regime + "|" + e.Scheduler
-		a := rows[key]
-		if a == nil {
-			a = &regretAgg{regime: e.Regime, scheduler: e.Scheduler}
-			rows[key] = a
-			order = append(order, key)
-		}
-		a.n++
-		a.regret += e.TotalRegret
-		a.misses += float64(e.Misses)
-		a.realized += e.RealizedUSD
-		a.oracle += e.OracleUSD
-		a.jobs += e.Jobs
-	}
-	return order, rows
-}
-
-type regretAgg struct {
-	regime, scheduler                string
-	n                                int
-	regret, misses, realized, oracle float64
-	jobs                             int
+	Runs []regretRun
 }
 
 // RegimesWherePredictiveBeats lists regimes where the predictive
@@ -199,19 +141,16 @@ type regretAgg struct {
 // baseline's — the experiment's headline claim, pinned by a test at
 // the golden seed.
 func (r *RegretResult) RegimesWherePredictiveBeats(baselines ...string) []string {
-	_, rows := r.meanRegret()
+	regret := map[string]float64{}
+	for _, row := range rowsOf(r.Runs, regretRun.cell) {
+		regret[row.runs[0].cell()] = row.mean(regretRun.regret)
+	}
 	var wins []string
 	for _, regime := range fleetRegimes() {
-		p := rows[regime.name+"|predictive"]
-		if p == nil {
-			continue
-		}
-		won := true
+		p, won := regret[regime.name+"|predictive"]
 		for _, b := range baselines {
-			a := rows[regime.name+"|"+b]
-			if a == nil || p.regret/float64(p.n) >= a.regret/float64(a.n) {
+			if a, ok := regret[regime.name+"|"+b]; !ok || p >= a {
 				won = false
-				break
 			}
 		}
 		if won {
@@ -224,21 +163,17 @@ func (r *RegretResult) RegimesWherePredictiveBeats(baselines ...string) []string
 // String renders one row per (regime, scheduler), averaged over the
 // replications, in unit declaration order.
 func (r *RegretResult) String() string {
-	w := fleetWorkload(fleet.ArrivalPoisson)
-	t := newTable(fmt.Sprintf("Scheduler regret vs. clairvoyant oracle — %d jobs, %g/h, %d steps/worker, %dh horizon, mean of %d runs per cell",
-		w.Jobs, w.RatePerHour, w.StepsPerWorker, fleetHorizonHours, r.Replications),
+	t := newTable(fleetTitle("Scheduler regret vs. clairvoyant oracle"),
 		"regime", "scheduler", "regret ($)", "$/job", "misses", "realized ($)", "oracle ($)")
-	order, rows := r.meanRegret()
-	for _, key := range order {
-		a := rows[key]
-		n := float64(a.n)
-		jobs := float64(a.jobs) / n
-		t.addRow(a.regime, a.scheduler,
-			fmt.Sprintf("%.2f", a.regret/n),
-			fmt.Sprintf("%.2f", a.regret/n/jobs),
-			fmt.Sprintf("%.1f", a.misses/n),
-			fmt.Sprintf("%.2f", a.realized/n),
-			fmt.Sprintf("%.2f", a.oracle/n))
+	for _, row := range rowsOf(r.Runs, regretRun.cell) {
+		run := row.runs[0]
+		regret := row.mean(regretRun.regret)
+		t.addRow(run.Regime, run.Entrant,
+			fmt.Sprintf("%.2f", regret),
+			fmt.Sprintf("%.2f", regret/row.mean(func(e regretRun) float64 { return float64(e.Jobs) })),
+			fmt.Sprintf("%.1f", row.mean(func(e regretRun) float64 { return float64(e.Misses) })),
+			fmt.Sprintf("%.2f", row.mean(func(e regretRun) float64 { return e.RealizedUSD })),
+			fmt.Sprintf("%.2f", row.mean(func(e regretRun) float64 { return e.OracleUSD })))
 	}
 	t.addNote("oracle: per job, the cheapest idealized transient bill (perfect speed knowledge, no startup/revocations/contention) over GPU classes meeting its deadline")
 	t.addNote("per-job regret = max(0, realized − oracle) + %g × oracle when a feasible deadline was missed; never-admitted jobs earn no credit for spending nothing", regretMissPenalty)

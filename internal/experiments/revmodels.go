@@ -17,11 +17,6 @@ import (
 // a bootstrap replay of a recorded campaign — measures the same
 // scenario grid with full managed sessions.
 
-// revModelsReplications is how many independent sessions each
-// (regime, cell) measurement averages; revocation arrival is the
-// dominant noise source, and a single session can get lucky.
-const revModelsReplications = 2
-
 // revModelsSpec is the comparison grid: the fastest canonical model,
 // four transient workers, on cells chosen for revocation contrast —
 // europe-west1 K80 (≈67% revoked, front-loaded deaths), us-west1 K80
@@ -63,28 +58,27 @@ type revModelsEntry struct {
 
 func planRevModels(p *plan) *campaign.Plan {
 	spec := revModelsSpec()
-	type entrant struct {
+	type regime struct {
 		name string
 		lm   cloud.LifetimeModel
 	}
-	var entrants []entrant
+	var regimes []regime
 	for _, name := range []string{"table5", "weibull", "diurnal"} {
 		lm, err := cloud.LookupLifetimeModel(name)
 		if err != nil {
 			panic(err) // builtins; unreachable
 		}
-		entrants = append(entrants, entrant{name, lm})
+		regimes = append(regimes, regime{name, lm})
 	}
 	replay, replayErr := replayLifetimeModel(p.seed)
 	if replayErr == nil {
-		entrants = append(entrants, entrant{"replay", replay})
+		regimes = append(regimes, regime{"replay", replay})
 	}
-	for _, e := range entrants {
+	for _, e := range regimes {
 		for _, sc := range spec.Scenarios() {
-			e, sc := e, sc
 			sc.RevModel = e.name
 			steps := spec.StepsPerWorker * int64(sc.Workers)
-			for rep := 0; rep < revModelsReplications; rep++ {
+			for rep := 0; rep < replications; rep++ {
 				p.unit(fmt.Sprintf("revmodels/%s/rep%d", sc.Label(), rep), func(unitSeed int64) (any, error) {
 					out, err := runScenarioWith(e.lm, sc, steps, spec.CheckpointInterval, SessionOptions{}, unitSeed)
 					if err != nil {
@@ -99,61 +93,43 @@ func planRevModels(p *plan) *campaign.Plan {
 		if replayErr != nil {
 			return nil, fmt.Errorf("revmodels: building replay model: %w", replayErr)
 		}
-		res := &RevModelsResult{Spec: spec, Replications: revModelsReplications}
-		for _, o := range outs {
-			res.Entries = append(res.Entries, o.(revModelsEntry))
-		}
-		return res, nil
+		return &RevModelsResult{Spec: spec, Entries: collect[revModelsEntry](outs)}, nil
 	})
 }
 
+// scenario labels the entry's cell without its regime, which has its
+// own column.
+func (e revModelsEntry) scenario() string {
+	sc := e.Outcome.Scenario
+	sc.RevModel = ""
+	return sc.Label()
+}
+
+// cell keys the entry's row: one per (regime, scenario).
+func (e revModelsEntry) cell() string { return e.RevModel + "|" + e.scenario() }
+
 // RevModelsResult renders the cross-regime comparison.
 type RevModelsResult struct {
-	Spec         SweepSpec
-	Replications int
-	Entries      []revModelsEntry
+	Spec    SweepSpec
+	Entries []revModelsEntry
 }
 
 // String renders one row per (regime, scenario), averaged over the
 // replications, in unit declaration order.
 func (r *RevModelsResult) String() string {
 	t := newTable(fmt.Sprintf("Revocation-model comparison — %s, %d steps/worker, Ic=%d, mean of %d sessions per cell",
-		r.Spec.Model.Name, r.Spec.StepsPerWorker, r.Spec.CheckpointInterval, r.Replications),
+		r.Spec.Model.Name, r.Spec.StepsPerWorker, r.Spec.CheckpointInterval, replications),
 		"rev model", "scenario", "time (h)", "cost ($)", "revoked", "replaced", "$/1k steps")
-	type agg struct {
-		n, workers               int
-		hours, cost, revs, repls float64
-	}
-	var order []string
-	rows := make(map[string]*agg)
-	labels := make(map[string][2]string)
-	for _, e := range r.Entries {
-		sc := e.Outcome.Scenario
-		sc.RevModel = "" // the regime has its own column
-		key := e.RevModel + "|" + sc.Label()
-		a := rows[key]
-		if a == nil {
-			a = &agg{workers: sc.Workers}
-			rows[key] = a
-			order = append(order, key)
-			labels[key] = [2]string{e.RevModel, sc.Label()}
-		}
-		a.n++
-		a.hours += e.Outcome.TrainingSeconds / 3600
-		a.cost += e.Outcome.CostUSD
-		a.revs += float64(e.Outcome.Revocations)
-		a.repls += float64(e.Outcome.Replacements)
-	}
-	for _, key := range order {
-		a := rows[key]
-		n := float64(a.n)
-		steps := float64(r.Spec.StepsPerWorker) * float64(a.workers)
-		t.addRow(labels[key][0], labels[key][1],
-			fmt.Sprintf("%.2f", a.hours/n),
-			fmt.Sprintf("%.2f", a.cost/n),
-			fmt.Sprintf("%.1f", a.revs/n),
-			fmt.Sprintf("%.1f", a.repls/n),
-			fmt.Sprintf("%.3f", a.cost/n/(steps/1000)))
+	for _, row := range rowsOf(r.Entries, revModelsEntry.cell) {
+		first := row.runs[0]
+		cost := row.mean(func(e revModelsEntry) float64 { return e.Outcome.CostUSD })
+		steps := float64(r.Spec.StepsPerWorker) * float64(first.Outcome.Scenario.Workers)
+		t.addRow(first.RevModel, first.scenario(),
+			fmt.Sprintf("%.2f", row.mean(func(e revModelsEntry) float64 { return e.Outcome.TrainingSeconds / 3600 })),
+			fmt.Sprintf("%.2f", cost),
+			fmt.Sprintf("%.1f", row.mean(func(e revModelsEntry) float64 { return float64(e.Outcome.Revocations) })),
+			fmt.Sprintf("%.1f", row.mean(func(e revModelsEntry) float64 { return float64(e.Outcome.Replacements) })),
+			fmt.Sprintf("%.3f", cost/(steps/1000)))
 	}
 	t.addNote("all regimes share each cell's Table V 24 h revocation fraction; they differ in when deaths land")
 	t.addNote("table5 = calibrated CDF + Fig. 9 thinning, weibull = two-quantile refit, diurnal = pure hour-of-day hazard, replay = bootstrap of a recorded campaign")

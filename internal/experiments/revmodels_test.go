@@ -17,7 +17,7 @@ func TestRevModelsPlanCoversEveryRegime(t *testing.T) {
 	plan := r.Plan(3)
 	cells := len(revModelsSpec().Scenarios())
 	regimes := []string{"table5", "weibull", "diurnal", "replay"}
-	if want := len(regimes) * cells * revModelsReplications; len(plan.Units) != want {
+	if want := len(regimes) * cells * replications; len(plan.Units) != want {
 		t.Fatalf("plan has %d units, want %d", len(plan.Units), want)
 	}
 	seen := make(map[string]bool)
@@ -34,8 +34,8 @@ func TestRevModelsPlanCoversEveryRegime(t *testing.T) {
 		}
 	}
 	for _, name := range regimes {
-		if counts[name] != cells*revModelsReplications {
-			t.Errorf("regime %s has %d units, want %d (keys: %v)", name, counts[name], cells*revModelsReplications, seen)
+		if counts[name] != cells*replications {
+			t.Errorf("regime %s has %d units, want %d (keys: %v)", name, counts[name], cells*replications, seen)
 		}
 	}
 }
@@ -46,8 +46,7 @@ func TestRevModelsRender(t *testing.T) {
 	sc := Scenario{Model: model.ResNet15(), GPU: model.K80, Region: cloud.USWest1,
 		Tier: cloud.Transient, RevModel: "weibull", Workers: 4}
 	res := &RevModelsResult{
-		Spec:         revModelsSpec(),
-		Replications: 2,
+		Spec: revModelsSpec(),
 		Entries: []revModelsEntry{
 			{RevModel: "weibull", Outcome: ScenarioOutcome{Scenario: sc, TrainingSeconds: 2 * 3600, CostUSD: 10, Revocations: 1, Replacements: 1}},
 			{RevModel: "weibull", Outcome: ScenarioOutcome{Scenario: sc, TrainingSeconds: 4 * 3600, CostUSD: 30, Revocations: 3, Replacements: 3}},

@@ -27,37 +27,6 @@ type arbitrageScheduler struct{}
 
 func (arbitrageScheduler) Name() string { return "arbitrage" }
 
-// singleMarketView adapts a plain PoolView (tests, custom harnesses)
-// into a one-market MarketView priced from the default book.
-type singleMarketView struct{ PoolView }
-
-func (v singleMarketView) Markets() []string { return []string{cloud.DefaultProviderName} }
-func (v singleMarketView) MarketSpec(market string) *cloud.ProviderSpec {
-	if market != cloud.DefaultProviderName {
-		return nil
-	}
-	return cloud.DefaultProvider()
-}
-func (v singleMarketView) MarketAvailable(market string, r cloud.Region, g model.GPU) int {
-	return v.Available(r, g)
-}
-func (v singleMarketView) MarketChurning(market string, r cloud.Region) bool { return false }
-
-// Observed returns an empty history: a bare PoolView has no
-// measurement record, so history-aware policies fall back to their
-// analytic estimates. Fresh per call — callers may not mutate it, but
-// sharing one across goroutines would still trip the race detector's
-// view of the fleet contract.
-func (v singleMarketView) Observed() *History { return &History{} }
-
-// marketsOf widens any pool to a MarketView.
-func marketsOf(pool PoolView) MarketView {
-	if mv, ok := pool.(MarketView); ok {
-		return mv
-	}
-	return singleMarketView{pool}
-}
-
 // quote is one admissible (market, GPU, region) candidate for a job.
 type quote struct {
 	pl             Placement
@@ -77,60 +46,31 @@ func (q quote) better(than quote) bool {
 	return q.dollarsPerStep < than.dollarsPerStep
 }
 
-// marketRegionWithRoom scans the market's regions in catalog order for
-// one that offers g and can hold the cluster, preferring calm regions:
-// a churning region is returned only when no calm one has room.
-func marketRegionWithRoom(mv MarketView, market string, g model.GPU, workers int) (r cloud.Region, churning, ok bool) {
-	spec := mv.MarketSpec(market)
-	if spec == nil {
-		return 0, false, false
-	}
-	var churnR cloud.Region
-	churnFound := false
-	for _, cand := range cloud.AllRegions() {
-		if !spec.Offers(cand, g) {
-			continue
+// calmRegionWithRoom is the market's first region, in Table V order,
+// that offers g and can hold the cluster, preferring calm regions: a
+// churning region is returned only when no calm one has room.
+func calmRegionWithRoom(v View, market string, g model.GPU, workers int) (r cloud.Region, churning, ok bool) {
+	r, rank, ok := regionWithRoom(v, market, g, workers, func(cand cloud.Region) float64 {
+		if v.Churning(market, cand) {
+			return 1
 		}
-		free := mv.MarketAvailable(market, cand, g)
-		if free >= 0 && free < workers {
-			continue
-		}
-		if mv.MarketChurning(market, cand) {
-			if !churnFound {
-				churnR, churnFound = cand, true
-			}
-			continue
-		}
-		return cand, false, true
-	}
-	if churnFound {
-		return churnR, true, true
-	}
-	return 0, false, false
-}
-
-// marketDollarsPerStep prices one idealized step of the job's cluster
-// from the market's own book (transient workers plus the parameter
-// server; startup and revocations excluded) — the cross-market analog
-// of dollarsPerStep.
-func marketDollarsPerStep(spec *cloud.ProviderSpec, job JobSpec, g model.GPU) float64 {
-	hourly := float64(job.Workers)*spec.GPUHourly(g, cloud.Transient) + spec.PSHourly
-	stepsPerHour := model.StepsPerSecond(g, job.Model) * float64(job.Workers) * 3600
-	return hourly / stepsPerHour
+		return 0
+	})
+	return r, rank > 0, ok
 }
 
 // bestQuote surveys every (market, GPU) pair with room for the job and
 // returns the best transient candidate.
-func bestQuote(mv MarketView, job JobSpec, now float64) (quote, bool) {
+func bestQuote(v View, job JobSpec, now float64) (quote, bool) {
 	var best quote
 	found := false
-	for _, market := range mv.Markets() {
-		spec := mv.MarketSpec(market)
+	for _, market := range v.Markets() {
+		spec := v.Spec(market)
 		if spec == nil {
 			continue
 		}
 		for _, g := range model.AllGPUs() {
-			r, churning, ok := marketRegionWithRoom(mv, market, g, job.Workers)
+			r, churning, ok := calmRegionWithRoom(v, market, g, job.Workers)
 			if !ok {
 				continue
 			}
@@ -138,7 +78,7 @@ func bestQuote(mv MarketView, job JobSpec, now float64) (quote, bool) {
 				pl:             Placement{Region: r, GPU: g, Tier: cloud.Transient, Market: market},
 				meetsDeadline:  now+job.OptimisticHours(g) <= job.DeadlineAtHours(),
 				churning:       churning,
-				dollarsPerStep: marketDollarsPerStep(spec, job, g),
+				dollarsPerStep: dollarsPerStep(spec, job, g),
 			}
 			if !found || q.better(best) {
 				best, found = q, true
@@ -151,11 +91,11 @@ func bestQuote(mv MarketView, job JobSpec, now float64) (quote, bool) {
 // cheapestOnDemand finds the market quoting the lowest on-demand price
 // for the job's requested GPU class, placed in that market's first
 // offering region (on-demand pools are uncapped).
-func cheapestOnDemand(mv MarketView, job JobSpec) (Placement, bool) {
+func cheapestOnDemand(v View, job JobSpec) (Placement, bool) {
 	var best Placement
 	bestPrice, found := 0.0, false
-	for _, market := range mv.Markets() {
-		spec := mv.MarketSpec(market)
+	for _, market := range v.Markets() {
+		spec := v.Spec(market)
 		if spec == nil {
 			continue
 		}
@@ -172,8 +112,7 @@ func cheapestOnDemand(mv MarketView, job JobSpec) (Placement, bool) {
 	return best, found
 }
 
-func (arbitrageScheduler) Pick(queue []*Job, pool PoolView) (int, Placement, bool) {
-	mv := marketsOf(pool)
+func (arbitrageScheduler) Pick(queue []*Job, v View) (int, Placement, bool) {
 	order := make([]int, len(queue))
 	for i := range order {
 		order[i] = i
@@ -181,17 +120,17 @@ func (arbitrageScheduler) Pick(queue []*Job, pool PoolView) (int, Placement, boo
 	sort.SliceStable(order, func(a, b int) bool {
 		return queue[order[a]].Spec.DeadlineAtHours() < queue[order[b]].Spec.DeadlineAtHours()
 	})
-	now := pool.NowHours()
+	now := v.NowHours()
 	for _, idx := range order {
 		spec := queue[idx].Spec
-		if q, ok := bestQuote(mv, spec, now); ok {
+		if q, ok := bestQuote(v, spec, now); ok {
 			return idx, q.pl, true
 		}
 		// No transient room in any market: buy on-demand wherever it is
 		// cheapest once this job reaches its last responsible moment.
 		remaining := spec.DeadlineAtHours() - now
 		if remaining <= spec.OptimisticHours(spec.GPU)*onDemandSlackFactor {
-			if pl, ok := cheapestOnDemand(mv, spec); ok {
+			if pl, ok := cheapestOnDemand(v, spec); ok {
 				return idx, pl, true
 			}
 		}
@@ -202,6 +141,6 @@ func (arbitrageScheduler) Pick(queue []*Job, pool PoolView) (int, Placement, boo
 // NextWakeHours implements Waker exactly as deadline-aware does: the
 // earliest queued job's last responsible moment still ahead, so the
 // on-demand escape hatch fires even on a quiet queue.
-func (arbitrageScheduler) NextWakeHours(queue []*Job, pool PoolView) (float64, bool) {
-	return deadlineAwareScheduler{}.NextWakeHours(queue, pool)
+func (arbitrageScheduler) NextWakeHours(queue []*Job, v View) (float64, bool) {
+	return deadlineAwareScheduler{}.NextWakeHours(queue, v)
 }

@@ -261,6 +261,7 @@ type fleetSim struct {
 	cfg     Config
 	k       *sim.Kernel
 	markets []fleetMarket
+	names   []string // the markets' names, for Markets
 	sched   Scheduler
 	seed    int64
 
@@ -302,46 +303,33 @@ func (f *fleetSim) marketFor(name string) *fleetMarket {
 	return nil
 }
 
-// marketView adapts the fleet's markets to the scheduler's read-only
-// window: the embedded PoolView methods read the first (default)
-// market, so single-market policies behave exactly as they did before
-// the provider axis existed; MarketView methods see every market.
-type marketView struct{ f *fleetSim }
+// The fleet itself is its schedulers' View: market names resolve
+// through marketFor, and an unknown market offers nothing.
 
-func (v marketView) Offers(r cloud.Region, g model.GPU) bool {
-	return v.f.markets[0].provider.Spec().Offers(r, g)
-}
-func (v marketView) Available(r cloud.Region, g model.GPU) int {
-	return v.f.markets[0].provider.TransientAvailable(r, g)
-}
-func (v marketView) NowHours() float64 { return v.f.k.Now().Hours() }
+func (f *fleetSim) NowHours() float64  { return f.k.Now().Hours() }
+func (f *fleetSim) Markets() []string  { return f.names }
+func (f *fleetSim) Observed() *History { return f.history }
 
-func (v marketView) Markets() []string {
-	names := make([]string, len(v.f.markets))
-	for i, m := range v.f.markets {
-		names[i] = m.name
-	}
-	return names
-}
-func (v marketView) MarketSpec(market string) *cloud.ProviderSpec {
-	if m := v.f.marketFor(market); m != nil {
+func (f *fleetSim) Spec(market string) *cloud.ProviderSpec {
+	if m := f.marketFor(market); m != nil {
 		return m.provider.Spec()
 	}
 	return nil
 }
-func (v marketView) MarketAvailable(market string, r cloud.Region, g model.GPU) int {
-	if m := v.f.marketFor(market); m != nil {
+
+func (f *fleetSim) Available(market string, r cloud.Region, g model.GPU) int {
+	if m := f.marketFor(market); m != nil {
 		return m.provider.TransientAvailable(r, g)
 	}
 	return 0
 }
-func (v marketView) MarketChurning(market string, r cloud.Region) bool {
-	if m := v.f.marketFor(market); m != nil {
+
+func (f *fleetSim) Churning(market string, r cloud.Region) bool {
+	if m := f.marketFor(market); m != nil {
 		return m.provider.Churning(r)
 	}
 	return false
 }
-func (v marketView) Observed() *History { return v.f.history }
 
 // Run simulates the fleet: jobs arrive on the virtual clock, the
 // scheduler admits them against the shared capacity-constrained pool,
@@ -364,7 +352,7 @@ func RunTraced(cfg Config, seed int64, rec *obs.Recorder) (*Result, error) {
 	}
 	names := cfg.providerNames()
 	k := &sim.Kernel{}
-	f := &fleetSim{cfg: cfg, k: k, sched: sched, seed: seed, history: &History{}, trace: rec}
+	f := &fleetSim{cfg: cfg, k: k, names: names, sched: sched, seed: seed, history: &History{}, trace: rec}
 	for i, plan := range plans {
 		// The first market draws from stats.NewRng(seed) directly — the
 		// exact stream the pre-market fleet used, so single-market runs
@@ -435,7 +423,7 @@ func (f *fleetSim) admit() {
 	f.admitting = true
 	defer func() { f.admitting = false }()
 	for len(f.queue) > 0 && f.err == nil {
-		idx, pl, ok := f.sched.Pick(f.queue, marketView{f})
+		idx, pl, ok := f.sched.Pick(f.queue, f)
 		if !ok {
 			break
 		}
@@ -472,7 +460,7 @@ func (f *fleetSim) scheduleWake() {
 	if !ok {
 		return
 	}
-	hours, ok := w.NextWakeHours(f.queue, marketView{f})
+	hours, ok := w.NextWakeHours(f.queue, f)
 	if !ok {
 		return
 	}

@@ -196,22 +196,64 @@ func TestFifoHeadOfLineBlocks(t *testing.T) {
 	}
 }
 
-// fakePool is a PoolView where only the listed cells have capacity;
-// every other cell is full (0 free).
+// fakePool is a one-market View where only the listed cells have
+// capacity; every other cell is full (0 free). The market is gce unless
+// spec names another.
 type fakePool struct {
 	avail map[cloud.PoolKey]int
 	now   float64
+	spec  *cloud.ProviderSpec
 }
 
-func (f fakePool) Offers(r cloud.Region, g model.GPU) bool { return cloud.Offered(r, g) }
+func (f fakePool) NowHours() float64 { return f.now }
+func (f fakePool) Markets() []string { return []string{f.Spec("").Name} }
 
-func (f fakePool) Available(r cloud.Region, g model.GPU) int {
+func (f fakePool) Spec(string) *cloud.ProviderSpec {
+	if f.spec == nil {
+		return cloud.DefaultProvider()
+	}
+	return f.spec
+}
+
+func (f fakePool) Available(_ string, r cloud.Region, g model.GPU) int {
 	if n, ok := f.avail[cloud.PoolKey{Region: r, GPU: g}]; ok {
 		return n
 	}
 	return 0
 }
-func (f fakePool) NowHours() float64 { return f.now }
+
+func (f fakePool) Churning(string, cloud.Region) bool { return false }
+func (f fakePool) Observed() *History                 { return &History{} }
+
+// TestCostGreedyPricesFromItsMarketsBook pins cost-greedy to the price
+// book of the market it places in. With room everywhere, ResNet-15 × 4
+// is cheapest per step on K80 by gce's book but on P100 by aws's.
+func TestCostGreedyPricesFromItsMarketsBook(t *testing.T) {
+	s, err := LookupScheduler("cost-greedy")
+	if err != nil {
+		t.Fatal(err)
+	}
+	aws, err := cloud.LookupProvider("aws")
+	if err != nil {
+		t.Fatal(err)
+	}
+	room := map[cloud.PoolKey]int{}
+	for _, g := range model.AllGPUs() {
+		for _, r := range cloud.AllRegions() {
+			room[cloud.PoolKey{Region: r, GPU: g}] = -1
+		}
+	}
+	job := &Job{Spec: JobSpec{ID: 0, Model: model.ResNet15(), GPU: model.K80, Workers: 4, Steps: 100}}
+	for _, c := range []struct {
+		spec *cloud.ProviderSpec
+		want model.GPU
+	}{{cloud.DefaultProvider(), model.K80}, {aws, model.P100}} {
+		_, pl, ok := s.Pick([]*Job{job}, fakePool{avail: room, spec: c.spec})
+		if !ok || pl.GPU != c.want || pl.Market != "" {
+			t.Errorf("%s book: placed %v (ok=%v), want %v in the default market", c.spec.Name, pl, ok, c.want)
+		}
+	}
+}
 
 // TestDeadlineAwareFallsBackToOnDemand pins the escape hatch: with no
 // transient room anywhere and the deadline closing in, the most urgent
@@ -360,15 +402,16 @@ func TestRunRejectsBadConfigs(t *testing.T) {
 }
 
 // narrowPool is a fakePool whose catalog can exclude a GPU class from
-// every region — the shape serverless-style markets present to
-// single-market schedulers.
+// every region — the shape serverless-style markets present.
 type narrowPool struct {
 	fakePool
 	offered map[model.GPU]bool
 }
 
-func (n narrowPool) Offers(r cloud.Region, g model.GPU) bool {
-	return n.offered[g] && cloud.Offered(r, g)
+func (n narrowPool) Spec(market string) *cloud.ProviderSpec {
+	spec := *n.fakePool.Spec(market)
+	spec.Offers = func(r cloud.Region, g model.GPU) bool { return n.offered[g] && cloud.Offered(r, g) }
+	return &spec
 }
 
 // TestDeadlineWakeSkipsUnplaceableJobs is the regression test for the

@@ -113,12 +113,6 @@ const (
 	minRevExposureHours = 12.0
 )
 
-// CompletedJobs reports how many finished jobs the log holds.
-func (h *History) CompletedJobs() int { return len(h.completed) }
-
-// Startups reports how many startup samples the log holds.
-func (h *History) Startups() int { return len(h.startups) }
-
 // Revocations reports how many revocation samples the log holds.
 func (h *History) Revocations() int { return len(h.revoked) }
 

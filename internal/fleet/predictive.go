@@ -71,31 +71,17 @@ func predictHours(hist *History, market string, job JobSpec, g model.GPU, r clou
 	return startup + job.OptimisticHours(g)
 }
 
-// calmestRegionWithRoom scans the market's regions for one offering g
-// with room for the cluster, preferring the lowest observed revocation
-// rate (unobserved regions count as calm — the optimistic prior);
-// ties break in Table V order.
-func calmestRegionWithRoom(mv MarketView, hist *History, market string, g model.GPU, workers int) (cloud.Region, bool) {
-	spec := mv.MarketSpec(market)
-	if spec == nil {
-		return 0, false
-	}
-	var best cloud.Region
-	bestRate, found := 0.0, false
-	for _, r := range cloud.AllRegions() {
-		if !spec.Offers(r, g) {
-			continue
-		}
-		free := mv.MarketAvailable(market, r, g)
-		if free >= 0 && free < workers {
-			continue
-		}
-		rate, _ := hist.RevocationsPerHour(market, r)
-		if !found || rate < bestRate {
-			best, bestRate, found = r, rate, true
-		}
-	}
-	return best, found
+// calmestRegionWithRoom is the market's region offering g with room
+// for the cluster at the lowest observed revocation rate (unobserved
+// regions count as calm — the optimistic prior); ties break in Table V
+// order.
+func calmestRegionWithRoom(v View, market string, g model.GPU, workers int) (cloud.Region, bool) {
+	hist := v.Observed()
+	r, _, ok := regionWithRoom(v, market, g, workers, func(cand cloud.Region) float64 {
+		rate, _ := hist.RevocationsPerHour(market, cand)
+		return rate
+	})
+	return r, ok
 }
 
 // predictedQuote is one scored candidate placement.
@@ -110,28 +96,27 @@ type predictedQuote struct {
 // with room and returns the cheapest whose predicted finish meets the
 // job's deadline. Iteration order (market order, then GPU catalog
 // order) with strict improvement keeps ties deterministic.
-func bestPredictedTransient(mv MarketView, hist *History, job JobSpec, now float64) (predictedQuote, bool) {
+func bestPredictedTransient(v View, job JobSpec, now float64) (predictedQuote, bool) {
 	var best predictedQuote
 	found := false
-	for _, market := range mv.Markets() {
-		spec := mv.MarketSpec(market)
+	for _, market := range v.Markets() {
+		spec := v.Spec(market)
 		if spec == nil {
 			continue
 		}
 		for _, g := range model.AllGPUs() {
-			r, ok := calmestRegionWithRoom(mv, hist, market, g, job.Workers)
+			r, ok := calmestRegionWithRoom(v, market, g, job.Workers)
 			if !ok {
 				continue
 			}
-			hours := predictHours(hist, market, job, g, r, cloud.Transient)
+			hours := predictHours(v.Observed(), market, job, g, r, cloud.Transient)
 			if now+hours > job.DeadlineAtHours() {
 				continue
 			}
-			hourly := float64(job.Workers)*spec.GPUHourly(g, cloud.Transient) + spec.PSHourly
 			q := predictedQuote{
 				pl:       Placement{Region: r, GPU: g, Tier: cloud.Transient, Market: market},
 				hours:    hours,
-				cost:     hours * hourly,
+				cost:     hours * clusterHourly(spec, job, g, cloud.Transient),
 				feasible: true,
 			}
 			if !found || q.cost < best.cost {
@@ -146,11 +131,11 @@ func bestPredictedTransient(mv MarketView, hist *History, job JobSpec, now float
 // class (pools are uncapped, so the first offering region always has
 // room): the cheapest placement predicted to meet the deadline, or —
 // when none can — the one predicted to finish soonest.
-func bestPredictedOnDemand(mv MarketView, hist *History, job JobSpec, now float64) (predictedQuote, bool) {
+func bestPredictedOnDemand(v View, job JobSpec, now float64) (predictedQuote, bool) {
 	var best predictedQuote
 	found := false
-	for _, market := range mv.Markets() {
-		spec := mv.MarketSpec(market)
+	for _, market := range v.Markets() {
+		spec := v.Spec(market)
 		if spec == nil {
 			continue
 		}
@@ -160,12 +145,11 @@ func bestPredictedOnDemand(mv MarketView, hist *History, job JobSpec, now float6
 				continue
 			}
 			r := regions[0]
-			hours := predictHours(hist, market, job, g, r, cloud.OnDemand)
-			hourly := float64(job.Workers)*spec.GPUHourly(g, cloud.OnDemand) + spec.PSHourly
+			hours := predictHours(v.Observed(), market, job, g, r, cloud.OnDemand)
 			q := predictedQuote{
 				pl:       Placement{Region: r, GPU: g, Tier: cloud.OnDemand, Market: market},
 				hours:    hours,
-				cost:     hours * hourly,
+				cost:     hours * clusterHourly(spec, job, g, cloud.OnDemand),
 				feasible: now+hours <= job.DeadlineAtHours(),
 			}
 			if !found || q.betterOnDemand(best) {
@@ -189,9 +173,7 @@ func (q predictedQuote) betterOnDemand(than predictedQuote) bool {
 	return q.hours < than.hours
 }
 
-func (predictiveScheduler) Pick(queue []*Job, pool PoolView) (int, Placement, bool) {
-	mv := marketsOf(pool)
-	hist := mv.Observed()
+func (predictiveScheduler) Pick(queue []*Job, v View) (int, Placement, bool) {
 	order := make([]int, len(queue))
 	for i := range order {
 		order[i] = i
@@ -199,17 +181,17 @@ func (predictiveScheduler) Pick(queue []*Job, pool PoolView) (int, Placement, bo
 	sort.SliceStable(order, func(a, b int) bool {
 		return queue[order[a]].Spec.DeadlineAtHours() < queue[order[b]].Spec.DeadlineAtHours()
 	})
-	now := pool.NowHours()
+	now := v.NowHours()
 	for _, idx := range order {
 		spec := queue[idx].Spec
-		if q, ok := bestPredictedTransient(mv, hist, spec, now); ok {
+		if q, ok := bestPredictedTransient(v, spec, now); ok {
 			return idx, q.pl, true
 		}
 		// No transient placement is predicted to make the deadline:
 		// hold out for freed capacity until waiting longer than the
 		// predicted on-demand runtime (with slack) would blow it, then
 		// buy the best on-demand quote.
-		if q, ok := bestPredictedOnDemand(mv, hist, spec, now); ok {
+		if q, ok := bestPredictedOnDemand(v, spec, now); ok {
 			if spec.DeadlineAtHours()-now <= q.hours*onDemandSlackFactor {
 				return idx, q.pl, true
 			}
@@ -223,13 +205,11 @@ func (predictiveScheduler) Pick(queue []*Job, pool PoolView) (int, Placement, bo
 // runtime — still ahead among queued jobs, so the on-demand escape
 // hatch fires even on a quiet queue, mirroring deadline-aware but on
 // predicted rather than idealized runtimes.
-func (predictiveScheduler) NextWakeHours(queue []*Job, pool PoolView) (float64, bool) {
-	mv := marketsOf(pool)
-	hist := mv.Observed()
-	now := pool.NowHours()
+func (predictiveScheduler) NextWakeHours(queue []*Job, v View) (float64, bool) {
+	now := v.NowHours()
 	best, found := 0.0, false
 	for _, job := range queue {
-		q, ok := bestPredictedOnDemand(mv, hist, job.Spec, now)
+		q, ok := bestPredictedOnDemand(v, job.Spec, now)
 		if !ok {
 			continue // no market sells anything this job could run on
 		}

@@ -16,8 +16,8 @@ type Placement struct {
 	Region cloud.Region
 	GPU    model.GPU
 	Tier   cloud.Tier
-	// Market names the provider the job runs in (a MarketView market
-	// name). Empty means the fleet's first (default) market, so
+	// Market names the provider the job runs in (one of the View's
+	// Markets). Empty means the fleet's first (default) market, so
 	// single-market schedulers never need to set it and single-market
 	// results render exactly as before the provider axis existed.
 	Market string
@@ -31,38 +31,29 @@ func (p Placement) Label() string {
 	return fmt.Sprintf("%s/%s %s", p.Region, p.GPU, p.Tier)
 }
 
-// PoolView is the scheduler's read-only window onto the shared pool —
-// the fleet's first market, for schedulers that think in one market.
-type PoolView interface {
-	// Offers reports whether the pool's market sells the GPU in the
-	// region; schedulers must not place jobs in unoffered cells.
-	Offers(r cloud.Region, g model.GPU) bool
-	// Available returns how many transient servers the (region, GPU)
-	// cell can still accept, or -1 when the cell is unconstrained.
-	Available(r cloud.Region, g model.GPU) int
+// View is the scheduler's read-only window onto the fleet: the clock,
+// every market's catalog and price book, remaining capacity and churn,
+// and the run's own measurement history. Market "" names the first
+// (default) market, the one single-market policies place in.
+type View interface {
 	// NowHours is the current virtual time.
 	NowHours() float64
-}
-
-// MarketView extends PoolView across every market of a cross-provider
-// fleet: per-market quotes (catalog, prices via the spec), remaining
-// capacity, and the churn signal. The fleet simulator always hands
-// schedulers a MarketView; the embedded PoolView methods read the
-// first market, so single-market policies work unchanged.
-type MarketView interface {
-	PoolView
 	// Markets lists the fleet's markets in configuration order; the
-	// first is the default market unqualified placements run in.
+	// first is the default market. Callers must not modify the slice.
 	Markets() []string
-	// MarketSpec returns the named market's registered spec (catalog
-	// and price book); nil for unknown names.
-	MarketSpec(market string) *cloud.ProviderSpec
-	// MarketAvailable is Available against the named market.
-	MarketAvailable(market string, r cloud.Region, g model.GPU) int
-	// MarketChurning reports whether the named market's region saw a
-	// revocation within the churn window (Fig. 7's regime) — the calm
-	// signal cross-market policies trade on.
-	MarketChurning(market string, r cloud.Region) bool
+	// Spec returns the market's registered spec (catalog via Offers,
+	// price book via GPUHourly and PSHourly); nil for unknown names.
+	// Schedulers must not place jobs in cells the market does not
+	// offer.
+	Spec(market string) *cloud.ProviderSpec
+	// Available returns how many transient servers the market's
+	// (region, GPU) cell can still accept, or -1 when the cell is
+	// unconstrained.
+	Available(market string, r cloud.Region, g model.GPU) int
+	// Churning reports whether the market's region saw a revocation
+	// within the churn window (Fig. 7's regime) — the calm signal
+	// cross-market policies trade on.
+	Churning(market string, r cloud.Region) bool
 	// Observed is the run's own measurement history — completed-job
 	// step rates, startup times, revocation exposure — accumulated by
 	// the fleet kernel in event order. History-aware policies fit
@@ -73,7 +64,7 @@ type MarketView interface {
 // Scheduler decides admission: which waiting job starts next, and
 // where. Implementations must be stateless across calls (the fleet may
 // be replicated across campaign workers) and deterministic — given the
-// same queue and pool view they must return the same pick.
+// same queue and view they must return the same pick.
 type Scheduler interface {
 	// Name is the registry identity; it appears in fleet keys, so
 	// equal names must mean equal policy.
@@ -83,7 +74,7 @@ type Scheduler interface {
 	// leave everything queued. The fleet calls Pick repeatedly until
 	// it declines, re-invoking it whenever arrivals or freed capacity
 	// change the answer.
-	Pick(queue []*Job, pool PoolView) (idx int, pl Placement, ok bool)
+	Pick(queue []*Job, v View) (idx int, pl Placement, ok bool)
 }
 
 // Waker is an optional Scheduler extension for policies whose answer
@@ -95,7 +86,7 @@ type Scheduler interface {
 // (times at or before now are the current pass's job, not a wake-up)
 // or ok=false for "nothing time-driven pending".
 type Waker interface {
-	NextWakeHours(queue []*Job, pool PoolView) (hours float64, ok bool)
+	NextWakeHours(queue []*Job, v View) (hours float64, ok bool)
 }
 
 // DefaultSchedulerName is the policy used when a fleet config names
@@ -126,24 +117,51 @@ func LookupScheduler(name string) (Scheduler, error) { return schedulers.Lookup(
 // default first — the order /v1/catalog reports.
 func SchedulerNames() []string { return schedulers.Names() }
 
-// fits reports whether the cell can hold the job's whole cluster.
-func fits(pool PoolView, r cloud.Region, g model.GPU, workers int) bool {
-	if !pool.Offers(r, g) {
-		return false
+// regionWithRoom scans the market's regions in Table V order for those
+// that offer g and can hold the cluster, and returns the one rank
+// scores lowest — the first on ties — with its rank. A nil rank takes
+// the first region with room.
+func regionWithRoom(v View, market string, g model.GPU, workers int, rank func(cloud.Region) float64) (best cloud.Region, bestRank float64, found bool) {
+	spec := v.Spec(market)
+	if spec == nil {
+		return 0, 0, false
 	}
-	free := pool.Available(r, g)
-	return free < 0 || free >= workers
-}
-
-// firstRegionWithRoom scans regions in Table V order for one that
-// offers g and can hold the cluster.
-func firstRegionWithRoom(pool PoolView, g model.GPU, workers int) (cloud.Region, bool) {
 	for _, r := range cloud.AllRegions() {
-		if fits(pool, r, g, workers) {
-			return r, true
+		if !spec.Offers(r, g) {
+			continue
+		}
+		if free := v.Available(market, r, g); free >= 0 && free < workers {
+			continue
+		}
+		if rank == nil {
+			return r, 0, true
+		}
+		if rk := rank(r); !found || rk < bestRank {
+			best, bestRank, found = r, rk, true
 		}
 	}
-	return 0, false
+	return best, bestRank, found
+}
+
+// firstRegionWithRoom is the first region, in Table V order, of the
+// market that offers g and can hold the cluster.
+func firstRegionWithRoom(v View, market string, g model.GPU, workers int) (cloud.Region, bool) {
+	r, _, ok := regionWithRoom(v, market, g, workers, nil)
+	return r, ok
+}
+
+// clusterHourly prices the job's cluster on GPU g from the market's own
+// book: every worker at the tier's rate plus the parameter server.
+func clusterHourly(spec *cloud.ProviderSpec, job JobSpec, g model.GPU, tier cloud.Tier) float64 {
+	return float64(job.Workers)*spec.GPUHourly(g, tier) + spec.PSHourly
+}
+
+// dollarsPerStep is the idealized marginal cost of one training step
+// for the job's transient cluster on GPU g, priced from the market's
+// book (parameter server included, startup and revocations excluded).
+func dollarsPerStep(spec *cloud.ProviderSpec, job JobSpec, g model.GPU) float64 {
+	stepsPerHour := model.StepsPerSecond(g, job.Model) * float64(job.Workers) * 3600
+	return clusterHourly(spec, job, g, cloud.Transient) / stepsPerHour
 }
 
 // fifoScheduler is strict arrival order: only the head of the queue
@@ -154,12 +172,12 @@ type fifoScheduler struct{}
 
 func (fifoScheduler) Name() string { return "fifo" }
 
-func (fifoScheduler) Pick(queue []*Job, pool PoolView) (int, Placement, bool) {
+func (fifoScheduler) Pick(queue []*Job, v View) (int, Placement, bool) {
 	if len(queue) == 0 {
 		return 0, Placement{}, false
 	}
 	spec := queue[0].Spec
-	if r, ok := firstRegionWithRoom(pool, spec.GPU, spec.Workers); ok {
+	if r, ok := firstRegionWithRoom(v, "", spec.GPU, spec.Workers); ok {
 		return 0, Placement{Region: r, GPU: spec.GPU, Tier: cloud.Transient}, true
 	}
 	return 0, Placement{}, false
@@ -167,32 +185,24 @@ func (fifoScheduler) Pick(queue []*Job, pool PoolView) (int, Placement, bool) {
 
 // costGreedyScheduler admits, across the whole queue, the (job,
 // placement) pair with the lowest expected dollars per step — hourly
-// transient price over idealized speed — substituting GPU classes
-// freely. It never buys on-demand: cost is the objective, deadlines
+// transient price from the default market's own book over idealized
+// speed — substituting GPU classes freely. It never buys on-demand: cost is the objective, deadlines
 // are not its problem. Ties break toward earlier arrivals, then the
 // catalog order of GPUs and regions, keeping the pick deterministic.
 type costGreedyScheduler struct{}
 
 func (costGreedyScheduler) Name() string { return "cost-greedy" }
 
-// dollarsPerStep is the idealized marginal cost of one training step
-// for the job's cluster on GPU g (parameter server included, startup
-// and revocations excluded).
-func dollarsPerStep(spec JobSpec, g model.GPU) float64 {
-	hourly := float64(spec.Workers)*model.HourlyPrice(g, true) + model.ParameterServerHourly
-	stepsPerHour := model.StepsPerSecond(g, spec.Model) * float64(spec.Workers) * 3600
-	return hourly / stepsPerHour
-}
-
-func (costGreedyScheduler) Pick(queue []*Job, pool PoolView) (int, Placement, bool) {
+func (costGreedyScheduler) Pick(queue []*Job, v View) (int, Placement, bool) {
+	book := v.Spec("")
 	bestIdx, bestPl, best := -1, Placement{}, 0.0
 	for i, job := range queue {
 		for _, g := range model.AllGPUs() {
-			r, ok := firstRegionWithRoom(pool, g, job.Spec.Workers)
+			r, ok := firstRegionWithRoom(v, "", g, job.Spec.Workers)
 			if !ok {
 				continue
 			}
-			cost := dollarsPerStep(job.Spec, g)
+			cost := dollarsPerStep(book, job.Spec, g)
 			if bestIdx < 0 || cost < best {
 				bestIdx, bestPl, best = i, Placement{Region: r, GPU: g, Tier: cloud.Transient}, cost
 			}
@@ -222,7 +232,7 @@ type deadlineAwareScheduler struct{}
 
 func (deadlineAwareScheduler) Name() string { return "deadline-aware" }
 
-func (deadlineAwareScheduler) Pick(queue []*Job, pool PoolView) (int, Placement, bool) {
+func (deadlineAwareScheduler) Pick(queue []*Job, v View) (int, Placement, bool) {
 	order := make([]int, len(queue))
 	for i := range order {
 		order[i] = i
@@ -230,14 +240,14 @@ func (deadlineAwareScheduler) Pick(queue []*Job, pool PoolView) (int, Placement,
 	sort.SliceStable(order, func(a, b int) bool {
 		return queue[order[a]].Spec.DeadlineAtHours() < queue[order[b]].Spec.DeadlineAtHours()
 	})
-	now := pool.NowHours()
+	now := v.NowHours()
 	for _, idx := range order {
 		spec := queue[idx].Spec
 		// Fastest transient cell that fits: GPUs by descending speed
 		// for this model, regions in Table V order.
 		bestG, bestHours, found := model.GPU(0), 0.0, false
 		for _, g := range model.AllGPUs() {
-			if _, ok := firstRegionWithRoom(pool, g, spec.Workers); !ok {
+			if _, ok := firstRegionWithRoom(v, "", g, spec.Workers); !ok {
 				continue
 			}
 			if h := spec.OptimisticHours(g); !found || h < bestHours {
@@ -245,14 +255,14 @@ func (deadlineAwareScheduler) Pick(queue []*Job, pool PoolView) (int, Placement,
 			}
 		}
 		if found {
-			r, _ := firstRegionWithRoom(pool, bestG, spec.Workers)
+			r, _ := firstRegionWithRoom(v, "", bestG, spec.Workers)
 			return idx, Placement{Region: r, GPU: bestG, Tier: cloud.Transient}, true
 		}
 		// No transient room anywhere: start on-demand if this job has
 		// reached its last responsible moment.
 		remaining := spec.DeadlineAtHours() - now
 		if remaining <= spec.OptimisticHours(spec.GPU)*onDemandSlackFactor {
-			r, ok := firstRegionWithRoom(pool, spec.GPU, 0)
+			r, ok := firstRegionWithRoom(v, "", spec.GPU, 0)
 			if !ok {
 				continue // GPU class offered nowhere; leave queued
 			}
@@ -268,12 +278,12 @@ func (deadlineAwareScheduler) Pick(queue []*Job, pool PoolView) (int, Placement,
 // event (an arrival, a finish, a freed slot) — a quiet queue would
 // starve past its deadlines, which is exactly what the policy promises
 // not to do.
-func (deadlineAwareScheduler) NextWakeHours(queue []*Job, pool PoolView) (float64, bool) {
-	now := pool.NowHours()
+func (deadlineAwareScheduler) NextWakeHours(queue []*Job, v View) (float64, bool) {
+	now := v.NowHours()
 	best, found := 0.0, false
 	for _, job := range queue {
 		spec := job.Spec
-		if _, ok := firstRegionWithRoom(pool, spec.GPU, 0); !ok {
+		if _, ok := firstRegionWithRoom(v, "", spec.GPU, 0); !ok {
 			// Pick's on-demand fallback continues past jobs whose GPU
 			// class is offered in no region, so waking for one would
 			// provably change nothing.

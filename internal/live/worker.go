@@ -195,9 +195,6 @@ func (w *Worker) Start() {
 	go w.run()
 }
 
-// Wait blocks until the training loop has exited.
-func (w *Worker) Wait() { <-w.done }
-
 // Stop halts the training loop but keeps connections open, so callers
 // can still evaluate or restore through this worker. Use Close for a
 // full teardown. Stopping a worker that never started is a no-op.

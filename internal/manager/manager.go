@@ -59,10 +59,10 @@ type Placement struct {
 type Config struct {
 	Model   model.Model
 	Workers []Placement
-	// ParameterServers count and region; parameter servers run
-	// on-demand (the paper never risks the non-revocable role).
+	// ParameterServers is the shard count; parameter servers run
+	// on-demand (the paper never risks the non-revocable role) in the
+	// first worker's region.
 	ParameterServers int
-	PSRegion         cloud.Region
 
 	TargetSteps        int64
 	CheckpointInterval int64
@@ -117,9 +117,6 @@ func (c *Config) validate(spec *cloud.ProviderSpec) error {
 	}
 	if c.ParameterServers < 0 {
 		return fmt.Errorf("manager: negative parameter server count")
-	}
-	if c.PSRegion == 0 {
-		c.PSRegion = c.Workers[0].Region
 	}
 	if c.Replacement == 0 {
 		c.Replacement = ReplaceImmediate
@@ -223,7 +220,7 @@ func NewSession(p *cloud.Provider, cfg Config) (*Session, error) {
 	}
 	for i := 0; i < cfg.ParameterServers; i++ {
 		in, err := p.Launch(cloud.Request{
-			Region:    cfg.PSRegion,
+			Region:    cfg.Workers[0].Region,
 			Tier:      cloud.OnDemand,
 			OnRunning: func(*cloud.Instance) { s.psRunning() },
 		})

@@ -102,6 +102,16 @@ func segment(a, b stepAnchor, x float64) float64 {
 // point.
 const ReferenceBatch = 128
 
+// MinBatchShare and MaxBatchShare clamp any one worker's share of a
+// synchronous global minibatch (see BatchShares) to a quarter and four
+// times ReferenceBatch: far enough from the calibration point for
+// dynamic batching to matter, close enough that BatchTimeFactor's
+// linear model still holds.
+const (
+	MinBatchShare = ReferenceBatch / 4
+	MaxBatchShare = ReferenceBatch * 4
+)
+
 // batchFixedFraction is the share of a step that does not scale with
 // the minibatch: kernel launches, input-pipeline latency, and the
 // gradient exchange all cost the same for 32 samples as for 512. This

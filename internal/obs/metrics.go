@@ -131,9 +131,6 @@ func (r *Registry) NewGauge(name, help string) *Gauge {
 // Set stores v.
 func (g *Gauge) Set(v int64) { g.v.Store(v) }
 
-// Add adds n (negative to decrease).
-func (g *Gauge) Add(n int64) { g.v.Add(n) }
-
 // Inc adds one; Dec subtracts one.
 func (g *Gauge) Inc() { g.v.Add(1) }
 func (g *Gauge) Dec() { g.v.Add(-1) }

@@ -49,7 +49,6 @@ func (t Time) HourOfDay() int {
 // event. The zero Handle is valid and refers to no event.
 type Handle struct {
 	k    *Kernel
-	at   Time
 	slot int32
 	gen  uint64
 }
@@ -86,9 +85,6 @@ func (h Handle) Pending() bool {
 	s := &h.k.slots[h.slot]
 	return s.gen == h.gen && !s.canceled
 }
-
-// Time returns the virtual time the event was scheduled for.
-func (h Handle) Time() Time { return h.at }
 
 // compactMinHeap bounds compaction to queues where the rebuild is worth
 // more than the stale entries' pop-and-skip cost.
@@ -197,7 +193,7 @@ func (k *Kernel) At(t Time, fn func()) Handle {
 	k.heapPush(heapEntry{at: t, seq: k.seq, slot: idx})
 	k.seq++
 	k.live++
-	return Handle{k: k, at: t, slot: idx, gen: s.gen}
+	return Handle{k: k, slot: idx, gen: s.gen}
 }
 
 // After schedules fn to run d seconds from now. Negative delays panic.

@@ -38,9 +38,6 @@ func (g *Rng) Int63() int64 { return g.r.Int63() }
 // Perm returns a random permutation of [0, n).
 func (g *Rng) Perm(n int) []int { return g.r.Perm(n) }
 
-// Shuffle pseudo-randomizes the order of n elements via swap.
-func (g *Rng) Shuffle(n int, swap func(i, j int)) { g.r.Shuffle(n, swap) }
-
 // Uniform returns a uniform variate in [lo, hi).
 func (g *Rng) Uniform(lo, hi float64) float64 {
 	return lo + (hi-lo)*g.r.Float64()

@@ -70,17 +70,6 @@ func (e *ECDF) Quantile(p float64) float64 {
 	return e.sorted[idx]
 }
 
-// Len returns the sample size behind the ECDF.
-func (e *ECDF) Len() int { return len(e.sorted) }
-
-// Values returns a copy of the sorted sample, convenient for rendering
-// CDF step plots.
-func (e *ECDF) Values() []float64 {
-	out := make([]float64, len(e.sorted))
-	copy(out, e.sorted)
-	return out
-}
-
 // Points returns (x, P(X ≤ x)) pairs at each distinct sample value, the
 // series needed to draw the CDF as a step function.
 func (e *ECDF) Points() (xs, ps []float64) {

@@ -57,15 +57,6 @@ func CoV(xs []float64) float64 {
 	return Std(xs) / m
 }
 
-// Sum returns the sum of xs.
-func Sum(xs []float64) float64 {
-	var s float64
-	for _, x := range xs {
-		s += x
-	}
-	return s
-}
-
 // Min returns the minimum of xs. It panics on an empty slice because a
 // minimum of nothing is a programming error, not a data condition.
 func Min(xs []float64) float64 {

@@ -9,14 +9,6 @@ import (
 	"repro/internal/stats"
 )
 
-// StartupSample is one measured instance startup.
-type StartupSample struct {
-	GPU    model.GPU
-	Region cloud.Region
-	Tier   cloud.Tier
-	Stages cloud.StartupBreakdown
-}
-
 // StartupSummary aggregates startup samples for one configuration
 // (Fig. 6's bars: per-stage means plus total statistics).
 type StartupSummary struct {

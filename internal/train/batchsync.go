@@ -55,7 +55,7 @@ func (c *Cluster) rebalance() {
 			weights[i] = 1
 		}
 	}
-	shares := model.BatchShares(c.cfg.Batch.GlobalBatch, weights, c.cfg.Batch.minShare(), c.cfg.Batch.maxShare())
+	shares := model.BatchShares(c.cfg.Batch.GlobalBatch, weights, model.MinBatchShare, model.MaxBatchShare)
 	for i, name := range live {
 		c.shares[name] = shares[i]
 	}

@@ -204,15 +204,6 @@ func (c *Cluster) LiveWorkers() []string {
 	return out
 }
 
-// WorkerGPU returns the GPU type of a (possibly dead) worker.
-func (c *Cluster) WorkerGPU(name string) (model.GPU, error) {
-	w, ok := c.workers[name]
-	if !ok {
-		return 0, fmt.Errorf("train: no worker %q", name)
-	}
-	return w.gpu, nil
-}
-
 // PSMaxUtilization returns the highest shard utilization, the signal
 // CM-DARE's bottleneck detector reads (§VI-B).
 func (c *Cluster) PSMaxUtilization() float64 {

@@ -42,41 +42,18 @@ func Mixed(k80, p100, v100 int) []WorkerSpec {
 // worker an equal share regardless of GPU.
 type BatchPolicy struct {
 	// GlobalBatch is the total samples per global step (required).
+	// Each worker's share is clamped to model.MinBatchShare and
+	// model.MaxBatchShare; when the live worker count makes the clamps
+	// and the exact global batch incompatible, the global batch wins.
 	GlobalBatch int
-	// MinShare/MaxShare clamp any one worker's share (0: defaults
-	// ReferenceBatch/4 and ReferenceBatch×4). When the live worker
-	// count makes the clamps and the exact global batch incompatible,
-	// the global batch wins.
-	MinShare, MaxShare int
 	// Dynamic splits shares proportional to per-GPU speed; false
 	// splits them equally (the straggler-exposed baseline).
 	Dynamic bool
 }
 
-// minShare and maxShare apply the documented defaults.
-func (p *BatchPolicy) minShare() int {
-	if p.MinShare == 0 {
-		return model.ReferenceBatch / 4
-	}
-	return p.MinShare
-}
-
-func (p *BatchPolicy) maxShare() int {
-	if p.MaxShare == 0 {
-		return model.ReferenceBatch * 4
-	}
-	return p.MaxShare
-}
-
 func (p *BatchPolicy) validate() error {
 	if p.GlobalBatch <= 0 {
 		return fmt.Errorf("train: batch policy needs a positive global batch")
-	}
-	if p.MinShare < 0 || p.MaxShare < 0 {
-		return fmt.Errorf("train: negative batch share clamp")
-	}
-	if p.minShare() > p.maxShare() {
-		return fmt.Errorf("train: batch min share %d above max %d", p.minShare(), p.maxShare())
 	}
 	return nil
 }
