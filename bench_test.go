@@ -100,9 +100,11 @@ func checkpointSearchData(b *testing.B) ([][]float64, []float64) {
 	return trX, trY
 }
 
-// BenchmarkSVRGridSearch runs Table IV's SVR grid search serially: five
-// RBF bandwidths × the paper's 100-point (C, ε) grid × five folds on 80
-// samples, 2,500 fits sharing one Gram matrix per (kernel, fold).
+// BenchmarkSVRGridSearch runs Table IV's SVR grid search: five RBF
+// bandwidths × the paper's 100-point (C, ε) grid × five folds on 80
+// samples, 2,500 fits sharing one Gram matrix per (kernel, fold). The
+// search spreads its 25 tasks over GOMAXPROCS goroutines; run it with
+// -cpu 1 to compare single-core cost.
 func BenchmarkSVRGridSearch(b *testing.B) {
 	X, y := checkpointSearchData(b)
 	kernels := []regress.Kernel{

@@ -206,3 +206,17 @@ func TestCalibratedPredictorConcurrentFirstCall(t *testing.T) {
 		}
 	}
 }
+
+// BenchmarkCalibration builds a fresh calibration per iteration and
+// answers one predictor call from it: the speed and checkpoint fits
+// and the corner campaigns that pland's first /v1/estimate pays.
+func BenchmarkCalibration(b *testing.B) {
+	m := model.ResNet32()
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		var c calibration
+		if _, err := c.predictor(m); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

@@ -7,7 +7,7 @@ import (
 	"repro/internal/stats"
 )
 
-// This file keeps two references for the differential tests.
+// This file keeps three references for the differential tests.
 //
 // refSVR fits the same model as SVR by plain cyclic coordinate descent
 // on a [][]float64 Gram matrix. It has no sweep cap: it runs until no
@@ -18,6 +18,10 @@ import (
 // refSearch cross-validates every (kernel, C, ε) point on its own
 // through CrossValScore and SVR.Fit. SVRSearch's tasks must reproduce
 // it bit for bit.
+//
+// refSolve is the active-set solve refactoring all of K'_FF on every
+// Newton step. solve, which recomputes only the factor rows whose free
+// coefficients changed, must reproduce it bit for bit.
 
 type refSVR struct {
 	Kernel     Kernel
@@ -131,4 +135,117 @@ func refSearch(kernels []Kernel, grid SVRGrid, X [][]float64, y []float64, k int
 		}
 	}
 	return kern, c, eps, best, nil
+}
+
+// refSolve is solve with refNewtonStep in place of newtonStep.
+func refSolve(s *SVR, gram, y []float64, w *activeSet) (iterations int, converged bool) {
+	n := len(y)
+	maxIter := s.maxIter
+	if maxIter <= 0 {
+		maxIter = maxIterations(n)
+	}
+	var tol, ridge float64
+	for i, v := range y {
+		tol = max(tol, math.Abs(v))
+		ridge = max(ridge, gram[i*n+i])
+	}
+	tol *= 1e-9
+	ridge *= 1e-13
+	w.reset()
+	stationary := true
+	for {
+		if !stationary {
+			if iterations == maxIter {
+				return iterations, false
+			}
+			iterations++
+			stationary = w.refNewtonStep(gram, y, s.C, s.Epsilon, ridge)
+			continue
+		}
+		j, worst := w.worstPinned(y, s.Epsilon)
+		if worst <= tol {
+			w.recompute(gram)
+			j, worst = w.worstPinned(y, s.Epsilon)
+			if worst <= tol && w.worstFree(y, s.Epsilon) <= tol {
+				return iterations, true
+			}
+		}
+		if worst > tol {
+			w.release(j, y[j]-w.f[j])
+		}
+		stationary = false
+	}
+}
+
+// refNewtonStep is newtonStep factoring the whole of K'_FF + ridge·I,
+// row-major with stride |F|, on every step.
+func (w *activeSet) refNewtonStep(gram, y []float64, c, eps, ridge float64) (full bool) {
+	n, m := len(w.f), len(w.free)
+	L, p := w.chol[:m*m], w.step[:m]
+	for a, i := range w.free {
+		p[a] = w.freeResidual(i, y, eps)
+		row := gram[i*n:]
+		for b := 0; b <= a; b++ {
+			v := row[w.free[b]]
+			for k := 0; k < b; k++ {
+				v -= L[a*m+k] * L[b*m+k]
+			}
+			if b < a {
+				L[a*m+b] = v / L[b*m+b]
+				continue
+			}
+			L[a*m+a] = math.Sqrt(max(v+ridge, ridge))
+		}
+	}
+	for a := 0; a < m; a++ {
+		v := p[a]
+		for k := 0; k < a; k++ {
+			v -= L[a*m+k] * p[k]
+		}
+		p[a] = v / L[a*m+a]
+	}
+	for a := m - 1; a >= 0; a-- {
+		v := p[a]
+		for k := a + 1; k < m; k++ {
+			v -= L[k*m+a] * p[k]
+		}
+		p[a] = v / L[a*m+a]
+	}
+
+	alpha, block, pinTo := 1.0, -1, 0.0
+	for a, i := range w.free {
+		lo, hi := 0.0, c
+		if w.state[i] == freeNeg {
+			lo, hi = -c, 0
+		}
+		bound := hi
+		if p[a] < 0 {
+			bound = lo
+		} else if p[a] == 0 {
+			continue
+		}
+		if t := max((bound-w.beta[i])/p[a], 0); t < alpha {
+			alpha, block, pinTo = t, a, bound
+		}
+	}
+	for a, i := range w.free {
+		d := alpha * p[a]
+		w.beta[i] += d
+		axpy(d, gram[i*n:i*n+n], w.f)
+	}
+	if block < 0 {
+		return true
+	}
+	i := w.free[block]
+	w.beta[i] = pinTo
+	switch {
+	case pinTo == 0:
+		w.state[i] = atZero
+	case pinTo > 0:
+		w.state[i] = atUpper
+	default:
+		w.state[i] = atLower
+	}
+	w.free = append(w.free[:block], w.free[block+1:]...)
+	return len(w.free) == 0
 }

@@ -10,11 +10,12 @@
 // datasets are tiny (tens of samples), but the paper's grid search
 // fits thousands of SVRs on them, so the SVR path is built for speed
 // without giving up exactness: each fit solves its dual to optimality
-// with an active-set method, and SVRSearch shares one flat Gram matrix
-// per (kernel, fold) across the whole (C, ε) grid, splits the search
-// into tasks a caller can run in parallel, and reproduces the plain
-// one-fit-at-a-time search bit for bit. Nothing here starts a
-// goroutine.
+// with an active-set method that refactors only the Cholesky rows its
+// last step changed, and SVRSearch shares one flat Gram matrix per
+// (kernel, fold) across the whole (C, ε) grid, splits the search into
+// tasks a caller can run in parallel, and reproduces the plain
+// one-fit-at-a-time search bit for bit. SVRSearch.Run is the one place
+// that starts goroutines: it spreads a search's tasks over the CPUs.
 package regress
 
 import "fmt"

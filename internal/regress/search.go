@@ -2,6 +2,9 @@ package regress
 
 import (
 	"fmt"
+	"runtime"
+	"sync"
+	"sync/atomic"
 
 	"repro/internal/stats"
 )
@@ -12,9 +15,9 @@ import (
 // against it, so the grid shares one O(n²) kernel evaluation per fold
 // instead of paying it per fit. Tasks share no mutable state: a caller
 // may run them on any goroutines, in any order (the campaign engine
-// does), and Select combines their results into exactly the winner and
-// score a point-by-point search through CrossValScore would pick. The
-// package itself runs them serially (Run).
+// does, and so does Run), and Select combines their results into
+// exactly the winner and score a point-by-point search through
+// CrossValScore would pick.
 type SVRSearch struct {
 	kernels []Kernel
 	grid    SVRGrid
@@ -187,16 +190,43 @@ func (s *SVRSearch) Select(results []*TaskResult) SearchResult {
 	return best
 }
 
-// Run runs every task in order on the calling goroutine and selects
-// the winner.
+// Run runs every task on up to min(GOMAXPROCS, Tasks()) goroutines,
+// waits for all of them and selects the winner. Each result lands in
+// its task's slot, so Select sees what a serial loop would give it. If
+// tasks fail, the lowest failing task decides the outcome, as it would
+// in a serial loop: Run returns its error, or re-raises its panic on
+// the calling goroutine.
 func (s *SVRSearch) Run() (SearchResult, error) {
 	results := make([]*TaskResult, s.Tasks())
+	errs := make([]error, len(results))
+	panics := make([]any, len(results))
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	for range min(runtime.GOMAXPROCS(0), len(results)) {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				t := int(next.Add(1)) - 1
+				if t >= len(results) {
+					return
+				}
+				// A panic ends its task, not the goroutine's share.
+				func() {
+					defer func() { panics[t] = recover() }()
+					results[t], errs[t] = s.RunTask(t)
+				}()
+			}
+		}()
+	}
+	wg.Wait()
 	for t := range results {
-		r, err := s.RunTask(t)
-		if err != nil {
-			return SearchResult{}, err
+		if panics[t] != nil {
+			panic(panics[t])
 		}
-		results[t] = r
+		if errs[t] != nil {
+			return SearchResult{}, errs[t]
+		}
 	}
 	return s.Select(results), nil
 }

@@ -1,6 +1,7 @@
 package regress
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"math"
@@ -158,8 +159,8 @@ func TestSVRSearchTieKeepsFirst(t *testing.T) {
 	}
 }
 
-// TestSVRSearchCountsCappedFits checks that tasks run concurrently, as
-// campaign units run them, select what a serial run selects, and that
+// TestSVRSearchCountsCappedFits checks that tasks run on a goroutine
+// each, as campaign units run them, select what Run selects, and that
 // the search counts no capped fit. It then lowers the iteration cap
 // until fits do stop at it, and compares the search's count with
 // SVR.Converged over the same fold fits.
@@ -190,7 +191,7 @@ func TestSVRSearchCountsCappedFits(t *testing.T) {
 		t.Fatal(err)
 	}
 	if got != serial {
-		t.Fatalf("concurrent tasks selected %+v, serial run %+v", got, serial)
+		t.Fatalf("a goroutine per task selected %+v, Run %+v", got, serial)
 	}
 	if got.Capped != 0 {
 		t.Fatalf("%d of %d fits stopped at the iteration cap", got.Capped, got.Fits)
@@ -260,4 +261,111 @@ func TestSVRSearchValidation(t *testing.T) {
 			t.Errorf("%s: want an error", name)
 		}
 	}
+}
+
+// TestSVRSearchRunMatchesSerialTasks checks Run, which spreads the
+// tasks over goroutines, against a serial RunTask loop and Select: the
+// same pick, score bits and counts on Table IV-shaped data; the error
+// of the lowest failing task when several fail; and a task's panic
+// re-raised on the calling goroutine, with the lowest panicking task's
+// value.
+func TestSVRSearchRunMatchesSerialTasks(t *testing.T) {
+	X, y := checkpointSearchData(t)
+	kernels := []Kernel{RBF{Sigma: 0.05}, RBF{Sigma: 0.1}, RBF{Sigma: 0.2}, RBF{Sigma: 0.35}, RBF{Sigma: 0.5}}
+
+	t.Run("result", func(t *testing.T) {
+		search, err := NewSVRSearch(kernels, smallGrid, X, y, 5, stats.NewRng(3), stats.MAE)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := search.Run()
+		if err != nil {
+			t.Fatal(err)
+		}
+		results := make([]*TaskResult, search.Tasks())
+		for task := range results {
+			if results[task], err = search.RunTask(task); err != nil {
+				t.Fatal(err)
+			}
+		}
+		want := search.Select(results)
+		if got != want || math.Float64bits(got.Score) != math.Float64bits(want.Score) {
+			t.Fatalf("Run selected %+v, serial tasks %+v", got, want)
+		}
+	})
+
+	// Several training rows share the feature value bad; every fold
+	// that trains on one of them fails on it.
+	bad := X[len(X)/2][0]
+	t.Run("lowest error", func(t *testing.T) {
+		search, err := NewSVRSearch([]Kernel{kernels[0], zeroAt{RBF{Sigma: 0.2}, bad}}, smallGrid, X, y, 5, stats.NewRng(3), stats.MAE)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var want error
+		failed := map[string]bool{}
+		for task := 0; task < search.Tasks(); task++ {
+			if _, err := search.RunTask(task); err != nil {
+				want = cmp.Or(want, err)
+				failed[err.Error()] = true
+			}
+		}
+		if len(failed) < 2 {
+			t.Fatalf("%d distinct task errors, want several to order", len(failed))
+		}
+		if _, err := search.Run(); err == nil || err.Error() != want.Error() {
+			t.Fatalf("Run returned %v, want the lowest failing task's %v", err, want)
+		}
+	})
+
+	t.Run("panic", func(t *testing.T) {
+		search, err := NewSVRSearch([]Kernel{kernels[0], panicAt{RBF{Sigma: 0.2}, bad}}, smallGrid, X, y, 5, stats.NewRng(3), stats.MAE)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := recovered(func() { search.RunTask(len(search.folds)) })
+		if want == nil || want == recovered(func() { search.RunTask(len(search.folds) + 1) }) {
+			t.Fatalf("the first two panicking tasks raised %v and the same value, want distinct panics", want)
+		}
+		if got := recovered(func() { search.Run() }); got != want {
+			t.Fatalf("Run panicked with %v, want the lowest panicking task's %v", got, want)
+		}
+	})
+}
+
+// recovered runs f and returns the value it panicked with, if any.
+func recovered(f func()) (v any) {
+	defer func() { v = recover() }()
+	f()
+	return nil
+}
+
+// zeroAt is an RBF kernel with K(x, x) = −1 at one feature value, so
+// the bias-augmented Gram matrix of any rows holding it has a zero on
+// its diagonal there.
+type zeroAt struct {
+	RBF
+	at float64
+}
+
+func (k zeroAt) Eval(a, b []float64) float64 {
+	if a[0] == k.at && b[0] == k.at {
+		return -1
+	}
+	return k.RBF.Eval(a, b)
+}
+
+// panicAt is an RBF kernel that panics on any pair holding one feature
+// value, naming the pair. The first such pair a task meets depends on
+// its fold's rows, so tasks panic with different values.
+type panicAt struct {
+	RBF
+	at float64
+}
+
+func (k panicAt) Eval(a, b []float64) float64 {
+	if a[0] == k.at || b[0] == k.at {
+		panic(fmt.Sprintf("panicAt: %v with %v", a, b))
+	}
+	return k.RBF.Eval(a, b)
 }

@@ -138,7 +138,13 @@ type activeSet struct {
 	state []int8
 	free  []int     // the free set F, in the order it was freed
 	step  []float64 // the Newton step on F
-	chol  []float64 // lower Cholesky factor of K'_FF + ridge·I, row-major |F|×|F|
+	// chol is the lower Cholesky factor of K'_FF + ridge·I, row-major
+	// with stride n. Row a depends only on free[:a+1], so its first
+	// valid rows still factor free[:valid]: a release appends to F and
+	// keeps them, a pin at position b keeps the b rows before it, and
+	// newtonStep computes only the rows from valid on.
+	chol  []float64
+	valid int
 }
 
 func newActiveSet(n int) *activeSet {
@@ -226,6 +232,7 @@ func (w *activeSet) reset() {
 		w.state[i] = atZero
 	}
 	w.free = w.free[:0]
+	w.valid = 0
 }
 
 // worstPinned returns the pinned coefficient with the largest KKT
@@ -303,40 +310,47 @@ func (w *activeSet) recompute(gram []float64) {
 // newtonStep takes one Newton step on F, cut short at the first free
 // coefficient to reach 0 or ±C, which it pins. It reports whether the
 // step ran in full, leaving β stationary on F.
+//
+// Only the factor rows from w.valid on are computed; each runs the
+// operations a full refactorization would run on the same inputs, in
+// the same order, so the step is bit-identical to one.
 func (w *activeSet) newtonStep(gram, y []float64, c, eps, ridge float64) (full bool) {
 	n, m := len(w.f), len(w.free)
-	L, p := w.chol[:m*m], w.step[:m]
+	L, p := w.chol, w.step[:m]
 	for a, i := range w.free {
 		p[a] = w.freeResidual(i, y, eps)
-		row := gram[i*n:]
+	}
+	for a := w.valid; a < m; a++ {
+		row, La := gram[w.free[a]*n:], L[a*n:a*n+a+1]
 		for b := 0; b <= a; b++ {
-			v := row[w.free[b]]
-			for k := 0; k < b; k++ {
-				v -= L[a*m+k] * L[b*m+k]
+			v, Lb := row[w.free[b]], L[b*n:b*n+b]
+			for k, l := range Lb {
+				v -= La[k] * l
 			}
 			if b < a {
-				L[a*m+b] = v / L[b*m+b]
+				La[b] = v / L[b*n+b]
 				continue
 			}
 			// The pivots of K'_FF + ridge·I are at least the ridge;
 			// a smaller one is rounding.
-			L[a*m+a] = math.Sqrt(max(v+ridge, ridge))
+			La[a] = math.Sqrt(max(v+ridge, ridge))
 		}
 	}
+	w.valid = m
 	// Forward then back substitution, in place.
 	for a := 0; a < m; a++ {
 		v := p[a]
 		for k := 0; k < a; k++ {
-			v -= L[a*m+k] * p[k]
+			v -= L[a*n+k] * p[k]
 		}
-		p[a] = v / L[a*m+a]
+		p[a] = v / L[a*n+a]
 	}
 	for a := m - 1; a >= 0; a-- {
 		v := p[a]
 		for k := a + 1; k < m; k++ {
-			v -= L[k*m+a] * p[k]
+			v -= L[k*n+a] * p[k]
 		}
-		p[a] = v / L[a*m+a]
+		p[a] = v / L[a*n+a]
 	}
 
 	// The longest step, up to 1, that keeps every free coefficient
@@ -376,6 +390,7 @@ func (w *activeSet) newtonStep(gram, y []float64, c, eps, ridge float64) (full b
 		w.state[i] = atLower
 	}
 	w.free = append(w.free[:block], w.free[block+1:]...)
+	w.valid = min(w.valid, block)
 	return len(w.free) == 0
 }
 

@@ -2,6 +2,7 @@ package regress
 
 import (
 	"math"
+	"slices"
 	"testing"
 
 	"repro/internal/model"
@@ -101,26 +102,33 @@ func maxAbs(y []float64) float64 {
 	return m
 }
 
-// TestSVRSearchFitsSatisfyKKT certifies every fit of two searches as
-// optimal: Table IV's (five RBF bandwidths × the paper grid × five
+// solverSearch is one of the two searches the solver oracles run on
+// the paper grid with five folds.
+type solverSearch struct {
+	name    string
+	kernels []Kernel
+	X       [][]float64
+	y       []float64
+}
+
+// solverSearches are Table IV's search (five RBF bandwidths × five
 // folds of 64 rows, five rows per x) and a degree-2 polynomial search
-// on one feature, whose Gram matrix has rank 3. Each β must satisfy
-// the KKT conditions to 1e-9·max|y| and each search must count no
-// capped fit.
-func TestSVRSearchFitsSatisfyKKT(t *testing.T) {
+// on one feature, whose Gram matrix has rank 3.
+func solverSearches(t *testing.T) []solverSearch {
 	ckptX, ckptY := checkpointSearchData(t)
 	polyX, polyY := randomProblem(stats.NewRng(40), 20, 1)
-	cases := []struct {
-		name    string
-		kernels []Kernel
-		X       [][]float64
-		y       []float64
-	}{
+	return []solverSearch{
 		{"table4", []Kernel{RBF{Sigma: 0.05}, RBF{Sigma: 0.1}, RBF{Sigma: 0.2}, RBF{Sigma: 0.35}, RBF{Sigma: 0.5}}, ckptX, ckptY},
 		{"poly2", []Kernel{Polynomial{Degree: 2, Coef0: 0.5}, Polynomial{Degree: 2, Coef0: 1}, Polynomial{Degree: 2, Coef0: 2}}, polyX, polyY},
 	}
+}
+
+// TestSVRSearchFitsSatisfyKKT certifies every fit of the solver
+// searches as optimal. Each β must satisfy the KKT conditions to
+// 1e-9·max|y| and each search must count no capped fit.
+func TestSVRSearchFitsSatisfyKKT(t *testing.T) {
 	grid := PaperSVRGrid()
-	for _, tc := range cases {
+	for _, tc := range solverSearches(t) {
 		search, err := NewSVRSearch(tc.kernels, grid, tc.X, tc.y, 5, stats.NewRng(3), stats.MAE)
 		if err != nil {
 			t.Fatal(err)
@@ -156,6 +164,48 @@ func TestSVRSearchFitsSatisfyKKT(t *testing.T) {
 		t.Logf("%s: largest KKT violation %.2g of the tolerance", tc.name, worst)
 	}
 }
+
+// TestSVRSolveMatchesFullRefactorization runs every fit of the solver
+// searches twice: through solve, which keeps the Cholesky rows of the
+// unchanged part of the free set, and through refSolve, which
+// refactors all of K'_FF on every Newton step. β, f and the iteration
+// count must agree bit for bit. Each workspace is reused across the
+// grid, as a search task reuses its own.
+func TestSVRSolveMatchesFullRefactorization(t *testing.T) {
+	grid := PaperSVRGrid()
+	for _, tc := range solverSearches(t) {
+		search, err := NewSVRSearch(tc.kernels, grid, tc.X, tc.y, 5, stats.NewRng(3), stats.MAE)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var fits, steps int
+		for _, kernel := range tc.kernels {
+			for fold := range search.folds {
+				trX, trY := foldTraining(search, fold)
+				gram := gramMatrix(kernel, trX)
+				got, want := newActiveSet(len(trX)), newActiveSet(len(trX))
+				for _, c := range grid.Cs {
+					for _, eps := range grid.Epsilons {
+						m := SVR{Kernel: kernel, C: c, Epsilon: eps}
+						iters, conv := m.solve(gram, trY, got)
+						wantIters, wantConv := refSolve(&m, gram, trY, want)
+						if iters != wantIters || conv != wantConv ||
+							!slices.EqualFunc(got.beta, want.beta, sameBits) || !slices.EqualFunc(got.f, want.f, sameBits) {
+							t.Fatalf("%s %v fold %d C=%v ε=%v: %d iterations (converged=%v), full refactorization %d (converged=%v); β or f differ in their bits",
+								tc.name, kernel, fold, c, eps, iters, conv, wantIters, wantConv)
+						}
+						fits++
+						steps += iters
+					}
+				}
+			}
+		}
+		t.Logf("%s: %d fits, %d Newton steps, bit-identical", tc.name, fits, steps)
+	}
+}
+
+// sameBits reports whether a and b are the same float64, bit for bit.
+func sameBits(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }
 
 // foldTraining returns the rows a search's task trains on for fold,
 // in index order.
