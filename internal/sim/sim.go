@@ -7,13 +7,19 @@
 // requirement for reproducing the paper's tables, and a single-threaded
 // event loop is the simplest way to guarantee it.
 //
-// The hot path is allocation-free in steady state: event state lives in
-// a kernel-owned slab recycled through a free list, scheduling returns
-// a generation-stamped Handle value (no *Event on the heap), and the
-// queue is an inlined monomorphic 4-ary min-heap of small value structs
-// rather than container/heap's boxed interface. Cancellation is lazy —
-// a cancelled event stays queued until popped — with a compaction pass
-// once cancelled entries outnumber live ones, so Cancel is O(1) and the
+// The hot path is allocation-free in steady state. The queue is two
+// lanes, each an inlined monomorphic 4-ary min-heap of small value
+// structs rather than container/heap's boxed interface. The post lane
+// holds fire-and-forget events (Post), which name a registered
+// callback and are never cancelled: the training step loop's two
+// events per step. The timer lane holds cancellable events (At): their
+// state lives in a kernel-owned slab recycled through a free list, and
+// scheduling returns a generation-stamped Handle value (no *Event on
+// the heap). Both lanes draw one insertion sequence, and the loop pops
+// whichever head is smaller by (time, seq), so splitting the queue
+// cannot change the fire order. Cancellation is lazy — a cancelled
+// timer stays queued until popped — with a compaction pass once
+// cancelled entries outnumber live ones, so Cancel is O(1) and the
 // (time, seq) fire order never depends on when cancellations happened.
 package sim
 
@@ -66,12 +72,11 @@ func (h Handle) Cancel() {
 	}
 	s.canceled = true
 	s.fn = nil // release captured state promptly
-	k.live--
 	k.stale++
 	// Lazy deletion keeps Cancel O(1); compact once cancelled entries
 	// outnumber live ones so a cancel-heavy workload cannot keep the
-	// queue arbitrarily larger than its live set.
-	if k.stale*2 > len(k.heap) && len(k.heap) >= compactMinHeap {
+	// timer lane arbitrarily larger than its live set.
+	if int(k.stale)*2 > len(k.timers) && len(k.timers) >= compactMinHeap {
 		k.compact()
 	}
 }
@@ -90,29 +95,23 @@ func (h Handle) Pending() bool {
 // more than the stale entries' pop-and-skip cost.
 const compactMinHeap = 64
 
-// heapEntry is one queue position: 4-ary min-heap ordered by (time,
-// insertion sequence). The sequence tie-break makes simultaneous events
-// fire in scheduling order, which keeps runs reproducible, and makes
-// the ordering total — so any valid heap arrangement pops in exactly
-// one order, and compaction cannot perturb determinism.
+// heapEntry is one queue position, ordered by (time, insertion
+// sequence). The sequence tie-break makes simultaneous events fire in
+// scheduling order, which keeps runs reproducible, and makes the
+// ordering total — so any valid heap arrangement pops in exactly one
+// order, and neither compaction nor the split into two lanes can
+// perturb determinism.
 //
-// An entry is either cancellable (slot ≥ 0: the callback lives in the
-// kernel's slot slab, reachable through Handles) or fire-and-forget
-// (slot == anonSlot: id names a callback interned with Register). The
-// second form is the hot path — the training step loop never cancels
-// its timers — and it skips the slot slab's bookkeeping entirely.
-// Carrying an integer id instead of the func value keeps heapEntry
-// pointer-free, so sift and pop moves incur no GC write barriers and
-// the queue's backing array is never scanned.
+// ref is the entry's payload: in the post lane a FnID naming a
+// callback interned with Register, in the timer lane the index of the
+// event's slot. Carrying an integer instead of the func value keeps
+// heapEntry pointer-free, so sift and pop moves incur no GC write
+// barriers and the lanes' backing arrays are never scanned.
 type heapEntry struct {
-	at   Time
-	seq  uint64
-	id   FnID // callback table index, set iff slot == anonSlot
-	slot int32
+	at  Time
+	seq uint64
+	ref int32
 }
-
-// anonSlot marks a fire-and-forget entry with no slot behind it.
-const anonSlot int32 = -1
 
 // FnID names a callback interned with Kernel.Register. The zero FnID
 // is invalid.
@@ -129,21 +128,25 @@ type eventSlot struct {
 
 // Kernel is the event loop. The zero value is a kernel at time 0 with
 // an empty queue, ready to use.
+//
+// Its size is a multiple of 64 bytes, pinned by
+// TestKernelSizeIsCacheLineMultiple; see that test for why.
 type Kernel struct {
 	now   Time
 	seq   uint64
 	fired uint64
 
-	heap  []heapEntry
-	slots []eventSlot
-	free  int32 // free-list head, index+1 (0 = empty)
-	live  int   // scheduled, uncancelled events
-	stale int   // cancelled entries still in heap (lazy deletion)
+	posts  lane // fire-and-forget events: ref is a FnID
+	timers lane // cancellable events: ref is a slot index
+	slots  []eventSlot
 
 	// fns is the callback table behind Register/Post: long-lived
 	// handlers interned once (per worker, per component) and named by
 	// FnID, so the queue itself stays pointer-free.
 	fns []func()
+
+	free  int32 // free-list head, index+1 (0 = empty)
+	stale int32 // cancelled entries still in timers (lazy deletion)
 }
 
 // Register interns a long-lived callback and returns its id for Post.
@@ -165,9 +168,9 @@ func (k *Kernel) Now() Time { return k.now }
 func (k *Kernel) FiredEvents() uint64 { return k.fired }
 
 // Pending returns the number of scheduled, uncancelled events. It is
-// O(1): the kernel maintains the count on schedule, cancel, and fire
-// instead of scanning the queue.
-func (k *Kernel) Pending() int { return k.live }
+// O(1): every queued entry is live except the cancelled timers the
+// kernel counts in stale.
+func (k *Kernel) Pending() int { return len(k.posts) + len(k.timers) - int(k.stale) }
 
 // At schedules fn to run at absolute virtual time t. Scheduling in the
 // past panics: it always indicates a logic error in a simulator
@@ -190,9 +193,8 @@ func (k *Kernel) At(t Time, fn func()) Handle {
 	s := &k.slots[idx]
 	s.fn = fn
 	s.canceled = false
-	k.heapPush(heapEntry{at: t, seq: k.seq, slot: idx})
+	k.timers.push(heapEntry{at: t, seq: k.seq, ref: idx})
 	k.seq++
-	k.live++
 	return Handle{k: k, slot: idx, gen: s.gen}
 }
 
@@ -209,7 +211,7 @@ func (k *Kernel) After(d float64, fn func()) Handle {
 // Ordering is identical to At — both draw from the same insertion-
 // sequence counter — so a call site can switch forms without
 // perturbing any schedule. This is the step loop's scheduling
-// primitive: it touches only the heap, never the slot slab.
+// primitive: it touches only the post lane, never the slot slab.
 func (k *Kernel) Post(t Time, id FnID) {
 	if t < k.now {
 		panic(fmt.Sprintf("sim: scheduling event at %v before now %v", t, k.now))
@@ -217,9 +219,8 @@ func (k *Kernel) Post(t Time, id FnID) {
 	if id <= 0 || int(id) > len(k.fns) {
 		panic(fmt.Sprintf("sim: posting unregistered callback id %d", id))
 	}
-	k.heapPush(heapEntry{at: t, seq: k.seq, id: id, slot: anonSlot})
+	k.posts.push(heapEntry{at: t, seq: k.seq, ref: int32(id)})
 	k.seq++
-	k.live++
 }
 
 // PostAfter schedules the registered callback id to run d seconds from
@@ -234,29 +235,32 @@ func (k *Kernel) PostAfter(d float64, id FnID) {
 // Step executes the next event, advancing the clock to its timestamp.
 // It returns false when the queue is empty.
 func (k *Kernel) Step() bool {
-	for len(k.heap) > 0 {
-		e := k.heap[0]
-		k.popTop()
+	for {
+		var e heapEntry
 		var fn func()
-		if e.slot == anonSlot {
-			fn = k.fns[e.id-1]
-		} else {
-			s := &k.slots[e.slot]
+		if len(k.timers) > 0 && (len(k.posts) == 0 || heapLess(k.timers[0], k.posts[0])) {
+			e = k.timers[0]
+			k.timers.popTop()
+			s := &k.slots[e.ref]
 			if s.canceled {
 				k.stale--
-				k.release(e.slot)
+				k.release(e.ref)
 				continue
 			}
 			fn = s.fn
-			k.release(e.slot)
+			k.release(e.ref)
+		} else if len(k.posts) > 0 {
+			e = k.posts[0]
+			k.posts.popTop()
+			fn = k.fns[e.ref-1]
+		} else {
+			return false
 		}
 		k.now = e.at
-		k.live--
 		k.fired++
 		fn()
 		return true
 	}
-	return false
 }
 
 // Run executes events until the queue drains.
@@ -272,27 +276,34 @@ func (k *Kernel) RunUntil(t Time) {
 	if t < k.now {
 		panic(fmt.Sprintf("sim: RunUntil(%v) before now %v", t, k.now))
 	}
-	for len(k.heap) > 0 {
-		e := k.heap[0]
-		if e.at > t {
-			break
-		}
-		k.popTop()
+	for {
+		var e heapEntry
 		var fn func()
-		if e.slot == anonSlot {
-			fn = k.fns[e.id-1]
-		} else {
-			s := &k.slots[e.slot]
+		if len(k.timers) > 0 && (len(k.posts) == 0 || heapLess(k.timers[0], k.posts[0])) {
+			e = k.timers[0]
+			if e.at > t {
+				break
+			}
+			k.timers.popTop()
+			s := &k.slots[e.ref]
 			if s.canceled {
 				k.stale--
-				k.release(e.slot)
+				k.release(e.ref)
 				continue
 			}
 			fn = s.fn
-			k.release(e.slot)
+			k.release(e.ref)
+		} else if len(k.posts) > 0 {
+			e = k.posts[0]
+			if e.at > t {
+				break
+			}
+			k.posts.popTop()
+			fn = k.fns[e.ref-1]
+		} else {
+			break
 		}
 		k.now = e.at
-		k.live--
 		k.fired++
 		fn()
 	}
@@ -312,27 +323,27 @@ func (k *Kernel) release(idx int32) {
 	k.free = idx + 1
 }
 
-// compact rebuilds the heap without cancelled entries, releasing their
-// slots. Safe at any point: the (at, seq) ordering is total, so the
-// rebuilt heap pops in exactly the order the old one would have.
+// compact rebuilds the timer lane without cancelled entries, releasing
+// their slots. Safe at any point: the (at, seq) ordering is total, so
+// the rebuilt heap pops in exactly the order the old one would have.
 func (k *Kernel) compact() {
-	h := k.heap[:0]
-	for _, e := range k.heap {
-		if e.slot != anonSlot && k.slots[e.slot].canceled {
-			k.release(e.slot)
+	h := k.timers[:0]
+	for _, e := range k.timers {
+		if k.slots[e.ref].canceled {
+			k.release(e.ref)
 		} else {
 			h = append(h, e)
 		}
 	}
-	k.heap = h
+	k.timers = h
 	for i := (len(h) - 2) >> 2; i >= 0; i-- {
-		k.siftDown(i, h[i])
+		h.siftDown(i, h[i])
 	}
 	k.stale = 0
 }
 
-// heapLess orders entries by (time, insertion sequence); seq is unique,
-// so the order is total.
+// heapLess orders entries by (time, insertion sequence); seq is unique
+// across both lanes, so the order is total.
 func heapLess(a, b heapEntry) bool {
 	if a.at != b.at {
 		return a.at < b.at
@@ -340,9 +351,12 @@ func heapLess(a, b heapEntry) bool {
 	return a.seq < b.seq
 }
 
-func (k *Kernel) heapPush(e heapEntry) {
-	k.heap = append(k.heap, e)
-	h := k.heap
+// lane is one 4-ary min-heap of queue entries ordered by heapLess.
+type lane []heapEntry
+
+func (l *lane) push(e heapEntry) {
+	*l = append(*l, e)
+	h := *l
 	i := len(h) - 1
 	for i > 0 {
 		p := (i - 1) >> 2
@@ -356,15 +370,15 @@ func (k *Kernel) heapPush(e heapEntry) {
 }
 
 // popTop removes the heap's minimum entry; the caller has already read
-// it from heap[0]. Entries are pointer-free, so the vacated tail needs
+// it from index 0. Entries are pointer-free, so the vacated tail needs
 // no clearing.
-func (k *Kernel) popTop() {
-	h := k.heap
+func (l *lane) popTop() {
+	h := *l
 	n := len(h) - 1
 	last := h[n]
-	k.heap = h[:n]
+	*l = h[:n]
 	if n > 0 {
-		k.siftDown(0, last)
+		h[:n].siftDown(0, last)
 	}
 }
 
@@ -372,8 +386,7 @@ func (k *Kernel) popTop() {
 // 4-ary layout: children of i are 4i+1 … 4i+4. The wider node trades a
 // few more comparisons per level for half the levels (and half the
 // cache misses) of a binary heap.
-func (k *Kernel) siftDown(i int, e heapEntry) {
-	h := k.heap
+func (h lane) siftDown(i int, e heapEntry) {
 	n := len(h)
 	for {
 		c := i<<2 + 1

@@ -4,7 +4,23 @@ import (
 	"sort"
 	"testing"
 	"testing/quick"
+	"unsafe"
 )
+
+// TestKernelSizeIsCacheLineMultiple pins Kernel's size to a multiple
+// of 64 bytes. Go rounds every allocation up to a size class and lays a
+// class's objects end to end from a page boundary, so only classes
+// that are multiples of 64 start each object on its own cache line. At
+// any other size a kernel shares a line with the next object of its
+// class, normally the kernel of the campaign unit running on the other
+// CPU, and every event then writes a line the other core keeps
+// reading. At 144 bytes, unpadded, revmodels ran 13% faster than the
+// one-lane kernel at -parallel 1 but 11–22% slower at -parallel 2.
+func TestKernelSizeIsCacheLineMultiple(t *testing.T) {
+	if n := unsafe.Sizeof(Kernel{}); n%64 != 0 {
+		t.Fatalf("unsafe.Sizeof(Kernel{}) = %d bytes, want a multiple of 64", n)
+	}
+}
 
 func TestKernelFiresInTimeOrder(t *testing.T) {
 	var k Kernel

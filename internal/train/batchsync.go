@@ -24,12 +24,14 @@ import (
 // syncEnabled reports whether the session runs in synchronous rounds.
 func (c *Cluster) syncEnabled() bool { return c.cfg.Batch != nil }
 
-// Shares returns the current per-worker batch shares (a copy); only
-// meaningful in synchronous mode.
+// Shares returns the live workers' current batch shares by name (a
+// copy); only meaningful in synchronous mode.
 func (c *Cluster) Shares() map[string]int {
-	out := make(map[string]int, len(c.shares))
-	for name, s := range c.shares {
-		out[name] = s
+	out := make(map[string]int, len(c.live))
+	for _, w := range c.live {
+		if w.share > 0 {
+			out[w.name] = w.share
+		}
 	}
 	return out
 }
@@ -42,32 +44,29 @@ func (c *Cluster) rebalance() {
 	if !c.syncEnabled() {
 		return
 	}
-	live := c.LiveWorkers()
-	c.shares = make(map[string]int, len(live))
+	live := c.live
 	if len(live) == 0 {
 		return
 	}
 	weights := make([]float64, len(live))
-	for i, name := range live {
+	for i, w := range live {
 		if c.cfg.Batch.Dynamic {
-			weights[i] = model.StepsPerSecond(c.workers[name].gpu, c.cfg.Model)
+			weights[i] = model.StepsPerSecond(w.gpu, c.cfg.Model)
 		} else {
 			weights[i] = 1
 		}
 	}
 	shares := model.BatchShares(c.cfg.Batch.GlobalBatch, weights, model.MinBatchShare, model.MaxBatchShare)
-	for i, name := range live {
-		c.shares[name] = shares[i]
+	for i, w := range live {
+		w.share = shares[i]
 	}
 	if c.cfg.Trace != nil {
-		// Detail iterates the live join order, never the shares map, so
-		// the rendered string is deterministic.
 		var b strings.Builder
-		for i, name := range live {
+		for i, w := range live {
 			if i > 0 {
 				b.WriteByte(' ')
 			}
-			fmt.Fprintf(&b, "%s=%d", name, shares[i])
+			fmt.Fprintf(&b, "%s=%d", w.name, shares[i])
 		}
 		c.cfg.Trace.Record(obs.Event{
 			T:      c.k.Now().Seconds(),
@@ -85,20 +84,16 @@ func (c *Cluster) startRound() {
 	if c.done || !c.started {
 		return
 	}
-	live := c.LiveWorkers()
-	if len(live) == 0 {
+	if len(c.live) == 0 {
 		return
 	}
 	c.roundActive = true
 	c.roundContrib = 0
-	c.roundPending = make(map[string]bool, len(live))
-	for _, name := range live {
-		c.roundPending[name] = true
-	}
-	for _, name := range live {
-		w := c.workers[name]
+	c.roundPending = len(c.live)
+	for _, w := range c.live {
+		w.pending = true
 		w.stepStart = c.k.Now()
-		mean := w.computeMean * model.BatchTimeFactor(c.shares[name])
+		mean := w.computeMean * model.BatchTimeFactor(w.share)
 		if w.syncDist.Mean() != mean {
 			w.syncDist = stats.MakeLogNormalDist(mean, model.StepTimeCoV)
 		}
@@ -135,12 +130,13 @@ func (c *Cluster) syncContribution(w *Worker) {
 		return // a dead worker's in-flight share was already written off
 	}
 	w.recordStep()
-	if !c.roundActive || !c.roundPending[w.name] {
+	if !c.roundActive || !w.pending {
 		return
 	}
-	delete(c.roundPending, w.name)
+	w.pending = false
+	c.roundPending--
 	c.roundContrib++
-	if len(c.roundPending) == 0 {
+	if c.roundPending == 0 {
 		c.finishRound()
 	}
 }
@@ -150,12 +146,11 @@ func (c *Cluster) syncContribution(w *Worker) {
 // chief's graph is busy writing, §IV-B), and the next round starts.
 func (c *Cluster) finishRound() {
 	c.roundActive = false
-	c.roundPending = nil
 	if c.roundContrib == 0 {
 		// Every member died mid-round: no gradients landed, so no step.
 		// A worker that joined while the doomed round was in flight is
 		// live but idle — restart for it; otherwise wait for a join.
-		if len(c.LiveWorkers()) > 0 {
+		if len(c.live) > 0 {
 			c.startRound()
 		}
 		return
@@ -164,7 +159,7 @@ func (c *Cluster) finishRound() {
 	if c.done {
 		return
 	}
-	if chief, ok := c.workers[c.chief]; ok && !chief.dead && c.checkpointDue() {
+	if chief := c.chief; chief != nil && !chief.dead && c.checkpointDue() {
 		c.runCheckpointSync(chief)
 		return
 	}
@@ -175,12 +170,13 @@ func (c *Cluster) finishRound() {
 // current round so the barrier cannot deadlock on a revoked member.
 // The round's global batch comes up short by that share — the real
 // cost of losing a synchronous worker mid-step.
-func (c *Cluster) dropFromRound(name string) {
-	if !c.roundActive || !c.roundPending[name] {
+func (c *Cluster) dropFromRound(w *Worker) {
+	if !c.roundActive || !w.pending {
 		return
 	}
-	delete(c.roundPending, name)
-	if len(c.roundPending) == 0 {
+	w.pending = false
+	c.roundPending--
+	if c.roundPending == 0 {
 		c.finishRound()
 	}
 }

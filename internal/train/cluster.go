@@ -2,6 +2,7 @@ package train
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/model"
 	"repro/internal/obs"
@@ -47,15 +48,19 @@ type Cluster struct {
 	rng *stats.Rng
 	cfg Config
 
-	shards  []*sim.Server
+	shards []*sim.Server
+	// workers finds a worker by name for the name-keyed API; order
+	// holds every worker ever created and live the ones still
+	// training, both in creation order.
 	workers map[string]*Worker
+	order   []*Worker
+	live    []*Worker
 	// serviceDist and ckptDist freeze the session-constant log-normal
 	// parameterizations (per-shard service time, checkpoint write
 	// time) so the per-step hot path skips their log/sqrt setup.
 	serviceDist stats.LogNormalDist
 	ckptDist    stats.LogNormalDist
-	order       []string
-	chief       string
+	chief       *Worker // nil while no worker holds checkpoint duty
 	// chiefHandoff selects CM-DARE's behavior (true: checkpoint duty
 	// moves to a surviving worker when the chief is revoked) versus
 	// unmodified TensorFlow (false: duty waits for a replacement).
@@ -84,8 +89,9 @@ type Cluster struct {
 	nextHook int64
 
 	// Synchronous-mode state (Config.Batch != nil; see batchsync.go).
-	shares       map[string]int
-	roundPending map[string]bool
+	// roundPending counts the live workers whose contribution the
+	// current round still awaits (those with Worker.pending set).
+	roundPending int
 	roundContrib int
 	roundActive  bool
 	ckptActive   bool
@@ -115,9 +121,9 @@ func NewCluster(k *sim.Kernel, cfg Config) (*Cluster, error) {
 	}
 	c.ckptDist = stats.MakeLogNormalDist(CheckpointSeconds(cfg.Model), ckptTimeCoV)
 	for _, spec := range cfg.Workers {
-		name := c.newWorker(spec)
-		if c.chief == "" {
-			c.chief = name
+		w := c.newWorker(spec)
+		if c.chief == nil {
+			c.chief = w
 		}
 	}
 	return c, nil
@@ -134,7 +140,7 @@ func MustCluster(k *sim.Kernel, cfg Config) *Cluster {
 }
 
 // newWorker registers a worker without starting it.
-func (c *Cluster) newWorker(spec WorkerSpec) string {
+func (c *Cluster) newWorker(spec WorkerSpec) *Worker {
 	name := fmt.Sprintf("%s-%d", spec.GPU, c.nWorkersCreated)
 	c.nWorkersCreated++
 	compute := model.StepTime(spec.GPU, c.cfg.Model.GFLOPs) - baselineRoundTripSeconds(c.cfg.Model)
@@ -153,8 +159,9 @@ func (c *Cluster) newWorker(spec WorkerSpec) string {
 	}
 	w.bindHandlers()
 	c.workers[name] = w
-	c.order = append(c.order, name)
-	return name
+	c.order = append(c.order, w)
+	c.live = append(c.live, w)
+	return w
 }
 
 // Start launches every configured worker at the current virtual time.
@@ -170,13 +177,19 @@ func (c *Cluster) Start() {
 		c.startRound()
 		return
 	}
-	for _, name := range c.order {
-		c.workers[name].startStep()
+	for _, w := range c.live {
+		w.startStep()
 	}
 }
 
-// Chief returns the current chief worker's name.
-func (c *Cluster) Chief() string { return c.chief }
+// Chief returns the current chief worker's name, or "" when no worker
+// holds checkpoint duty.
+func (c *Cluster) Chief() string {
+	if c.chief == nil {
+		return ""
+	}
+	return c.chief.name
+}
 
 // SetChiefHandoff selects between CM-DARE chief takeover (true, the
 // default) and unmodified TensorFlow (false).
@@ -193,13 +206,11 @@ func (c *Cluster) LastCheckpointStep() int64 { return c.lastCkptStep }
 func (c *Cluster) Done() bool { return c.done }
 
 // LiveWorkers returns the names of workers currently training, in
-// join order.
+// creation order.
 func (c *Cluster) LiveWorkers() []string {
 	var out []string
-	for _, name := range c.order {
-		if !c.workers[name].dead {
-			out = append(out, name)
-		}
+	for _, w := range c.live {
+		out = append(out, w.name)
 	}
 	return out
 }
@@ -256,24 +267,20 @@ func (c *Cluster) retire(name, kind string) error {
 		return fmt.Errorf("train: worker %q already dead", name)
 	}
 	w.dead = true
+	c.live = slices.DeleteFunc(c.live, func(l *Worker) bool { return l == w })
 	c.addEvent(kind, name)
-	if name == c.chief {
-		c.chief = ""
-		if c.chiefHandoff {
-			for _, cand := range c.order {
-				if !c.workers[cand].dead {
-					c.chief = cand
-					c.addEvent(EventChiefHandoff, cand)
-					break
-				}
-			}
+	if w == c.chief {
+		c.chief = nil
+		if c.chiefHandoff && len(c.live) > 0 {
+			c.chief = c.live[0]
+			c.addEvent(EventChiefHandoff, c.chief.name)
 		}
 	}
 	if c.syncEnabled() {
 		// Survivors absorb the leaver's batch share from the next round;
 		// the current round completes without its contribution.
 		c.rebalance()
-		c.dropFromRound(name)
+		c.dropFromRound(w)
 	}
 	return nil
 }
@@ -303,13 +310,12 @@ func (c *Cluster) AddWorker(spec WorkerSpec, mode JoinMode) (string, error) {
 	if !c.started {
 		return "", fmt.Errorf("train: cluster not started")
 	}
-	name := c.newWorker(spec)
-	w := c.workers[name]
+	w := c.newWorker(spec)
 	overhead := ReplacementSeconds(c.cfg.Model, mode.Cold)
 	overhead = w.rng.LogNormal(overhead, replacementOverheadCoV)
 	w.joinMode = mode
 	c.k.PostAfter(overhead, w.joinID)
-	return name, nil
+	return w.name, nil
 }
 
 // rollback discards progress since the last checkpoint.

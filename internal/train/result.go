@@ -71,13 +71,12 @@ func (c *Cluster) Result() Result {
 	if c.done {
 		r.TotalSeconds = float64(c.doneAt - c.startedAt)
 	}
-	for _, name := range c.order {
-		w := c.workers[name]
+	for _, w := range c.order {
 		if w.steady.N() == 0 {
 			continue
 		}
 		r.Workers = append(r.Workers, WorkerStat{
-			Name:         name,
+			Name:         w.name,
 			GPU:          w.gpu,
 			Steps:        w.stepsDone,
 			MeanStepTime: w.steady.Mean(),

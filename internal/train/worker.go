@@ -31,7 +31,12 @@ type Worker struct {
 	syncDist    stats.LogNormalDist
 	rng         *stats.Rng
 
-	dead      bool
+	dead bool
+	// share is the worker's synchronous-mode batch share, set by every
+	// rebalance; pending marks it as owing the current round its
+	// contribution.
+	share     int
+	pending   bool
 	stepsDone int64
 	stepStart sim.Time
 	// steady holds the step times of steps past the worker's first
@@ -123,7 +128,7 @@ func (w *Worker) finishStep() {
 	}
 	w.recordStep()
 	w.c.completeGlobalStep()
-	if w.name == w.c.chief && w.c.checkpointDue() {
+	if w == w.c.chief && w.c.checkpointDue() {
 		w.c.runCheckpoint(w)
 		return
 	}
@@ -149,9 +154,9 @@ func (w *Worker) join() {
 	c.addEvent(EventJoin, w.name)
 	if w.joinMode.ReuseChiefIP {
 		c.rollback()
-		c.chief = w.name
-	} else if w.joinMode.MakeChief || c.chief == "" {
-		c.chief = w.name
+		c.chief = w
+	} else if w.joinMode.MakeChief || c.chief == nil {
+		c.chief = w
 		c.addEvent(EventChiefHandoff, w.name)
 	}
 	if c.syncEnabled() {
