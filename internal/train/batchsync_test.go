@@ -1,6 +1,7 @@
 package train
 
 import (
+	"slices"
 	"testing"
 
 	"repro/internal/model"
@@ -86,6 +87,57 @@ func TestSyncRebalanceOnMembershipChange(t *testing.T) {
 	}
 	if len(c.Shares()) != 4 {
 		t.Fatalf("shares cover %d workers, want 4", len(c.Shares()))
+	}
+}
+
+// TestSyncBootingWorkerIsNotLive pins join-time liveness in the
+// synchronous mode: a worker added to a running session is not live
+// while it boots. It trains in no round and holds no share, and a
+// revocation during its boot re-splits the batch over the survivors
+// alone; once it joins, it takes a share of the same global batch.
+func TestSyncBootingWorkerIsNotLive(t *testing.T) {
+	k := &sim.Kernel{}
+	cfg := syncConfig(4*model.ReferenceBatch, true, Mixed(2, 1, 1))
+	cfg.TargetSteps = 0
+	rec := obs.NewRecorder()
+	cfg.Trace = rec
+	c := MustCluster(k, cfg)
+	c.Start()
+	k.RunUntil(5)
+	name, err := c.AddWorker(WorkerSpec{GPU: model.V100}, JoinMode{Cold: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if slices.Contains(c.LiveWorkers(), name) {
+		t.Fatalf("%s is live before it joined", name)
+	}
+	if err := c.KillWorker(c.LiveWorkers()[0]); err != nil {
+		t.Fatal(err)
+	}
+	sum := func() int {
+		total := 0
+		for _, s := range c.Shares() {
+			total += s
+		}
+		return total
+	}
+	for len(rec.EventsOf(EventJoin)) == 0 {
+		if s, ok := c.Shares()[name]; ok {
+			t.Fatalf("booting worker %s holds share %d", name, s)
+		}
+		if n := c.workers[name].stepsDone; n != 0 {
+			t.Fatalf("booting worker %s trained %d steps", name, n)
+		}
+		if k.Now() > 3600 {
+			t.Fatalf("%s never joined", name)
+		}
+		k.RunUntil(k.Now() + 1)
+	}
+	if s := c.Shares()[name]; s == 0 {
+		t.Fatalf("joined worker %s holds no share", name)
+	}
+	if got := sum(); got != 4*model.ReferenceBatch {
+		t.Fatalf("post-join shares sum %d, want %d", got, 4*model.ReferenceBatch)
 	}
 }
 

@@ -28,7 +28,7 @@ const (
 	// scale-in, not a revocation).
 	EventShrink = "shrink"
 	// EventRebalance: synchronous-mode batch shares were recomputed;
-	// Detail lists them in join order.
+	// Detail lists them in the workers' creation order.
 	EventRebalance = "rebalance"
 	// EventSpeed: a speed window closed; Step counts completed global
 	// steps and Value is the window's steps/s.
@@ -50,8 +50,10 @@ type Cluster struct {
 
 	shards []*sim.Server
 	// workers finds a worker by name for the name-keyed API; order
-	// holds every worker ever created and live the ones still
-	// training, both in creation order.
+	// holds every worker ever created, and live the ones training now:
+	// the configured workers from construction and an added worker
+	// from its join, each until it is retired. Both are in creation
+	// order.
 	workers map[string]*Worker
 	order   []*Worker
 	live    []*Worker
@@ -122,6 +124,7 @@ func NewCluster(k *sim.Kernel, cfg Config) (*Cluster, error) {
 	c.ckptDist = stats.MakeLogNormalDist(CheckpointSeconds(cfg.Model), ckptTimeCoV)
 	for _, spec := range cfg.Workers {
 		w := c.newWorker(spec)
+		c.live = append(c.live, w)
 		if c.chief == nil {
 			c.chief = w
 		}
@@ -142,7 +145,6 @@ func MustCluster(k *sim.Kernel, cfg Config) *Cluster {
 // newWorker registers a worker without starting it.
 func (c *Cluster) newWorker(spec WorkerSpec) *Worker {
 	name := fmt.Sprintf("%s-%d", spec.GPU, c.nWorkersCreated)
-	c.nWorkersCreated++
 	compute := model.StepTime(spec.GPU, c.cfg.Model.GFLOPs) - baselineRoundTripSeconds(c.cfg.Model)
 	if compute <= 0 {
 		// The calibration guarantees positive compute for the zoo; a
@@ -151,6 +153,7 @@ func (c *Cluster) newWorker(spec WorkerSpec) *Worker {
 	}
 	w := &Worker{
 		c:           c,
+		id:          c.nWorkersCreated,
 		name:        name,
 		gpu:         spec.GPU,
 		computeMean: compute,
@@ -158,10 +161,19 @@ func (c *Cluster) newWorker(spec WorkerSpec) *Worker {
 		rng:         c.rng.Fork(),
 	}
 	w.bindHandlers()
+	c.nWorkersCreated++
 	c.workers[name] = w
 	c.order = append(c.order, w)
-	c.live = append(c.live, w)
 	return w
+}
+
+// enlist makes a joining worker live, keeping live in creation order.
+func (c *Cluster) enlist(w *Worker) {
+	i := len(c.live)
+	for i > 0 && c.live[i-1].id > w.id {
+		i--
+	}
+	c.live = slices.Insert(c.live, i, w)
 }
 
 // Start launches every configured worker at the current virtual time.
@@ -267,8 +279,12 @@ func (c *Cluster) retire(name, kind string) error {
 		return fmt.Errorf("train: worker %q already dead", name)
 	}
 	w.dead = true
-	c.live = slices.DeleteFunc(c.live, func(l *Worker) bool { return l == w })
 	c.addEvent(kind, name)
+	i := slices.Index(c.live, w)
+	if i < 0 {
+		return nil // retired while it booted: it held no share and no duty
+	}
+	c.live = slices.Delete(c.live, i, i+1)
 	if w == c.chief {
 		c.chief = nil
 		if c.chiefHandoff && len(c.live) > 0 {
@@ -302,7 +318,8 @@ type JoinMode struct {
 
 // AddWorker schedules a new worker to join the running session after
 // the calibrated replacement overhead. It returns the worker's name
-// immediately; the worker starts training once joined.
+// immediately; the worker is live, trains and can hold checkpoint
+// duty only once joined, and never joins if retired while it boots.
 func (c *Cluster) AddWorker(spec WorkerSpec, mode JoinMode) (string, error) {
 	if !spec.GPU.Valid() {
 		return "", fmt.Errorf("train: invalid GPU %d", int(spec.GPU))

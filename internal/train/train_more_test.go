@@ -211,3 +211,53 @@ func TestQuickTotalTimeLowerBound(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestWorkerRevokedWhileBootingNeverJoins pins the other half of
+// join-time liveness: a worker retired during its replacement overhead
+// never joins. It records no join and cannot take checkpoint duty from
+// a session left without a chief, so the next replacement to join
+// becomes chief and checkpoints resume.
+func TestWorkerRevokedWhileBootingNeverJoins(t *testing.T) {
+	k := &sim.Kernel{}
+	rec := obs.NewRecorder()
+	c := MustCluster(k, Config{
+		Model:              model.ResNet32(),
+		Workers:            Homogeneous(model.K80, 2),
+		TargetSteps:        100000,
+		CheckpointInterval: 100,
+		Seed:               5,
+		Trace:              rec,
+	})
+	c.SetChiefHandoff(false) // a dead chief's duty waits for a join
+	c.Start()
+	k.RunUntil(5)
+	booting, err := c.AddWorker(WorkerSpec{GPU: model.K80}, JoinMode{Cold: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := c.KillWorker(booting); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.KillWorker(c.Chief()); err != nil {
+		t.Fatal(err)
+	}
+	k.RunUntil(k.Now() + 600) // well past the cold overhead
+	if joins := rec.EventsOf(EventJoin); len(joins) != 0 {
+		t.Fatalf("%s joined after its revocation", joins[0].Worker)
+	}
+	if c.Chief() != "" {
+		t.Fatalf("chief = %q, want none until a replacement joins", c.Chief())
+	}
+	replacement, err := c.AddWorker(WorkerSpec{GPU: model.K80}, JoinMode{Cold: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	before := c.Result().CheckpointCount
+	k.RunUntil(k.Now() + 600)
+	if c.Chief() != replacement {
+		t.Fatalf("chief = %q, want the replacement %s", c.Chief(), replacement)
+	}
+	if c.Result().CheckpointCount == before {
+		t.Fatal("no checkpoint after the replacement joined")
+	}
+}

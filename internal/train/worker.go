@@ -21,6 +21,7 @@ import (
 // checkpoint in flight at a time.
 type Worker struct {
 	c           *Cluster
+	id          int // creation index, the number in name
 	name        string
 	gpu         model.GPU
 	computeMean float64
@@ -145,12 +146,14 @@ func (w *Worker) recordStep() {
 }
 
 // join enters the running session once the replacement overhead
-// elapsed — the deferred half of Cluster.AddWorker.
+// elapsed — the deferred half of Cluster.AddWorker. A worker retired
+// while it booted stays out.
 func (w *Worker) join() {
 	c := w.c
-	if c.done {
+	if c.done || w.dead {
 		return
 	}
+	c.enlist(w)
 	c.addEvent(EventJoin, w.name)
 	if w.joinMode.ReuseChiefIP {
 		c.rollback()
