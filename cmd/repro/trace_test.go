@@ -3,11 +3,13 @@ package main
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"io"
 	"math"
 	"os"
 	"path/filepath"
 	"runtime"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -49,20 +51,29 @@ func TestTracedAllMatchesGolden(t *testing.T) {
 }
 
 // checkTraceInvariants asserts what every unit's trace must hold: event
-// times never decrease, and within each scope the speed windows close
-// at completed steps 100, 200, 300, … with no gap (the paper's 100-step
-// window, §III-A).
+// times never decrease; within each scope the speed windows close at
+// completed steps 100, 200, 300, … with no gap (the paper's 100-step
+// window, §III-A); and each scope's membership holds (see membership).
 func checkTraceInvariants(t *testing.T, col *obs.Collector) {
 	t.Helper()
 	var windows int
 	for _, key := range col.Units() {
 		last := math.Inf(-1)
 		next := map[string]int64{}
+		scopes := map[string]*membership{}
 		for _, e := range col.Unit(key).Events() {
 			if e.T < last {
 				t.Fatalf("%s: %s event at t=%v follows t=%v", key, e.Kind, e.T, last)
 			}
 			last = e.T
+			m := scopes[e.Scope]
+			if m == nil {
+				m = &membership{members: map[string]bool{}, left: map[string]bool{}}
+				scopes[e.Scope] = m
+			}
+			if err := m.observe(e); err != nil {
+				t.Fatalf("%s: scope %q at t=%v: %v", key, e.Scope, e.T, err)
+			}
 			if e.Kind != train.EventSpeed {
 				continue
 			}
@@ -76,6 +87,56 @@ func checkTraceInvariants(t *testing.T, col *obs.Collector) {
 	if windows == 0 {
 		t.Fatal("traced run closed no speed windows")
 	}
+}
+
+// membership replays one scope's cluster membership from its trace and
+// checks three invariants: every rebalance splits the same global
+// batch; a rebalance names only members, the workers that started
+// with the session or have joined, and have not since been revoked or
+// shrunk; and no worker joins after it left. The session's workers are
+// the ones its first rebalance names when no join, revocation or
+// shrink precedes it: Start rebalances before any membership change.
+type membership struct {
+	total   int             // the global batch, from the first rebalance
+	changed bool            // a join, revocation or shrink has happened
+	members map[string]bool // workers training now
+	left    map[string]bool // workers revoked or shrunk
+}
+
+func (m *membership) observe(e obs.Event) error {
+	switch e.Kind {
+	case train.EventJoin:
+		if m.left[e.Worker] {
+			return fmt.Errorf("%s joins after it left", e.Worker)
+		}
+		m.members[e.Worker] = true
+		m.changed = true
+	case train.EventRevocation, train.EventShrink:
+		delete(m.members, e.Worker)
+		m.left[e.Worker] = true
+		m.changed = true
+	case train.EventRebalance:
+		sum := 0
+		for _, f := range strings.Fields(e.Detail) {
+			name, share, ok := strings.Cut(f, "=")
+			n, err := strconv.Atoi(share)
+			if !ok || err != nil {
+				return fmt.Errorf("malformed rebalance share %q", f)
+			}
+			if !m.changed {
+				m.members[name] = true
+			} else if !m.members[name] {
+				return fmt.Errorf("rebalance %q names %s, which is not a member", e.Detail, name)
+			}
+			sum += n
+		}
+		if m.total == 0 {
+			m.total = sum
+		} else if sum != m.total {
+			return fmt.Errorf("rebalance %q splits %d, earlier rebalances split %d", e.Detail, sum, m.total)
+		}
+	}
+	return nil
 }
 
 // traceFig2 runs the fig2 campaign traced at the given worker count
