@@ -162,8 +162,11 @@ func NewPool(workers, queue int) *Pool {
 // Submit enqueues one job, blocking while the queue is full. It
 // returns the context's error if ctx is done — or ErrPoolClosed if the
 // pool closes — before the job is accepted; once accepted, the job
-// will run.
-func (p *Pool) Submit(ctx context.Context, job func()) error {
+// will run. The func the job returns, if not nil, runs next on the
+// same worker, after Stats already counts the job: a job publishes
+// its result there, so no one who sees the result can read stale
+// utilization.
+func (p *Pool) Submit(ctx context.Context, job func() (then func())) error {
 	p.mu.RLock()
 	defer p.mu.RUnlock()
 	if p.closed {
@@ -173,9 +176,12 @@ func (p *Pool) Submit(ctx context.Context, job func()) error {
 	wrapped := func() {
 		start := time.Now()
 		p.waitNanos.Add(start.Sub(accepted).Nanoseconds())
-		job()
+		then := job()
 		p.busyNanos.Add(time.Since(start).Nanoseconds())
 		p.jobsRun.Add(1)
+		if then != nil {
+			then()
+		}
 	}
 	// Fast path: queue has room (or a worker is waiting).
 	select {
@@ -351,7 +357,9 @@ func (e Engine) RunEachContext(ctx context.Context, plans []*Plan, done func(i i
 		q.retire()
 		planReady <- pi
 	}
-	run := func(j job) {
+	// run executes one unit and reports whether it was its stage's
+	// last, whose caller then retires the stage.
+	run := func(j job) (last bool) {
 		r := runs[j.plan]
 		if stop.Load() {
 			r.errs[j.unit] = fmt.Errorf("%w: batch stopped", ErrSkipped)
@@ -370,9 +378,7 @@ func (e Engine) RunEachContext(ctx context.Context, plans []*Plan, done func(i i
 		// The worker that retires a stage's last unit moves the plan on;
 		// the atomic decrement orders every worker's writes to this
 		// stage's slots before that.
-		if r.remaining.Add(-1) == 0 {
-			retire(j.plan)
-		}
+		return r.remaining.Add(-1) == 0
 	}
 	// Plans with no units move on immediately.
 	for pi, p := range plans {
@@ -389,7 +395,15 @@ func (e Engine) RunEachContext(ctx context.Context, plans []*Plan, done func(i i
 		submit := func(js []job) {
 			for _, j := range js {
 				j := j
-				if err := e.Pool.Submit(ctx, func() { run(j) }); err != nil {
+				// The stage retires after the pool counts the job, so a
+				// caller that sees the plan's result sees the job counted.
+				err := e.Pool.Submit(ctx, func() func() {
+					if run(j) {
+						return func() { retire(j.plan) }
+					}
+					return nil
+				})
+				if err != nil {
 					r := runs[j.plan]
 					r.errs[j.unit] = fmt.Errorf("%w: %v", ErrSkipped, err)
 					if r.remaining.Add(-1) == 0 {
@@ -432,7 +446,9 @@ func (e Engine) RunEachContext(ctx context.Context, plans []*Plan, done func(i i
 			if !ok {
 				break
 			}
-			run(j)
+			if run(j) {
+				retire(j.plan)
+			}
 		}
 
 	default:
@@ -446,7 +462,9 @@ func (e Engine) RunEachContext(ctx context.Context, plans []*Plan, done func(i i
 					if !ok {
 						return
 					}
-					run(j)
+					if run(j) {
+						retire(j.plan)
+					}
 				}
 			}()
 		}

@@ -70,12 +70,12 @@ func TestPoolSubmitRespectsContext(t *testing.T) {
 	pool := NewPool(1, 0)
 	defer pool.Close()
 	block := make(chan struct{})
-	if err := pool.Submit(context.Background(), func() { <-block }); err != nil {
+	if err := pool.Submit(context.Background(), func() func() { <-block; return nil }); err != nil {
 		t.Fatal(err)
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	done := make(chan error, 1)
-	go func() { done <- pool.Submit(ctx, func() {}) }()
+	go func() { done <- pool.Submit(ctx, func() func() { return nil }) }()
 	cancel()
 	select {
 	case err := <-done:
@@ -86,6 +86,25 @@ func TestPoolSubmitRespectsContext(t *testing.T) {
 		t.Fatal("Submit did not honor cancellation")
 	}
 	close(block)
+}
+
+// TestPoolCountsJobBeforeItsContinuation pins the accounting order: a
+// job's continuation, where the engine publishes a plan's result, runs
+// only after Stats counts the job and its busy time.
+func TestPoolCountsJobBeforeItsContinuation(t *testing.T) {
+	pool := NewPool(1, 0)
+	defer pool.Close()
+	seen := make(chan PoolStats, 1)
+	err := pool.Submit(context.Background(), func() func() {
+		time.Sleep(time.Millisecond)
+		return func() { seen <- pool.Stats() }
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st := <-seen; st.JobsRun != 1 || st.BusySeconds <= 0 {
+		t.Fatalf("continuation saw %+v, want the job counted with its busy time", st)
+	}
 }
 
 func TestRunEachContextCancelSkipsPendingUnits(t *testing.T) {

@@ -374,7 +374,7 @@ func TestCanceledLeaderDoesNotPoisonFollowers(t *testing.T) {
 	// Occupy the single worker so the leader's unit sits in the queue,
 	// where cancellation can still skip it.
 	decoy := make(chan struct{})
-	if err := p.pool.Submit(context.Background(), func() { <-decoy }); err != nil {
+	if err := p.pool.Submit(context.Background(), func() func() { <-decoy; return nil }); err != nil {
 		t.Fatal(err)
 	}
 
