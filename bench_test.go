@@ -182,6 +182,21 @@ func BenchmarkFleet(b *testing.B) { runExperiment(b, "fleet") }
 // registry and cross-market scheduling end to end.
 func BenchmarkProviders(b *testing.B) { runExperiment(b, "providers") }
 
+// BenchmarkRevModels runs the revocation-regime comparison: managed
+// transient sessions under every registered lifetime model, nearly all
+// of it the sim kernel and the asynchronous step loop.
+func BenchmarkRevModels(b *testing.B) { runExperiment(b, "revmodels") }
+
+// BenchmarkRegret runs the predictive scheduler's regret comparison:
+// every scheduler's fleet against the hindsight oracle, including the
+// predictive scheduler's history-fed SVR fits.
+func BenchmarkRegret(b *testing.B) { runExperiment(b, "regret") }
+
+// BenchmarkElastic runs the elastic mixed-cluster comparison: managed
+// sessions in the synchronous dynamic-batching mode under static,
+// elastic and surge policies.
+func BenchmarkElastic(b *testing.B) { runExperiment(b, "elastic") }
+
 // BenchmarkCampaignWorkers runs a fixed batch of experiments through
 // the campaign engine at increasing pool sizes, measuring how the
 // reproduction scales with workers (the -parallel knob of cmd/repro).
@@ -263,6 +278,42 @@ func BenchmarkAblationClusterSize(b *testing.B) {
 	for _, n := range []int{1, 2, 4, 8} {
 		b.Run(fmt.Sprintf("workers=%d", n), func(b *testing.B) {
 			benchClusterSpeed(b, n, 1, 0)
+		})
+	}
+}
+
+// BenchmarkAblationSyncBatch runs one synchronous session of the mixed
+// 2×K80 + P100 + V100 cluster per iteration, with equal shares and with
+// speed-proportional ones (Tyagi & Sharma's dynamic batching): the knob
+// behind the elastic extra's mixed clusters. Its ns/op is the cost of
+// the sync-batch round loop.
+func BenchmarkAblationSyncBatch(b *testing.B) {
+	for _, dynamic := range []bool{false, true} {
+		name := "shares=equal"
+		if dynamic {
+			name = "shares=dynamic"
+		}
+		b.Run(name, func(b *testing.B) {
+			b.ReportAllocs()
+			var speed float64
+			for i := 0; i < b.N; i++ {
+				k := &sim.Kernel{}
+				c, err := train.NewCluster(k, train.Config{
+					Model:         model.ResNet32(),
+					Workers:       train.Mixed(2, 1, 1),
+					TargetSteps:   4800,
+					DisableWarmup: true,
+					Seed:          int64(i),
+					Batch:         &train.BatchPolicy{GlobalBatch: 4 * model.ReferenceBatch, Dynamic: dynamic},
+				})
+				if err != nil {
+					b.Fatal(err)
+				}
+				c.Start()
+				k.Run()
+				speed = c.Result().SteadySpeed
+			}
+			b.ReportMetric(speed, "steps/s")
 		})
 	}
 }

@@ -29,9 +29,7 @@ func (c *Cluster) syncEnabled() bool { return c.cfg.Batch != nil }
 func (c *Cluster) Shares() map[string]int {
 	out := make(map[string]int, len(c.live))
 	for _, w := range c.live {
-		if w.share > 0 {
-			out[w.name] = w.share
-		}
+		out[w.name] = w.share
 	}
 	return out
 }

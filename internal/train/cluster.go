@@ -97,8 +97,6 @@ type Cluster struct {
 	roundContrib int
 	roundActive  bool
 	ckptActive   bool
-
-	nWorkersCreated int
 }
 
 // NewCluster builds a session on the kernel. The chief is the first
@@ -144,7 +142,8 @@ func MustCluster(k *sim.Kernel, cfg Config) *Cluster {
 
 // newWorker registers a worker without starting it.
 func (c *Cluster) newWorker(spec WorkerSpec) *Worker {
-	name := fmt.Sprintf("%s-%d", spec.GPU, c.nWorkersCreated)
+	id := len(c.order)
+	name := fmt.Sprintf("%s-%d", spec.GPU, id)
 	compute := model.StepTime(spec.GPU, c.cfg.Model.GFLOPs) - baselineRoundTripSeconds(c.cfg.Model)
 	if compute <= 0 {
 		// The calibration guarantees positive compute for the zoo; a
@@ -153,7 +152,7 @@ func (c *Cluster) newWorker(spec WorkerSpec) *Worker {
 	}
 	w := &Worker{
 		c:           c,
-		id:          c.nWorkersCreated,
+		id:          id,
 		name:        name,
 		gpu:         spec.GPU,
 		computeMean: compute,
@@ -161,7 +160,6 @@ func (c *Cluster) newWorker(spec WorkerSpec) *Worker {
 		rng:         c.rng.Fork(),
 	}
 	w.bindHandlers()
-	c.nWorkersCreated++
 	c.workers[name] = w
 	c.order = append(c.order, w)
 	return w
