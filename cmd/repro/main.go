@@ -12,7 +12,7 @@
 //	repro -exp table1
 //	repro -exp all [-seed 42] [-parallel 8]
 //	repro -exp all -trace-out trace.ndjson   # sim-plane event trace
-//	repro -exp all -timing-out timing.json   # per-unit wall timing
+//	repro -exp all -timing-out timing.json   # per-unit and per-reduce wall timing
 //	repro -exp sweep -cpuprofile cpu.pprof -memprofile mem.pprof
 //	repro -exp revmodels   # extras run individually, outside "all"
 //	repro -exp fleet       # multi-job scheduler comparison (extra)
@@ -24,9 +24,9 @@
 // internal/obs) as NDJSON, units sorted by key: the trace is a pure
 // function of (experiment set, seed), byte-identical at any -parallel,
 // and never perturbs the primary output. -timing-out is the service
-// plane's counterpart: per-unit wall-clock timings as JSON — useful
-// for profiling the campaign itself, by construction excluded from
-// every simulated number.
+// plane's counterpart: per-unit and per-reduce wall-clock timings as
+// JSON — useful for profiling the campaign itself, by construction
+// excluded from every simulated number.
 //
 // "all" runs exactly the paper's artifact set (the stream the golden
 // snapshot pins); extra experiments — revmodels, the revocation-model
@@ -68,7 +68,7 @@ func run() int {
 		parallel   = flag.Int("parallel", runtime.GOMAXPROCS(0), "worker pool size for campaign replications")
 		list       = flag.Bool("list", false, "list experiment ids and exit")
 		traceOut   = flag.String("trace-out", "", "write the sim-plane event trace (NDJSON, deterministic) to this file")
-		timingOut  = flag.String("timing-out", "", "write per-unit wall-clock timings (JSON) to this file")
+		timingOut  = flag.String("timing-out", "", "write per-unit and per-reduce wall-clock timings (JSON) to this file")
 		cpuProfile = flag.String("cpuprofile", "", "write a CPU profile of the run to this file (go tool pprof)")
 		memProfile = flag.String("memprofile", "", "write a heap profile at exit to this file (go tool pprof)")
 	)
@@ -191,14 +191,24 @@ type unitTiming struct {
 	Seconds    float64 `json:"seconds"`
 }
 
+// reduceTiming is one experiment's reduce: the analysis that turns its
+// unit outputs into the rendered result, model fits included.
+type reduceTiming struct {
+	Experiment string  `json:"experiment"`
+	Seconds    float64 `json:"seconds"`
+}
+
 // timingCollector gathers per-unit timings from the engine's OnUnit
-// hook, which may fire from any worker goroutine.
+// hook, which may fire from any worker goroutine, and per-experiment
+// reduce timings from the wrapper timeReduce puts around each plan's
+// Reduce.
 type timingCollector struct {
 	ids      []string
 	parallel int
 
-	mu    sync.Mutex
-	units []unitTiming
+	mu      sync.Mutex
+	units   []unitTiming
+	reduces []reduceTiming
 }
 
 func newTimingCollector(runners []experiments.Runner, parallel int) *timingCollector {
@@ -216,21 +226,44 @@ func (t *timingCollector) onUnit(plan, unit int, key string, seconds float64) {
 	t.units = append(t.units, unitTiming{Experiment: t.ids[plan], Unit: unit, Key: key, Seconds: seconds})
 }
 
+// timeReduce wraps p's Reduce so that each call records its wall-clock
+// time under runner index plan. The reduce's result is untouched.
+func (t *timingCollector) timeReduce(plan int, p *campaign.Plan) {
+	reduce := p.Reduce
+	if reduce == nil {
+		return
+	}
+	p.Reduce = func(outs []any) (any, error) {
+		start := time.Now()
+		defer func() {
+			t.mu.Lock()
+			defer t.mu.Unlock()
+			t.reduces = append(t.reduces, reduceTiming{Experiment: t.ids[plan], Seconds: time.Since(start).Seconds()})
+		}()
+		return reduce(outs)
+	}
+}
+
 // timingReport is the -timing-out JSON shape: the campaign's shape and
-// totals plus every unit's timing, sorted by (experiment, unit index)
-// so the artifact is stable however the pool scheduled the work.
+// totals plus every unit's and every reduce's timing, sorted by
+// experiment (units then by index) so the artifact is stable however
+// the pool scheduled the work.
 type timingReport struct {
-	Parallel         int          `json:"parallel"`
-	Units            int          `json:"units"`
-	TotalUnitSeconds float64      `json:"total_unit_seconds"`
-	WallSeconds      float64      `json:"wall_seconds"`
-	PerUnit          []unitTiming `json:"per_unit"`
+	Parallel           int            `json:"parallel"`
+	Units              int            `json:"units"`
+	TotalUnitSeconds   float64        `json:"total_unit_seconds"`
+	TotalReduceSeconds float64        `json:"total_reduce_seconds"`
+	WallSeconds        float64        `json:"wall_seconds"`
+	PerUnit            []unitTiming   `json:"per_unit"`
+	PerReduce          []reduceTiming `json:"per_reduce"`
 }
 
 func (t *timingCollector) writeFile(path string, wallSeconds float64) error {
 	t.mu.Lock()
 	units := make([]unitTiming, len(t.units))
 	copy(units, t.units)
+	reduces := make([]reduceTiming, len(t.reduces))
+	copy(reduces, t.reduces)
 	t.mu.Unlock()
 	order := func(i, j int) bool {
 		if units[i].Experiment != units[j].Experiment {
@@ -239,16 +272,22 @@ func (t *timingCollector) writeFile(path string, wallSeconds float64) error {
 		return units[i].Unit < units[j].Unit
 	}
 	sort.Slice(units, order)
-	total := 0.0
+	sort.Slice(reduces, func(i, j int) bool { return reduces[i].Experiment < reduces[j].Experiment })
+	total, reduceTotal := 0.0, 0.0
 	for _, u := range units {
 		total += u.Seconds
 	}
+	for _, r := range reduces {
+		reduceTotal += r.Seconds
+	}
 	rep := timingReport{
-		Parallel:         t.parallel,
-		Units:            len(units),
-		TotalUnitSeconds: total,
-		WallSeconds:      wallSeconds,
-		PerUnit:          units,
+		Parallel:           t.parallel,
+		Units:              len(units),
+		TotalUnitSeconds:   total,
+		TotalReduceSeconds: reduceTotal,
+		WallSeconds:        wallSeconds,
+		PerUnit:            units,
+		PerReduce:          reduces,
 	}
 	f, err := os.Create(path)
 	if err != nil {
@@ -278,13 +317,16 @@ func writeExperiments(w io.Writer, runners []experiments.Runner, seed int64, par
 // into every traceable unit (the primary output stays byte-identical —
 // recording draws no randomness and schedules no events), and a
 // non-nil timing collector receives each unit's wall-clock execution
-// time from the engine.
+// time from the engine and each experiment's reduce time.
 func writeExperimentsObserved(w io.Writer, runners []experiments.Runner, seed int64, parallel int, col *obs.Collector, timings *timingCollector) (int, error) {
 	// One shared pool across all selected experiments, so the tail of
 	// one campaign overlaps the head of the next.
 	plans := make([]*campaign.Plan, len(runners))
 	for i, r := range runners {
 		plans[i] = r.PlanTraced(seed, col)
+		if timings != nil {
+			timings.timeReduce(i, plans[i])
+		}
 	}
 	engine := campaign.Engine{Workers: parallel}
 	if timings != nil {

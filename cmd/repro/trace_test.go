@@ -12,7 +12,9 @@ import (
 	"strconv"
 	"strings"
 	"testing"
+	"time"
 
+	"repro/internal/campaign"
 	"repro/internal/experiments"
 	"repro/internal/obs"
 	"repro/internal/train"
@@ -139,6 +141,29 @@ func (m *membership) observe(e obs.Event) error {
 	return nil
 }
 
+// TestRevModelsTracesItsSessions: revmodels plans one recorder per
+// unit, and a unit run alone records a trace that holds the
+// invariants. One unit stands in for the whole 24-session campaign.
+func TestRevModelsTracesItsSessions(t *testing.T) {
+	if testing.Short() {
+		t.Skip("revmodels session in -short mode")
+	}
+	r, ok := experiments.ByID("revmodels")
+	if !ok {
+		t.Fatal("revmodels experiment not registered")
+	}
+	col := obs.NewCollector()
+	p := r.PlanTraced(42, col)
+	if n := len(col.Units()); n != len(p.Units) || n != 24 {
+		t.Fatalf("%d recorders for %d units, want one for each of 24 units", n, len(p.Units))
+	}
+	u := p.Units[0]
+	if _, err := u.Run(campaign.Derive(p.Seed, 0, u.Key)); err != nil {
+		t.Fatal(err)
+	}
+	checkTraceInvariants(t, col)
+}
+
 // traceFig2 runs the fig2 campaign traced at the given worker count
 // and returns the collector's NDJSON stream.
 func traceFig2(t *testing.T, parallel int) []byte {
@@ -220,25 +245,32 @@ func TestTimingCollectorReport(t *testing.T) {
 	}
 }
 
-// TestTimingListsSearchUnits checks that Table IV's SVR grid search is
-// visible to -timing-out: it runs as the experiment's second stage, one
-// unit per (kernel, fold) — 5 RBF bandwidths × 5 folds — reported under
-// table4 after its dataset unit, rather than as unattributed reduce
-// time.
-func TestTimingListsSearchUnits(t *testing.T) {
+// TestTimingAccountsForWall checks that -timing-out accounts for a
+// run's wall clock. At -parallel 1 units and reduces run one after
+// another, so their seconds must come within 5% of the measured wall:
+// table4's SVR grid search and endtoend's model fits run in their
+// reduces, and both reduces must be listed. Each experiment's unit
+// rows are its units, numbered in declaration order.
+func TestTimingAccountsForWall(t *testing.T) {
 	if testing.Short() {
-		t.Skip("Table IV grid search in -short mode")
+		t.Skip("table4 and endtoend campaigns in -short mode")
 	}
-	r, ok := experiments.ByID("table4")
-	if !ok {
-		t.Fatal("table4 experiment not registered")
+	var runners []experiments.Runner
+	for _, id := range []string{"table4", "endtoend"} {
+		r, ok := experiments.ByID(id)
+		if !ok {
+			t.Fatalf("%s experiment not registered", id)
+		}
+		runners = append(runners, r)
 	}
-	timings := newTimingCollector([]experiments.Runner{r}, 2)
-	if _, err := writeExperimentsObserved(io.Discard, []experiments.Runner{r}, 42, 2, nil, timings); err != nil {
+	timings := newTimingCollector(runners, 1)
+	start := time.Now()
+	if _, err := writeExperimentsObserved(io.Discard, runners, 42, 1, nil, timings); err != nil {
 		t.Fatal(err)
 	}
+	wall := time.Since(start).Seconds()
 	path := filepath.Join(t.TempDir(), "timing.json")
-	if err := timings.writeFile(path, 1.0); err != nil {
+	if err := timings.writeFile(path, wall); err != nil {
 		t.Fatal(err)
 	}
 	raw, err := os.ReadFile(path)
@@ -249,16 +281,24 @@ func TestTimingListsSearchUnits(t *testing.T) {
 	if err := json.Unmarshal(raw, &rep); err != nil {
 		t.Fatal(err)
 	}
-	search := 0
-	for i, u := range rep.PerUnit {
-		if u.Experiment != "table4" || u.Unit != i {
-			t.Fatalf("row %d is %s unit %d, want table4 unit %d", i, u.Experiment, u.Unit, i)
+	if len(rep.PerReduce) != 2 || rep.PerReduce[0].Experiment != "endtoend" || rep.PerReduce[1].Experiment != "table4" {
+		t.Fatalf("reduce rows %+v, want endtoend's and table4's", rep.PerReduce)
+	}
+	seen := map[string]int{}
+	for _, u := range rep.PerUnit {
+		if u.Unit != seen[u.Experiment] {
+			t.Fatalf("%s unit row %d (%s), want unit %d", u.Experiment, u.Unit, u.Key, seen[u.Experiment])
 		}
-		if strings.HasPrefix(u.Key, "svr-rbf/rbf(") && strings.Contains(u.Key, "/fold") {
-			search++
+		seen[u.Experiment]++
+	}
+	for _, r := range runners {
+		if n := len(r.Plan(42).Units); seen[r.ID] != n {
+			t.Fatalf("%s: %d unit rows for %d units", r.ID, seen[r.ID], n)
 		}
 	}
-	if search != 25 || rep.Units != 26 {
-		t.Fatalf("timing lists %d search units among %d, want 25 (kernel, fold) units after the dataset unit:\n%s", search, rep.Units, raw)
+	covered := rep.TotalUnitSeconds + rep.TotalReduceSeconds
+	if math.Abs(covered-rep.WallSeconds) > 0.05*rep.WallSeconds {
+		t.Fatalf("units (%.3fs) and reduces (%.3fs) account for %.3fs of a %.3fs wall, want within 5%%",
+			rep.TotalUnitSeconds, rep.TotalReduceSeconds, covered, rep.WallSeconds)
 	}
 }

@@ -50,22 +50,12 @@ type Scratch struct{}
 // independent units, and a reduce that assembles the final value from
 // the unit outputs (outs[i] is Units[i]'s output). Reduce runs only
 // after every unit succeeded; it sees outputs in declaration order
-// regardless of completion order.
+// regardless of completion order. A panic in Reduce becomes the plan's
+// error, as a unit's panic does.
 type Plan struct {
 	Seed   int64
 	Units  []Unit
 	Reduce func(outs []any) (any, error)
-	// Then, when set, gives the plan a second stage. Once every unit
-	// succeeded, Then receives their outputs in declaration order and
-	// returns a follow-up plan. The engine runs its units on the same
-	// Workers or Pool as every other unit (its own workers take them
-	// before first-stage units not yet started), and the follow-up's
-	// Reduce — not this plan's — yields the outcome. Follow-up units
-	// derive their seeds from the follow-up's own Seed and index,
-	// exactly as if it ran alone, and are numbered after this plan's
-	// units in OnUnit and UnitError. A failed unit skips Then; an
-	// error from Then is the outcome.
-	Then func(outs []any) (*Plan, error)
 }
 
 // UnitError reports which unit of a plan failed.
@@ -238,9 +228,7 @@ type Engine struct {
 	// wall-clock execution time — the per-unit timing feed the bench
 	// artifact and future perf work read. It may be called from any
 	// worker goroutine and must be safe for concurrent use. Timing is
-	// observational only; unit results never depend on it. A follow-up
-	// unit (see Plan.Then) reports under its parent plan's index,
-	// numbered after the parent's own units.
+	// observational only; unit results never depend on it.
 	OnUnit func(plan, unit int, key string, seconds float64)
 }
 
@@ -299,13 +287,15 @@ func (e Engine) RunEach(plans []*Plan, done func(i int, o Outcome) bool) error {
 // error aggregates the context's cause with any real unit errors whose
 // plans were never delivered after a stop.
 func (e Engine) RunEachContext(ctx context.Context, plans []*Plan, done func(i int, o Outcome) bool) error {
-	runs := make([]*planRun, len(plans))
-	var first []job
+	runs := make([]planRun, len(plans))
+	var jobs []job
 	for pi, p := range plans {
-		runs[pi] = &planRun{}
-		runs[pi].start(p, 0)
+		r := &runs[pi]
+		r.plan = p
+		r.outs, r.errs = make([]any, len(p.Units)), make([]error, len(p.Units))
+		r.remaining.Store(int64(len(p.Units)))
 		for ui := range p.Units {
-			first = append(first, job{pi, ui})
+			jobs = append(jobs, job{pi, ui})
 		}
 	}
 
@@ -335,56 +325,35 @@ func (e Engine) RunEachContext(ctx context.Context, plans []*Plan, done func(i i
 		}
 	}
 
-	// Every plan announces exactly once, when its last stage retires;
-	// a stage that starts follow-up units hands them to spawn instead.
+	// Every plan announces exactly once: a plan with no units right
+	// away, any other when its last unit retires.
 	planReady := make(chan int, len(plans))
-	q := &jobQueue{first: first, open: len(plans)}
-	q.wake.L = &q.mu
-	// A plan spawns again only after its last follow-ups were
-	// submitted and ran, so one slot per plan never blocks a sender.
-	spawned := make(chan []job, len(plans))
-	spawn := q.pushFollowUp
-	if e.Pool != nil {
-		// Pool workers never submit: a worker blocked on a full queue
-		// could wait on itself. The submitting goroutine takes over.
-		spawn = func(js []job) { spawned <- js }
-	}
-	retire := func(pi int) {
-		if js := runs[pi].advance(pi); len(js) > 0 {
-			spawn(js)
-			return
+	for pi, p := range plans {
+		if len(p.Units) == 0 {
+			planReady <- pi
 		}
-		q.retire()
-		planReady <- pi
 	}
-	// run executes one unit and reports whether it was its stage's
-	// last, whose caller then retires the stage.
+	// run executes one unit and reports whether it was its plan's
+	// last, whose caller then announces the plan.
 	run := func(j job) (last bool) {
-		r := runs[j.plan]
+		r := &runs[j.plan]
 		if stop.Load() {
 			r.errs[j.unit] = fmt.Errorf("%w: batch stopped", ErrSkipped)
 		} else if cause := context.Cause(ctx); cause != nil {
 			r.errs[j.unit] = fmt.Errorf("%w: %v", ErrSkipped, cause)
 		} else {
-			u := r.stage.Units[j.unit]
+			u := r.plan.Units[j.unit]
 			start := time.Now()
-			out, err := runUnit(u, Derive(r.stage.Seed, uint64(j.unit), u.Key))
+			out, err := runUnit(u, Derive(r.plan.Seed, uint64(j.unit), u.Key))
 			if e.OnUnit != nil {
-				e.OnUnit(j.plan, r.base+j.unit, u.Key, time.Since(start).Seconds())
+				e.OnUnit(j.plan, j.unit, u.Key, time.Since(start).Seconds())
 			}
 			r.outs[j.unit] = out
 			r.errs[j.unit] = err
 		}
-		// The worker that retires a stage's last unit moves the plan on;
-		// the atomic decrement orders every worker's writes to this
-		// stage's slots before that.
+		// The atomic decrement orders every worker's writes to this
+		// plan's slots before the announcement.
 		return r.remaining.Add(-1) == 0
-	}
-	// Plans with no units move on immediately.
-	for pi, p := range plans {
-		if len(p.Units) == 0 {
-			retire(pi)
-		}
 	}
 
 	switch {
@@ -392,78 +361,70 @@ func (e Engine) RunEachContext(ctx context.Context, plans []*Plan, done func(i i
 		// Shared pool: submissions ride the pool's bounded queue, so a
 		// full queue backpressures this call without starving other
 		// engines. A submission aborted by ctx retires its unit here.
-		submit := func(js []job) {
-			for _, j := range js {
-				j := j
-				// The stage retires after the pool counts the job, so a
-				// caller that sees the plan's result sees the job counted.
-				err := e.Pool.Submit(ctx, func() func() {
-					if run(j) {
-						return func() { retire(j.plan) }
-					}
-					return nil
-				})
-				if err != nil {
-					r := runs[j.plan]
-					r.errs[j.unit] = fmt.Errorf("%w: %v", ErrSkipped, err)
-					if r.remaining.Add(-1) == 0 {
-						retire(j.plan)
-					}
+		for _, j := range jobs {
+			// The plan announces after the pool counts the job, so a
+			// caller that sees the plan's result sees the job counted.
+			err := e.Pool.Submit(ctx, func() func() {
+				if run(j) {
+					return func() { planReady <- j.plan }
+				}
+				return nil
+			})
+			if err != nil {
+				r := &runs[j.plan]
+				r.errs[j.unit] = fmt.Errorf("%w: %v", ErrSkipped, err)
+				if r.remaining.Add(-1) == 0 {
+					planReady <- j.plan
 				}
 			}
 		}
-		submit(first)
 		// Drain every announcement even after a stop: receiving them
 		// all is what guarantees in-flight units have retired before
 		// the dropped-error scan below.
-		for n := 0; n < len(plans); {
-			select {
-			case pi := <-planReady:
-				deliver(pi)
-				n++
-			case js := <-spawned:
-				submit(js)
-			}
+		for range plans {
+			deliver(<-planReady)
 		}
 
 	case workers <= 1:
 		// Sequential mode interleaves execution and delivery on one
 		// goroutine, so a stop takes effect before the next unit runs
 		// and nothing is ever in flight when it does.
-		for {
-			for drained := false; !drained; {
+		drain := func() {
+			for {
 				select {
 				case pi := <-planReady:
 					deliver(pi)
 				default:
-					drained = true
+					return
 				}
 			}
+		}
+		for _, j := range jobs {
+			drain()
 			if stop.Load() {
 				break
 			}
-			j, ok := q.pop(false)
-			if !ok {
-				break
-			}
 			if run(j) {
-				retire(j.plan)
+				planReady <- j.plan
 			}
 		}
+		drain()
 
 	default:
+		// Workers take jobs in declaration order by an atomic index.
+		var taken atomic.Int64
 		var wg sync.WaitGroup
-		for w := 0; w < workers; w++ {
+		for range min(workers, len(jobs)) {
 			wg.Add(1)
 			go func() {
 				defer wg.Done()
 				for {
-					j, ok := q.pop(true)
-					if !ok {
+					i := int(taken.Add(1)) - 1
+					if i >= len(jobs) {
 						return
 					}
-					if run(j) {
-						retire(j.plan)
+					if run(jobs[i]) {
+						planReady <- jobs[i].plan
 					}
 				}
 			}()
@@ -483,153 +444,56 @@ func (e Engine) RunEachContext(ctx context.Context, plans []*Plan, done func(i i
 	if cause := context.Cause(ctx); cause != nil {
 		droppedErrs = append(droppedErrs, cause)
 	}
-	for pi, r := range runs {
+	for pi := range runs {
 		if delivered[pi] {
 			continue
 		}
-		for ui, err := range r.errs {
+		for ui, err := range runs[pi].errs {
 			if err == nil || errors.Is(err, ErrSkipped) {
 				continue
 			}
-			droppedErrs = append(droppedErrs, r.unitError(ui))
+			droppedErrs = append(droppedErrs, runs[pi].unitError(ui))
 		}
 	}
 	return errors.Join(droppedErrs...)
 }
 
-// job is one unit of a plan's current stage.
+// job is one unit of one plan.
 type job struct{ plan, unit int }
 
-// jobQueue feeds the engine's own workers. Follow-up units run ahead of
-// first-stage units not yet started, so a plan that reaches its second
-// stage finishes — and can be delivered — before the batch moves on.
-// Workers wait on an empty queue while any plan may still spawn
-// follow-ups, and exit once every plan has retired.
-type jobQueue struct {
-	mu          sync.Mutex
-	wake        sync.Cond
-	first, next []job
-	open        int // plans not yet retired
-}
-
-func (q *jobQueue) pushFollowUp(js []job) {
-	q.mu.Lock()
-	q.next = append(q.next, js...)
-	q.mu.Unlock()
-	q.wake.Broadcast()
-}
-
-func (q *jobQueue) retire() {
-	q.mu.Lock()
-	q.open--
-	q.mu.Unlock()
-	q.wake.Broadcast()
-}
-
-// pop takes the next job. With wait, it blocks while the queue is
-// empty but some plan has not retired; it reports false once no job
-// can come.
-func (q *jobQueue) pop(wait bool) (job, bool) {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	for {
-		switch {
-		case len(q.next) > 0:
-			j := q.next[0]
-			q.next = q.next[1:]
-			return j, true
-		case len(q.first) > 0:
-			j := q.first[0]
-			q.first = q.first[1:]
-			return j, true
-		case !wait || q.open == 0:
-			return job{}, false
-		}
-		q.wake.Wait()
-	}
-}
-
-// planRun is one plan's progress through its stages. stage is the
-// plan whose units are running — the declared plan, then the follow-up
-// Then returned — and base numbers its units after the earlier
-// stage's, so every unit of a plan has one index across stages.
+// planRun is one plan's progress: its units' outputs and errors by
+// index, and how many units have yet to retire.
 type planRun struct {
-	stage     *Plan
-	base      int
+	plan      *Plan
 	outs      []any
 	errs      []error
 	remaining atomic.Int64
-	thenErr   error
-}
-
-func (r *planRun) start(p *Plan, base int) {
-	r.stage, r.base = p, base
-	r.outs, r.errs = make([]any, len(p.Units)), make([]error, len(p.Units))
-	r.remaining.Store(int64(len(p.Units)))
-}
-
-// advance moves a retired stage on to its follow-up, returning the
-// follow-up's jobs; none means the plan is finished. It runs on the
-// goroutine that retired the stage's last unit.
-func (r *planRun) advance(pi int) []job {
-	for r.stage.Then != nil {
-		for _, err := range r.errs {
-			if err != nil {
-				return nil
-			}
-		}
-		next, err := then(r.stage, r.outs)
-		if err != nil {
-			r.thenErr = err
-			return nil
-		}
-		r.start(next, r.base+len(r.stage.Units))
-		if len(next.Units) > 0 {
-			js := make([]job, len(next.Units))
-			for ui := range js {
-				js[ui] = job{pi, ui}
-			}
-			return js
-		}
-	}
-	return nil
-}
-
-// then calls p.Then, converting a panic into an error as runUnit does.
-func then(p *Plan, outs []any) (next *Plan, err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			err = fmt.Errorf("panic in second stage: %v", r)
-		}
-	}()
-	next, err = p.Then(outs)
-	if err == nil && next == nil {
-		err = errors.New("campaign: second stage returned no plan")
-	}
-	return next, err
 }
 
 func (r *planRun) unitError(i int) *UnitError {
-	return &UnitError{Key: r.stage.Units[i].Key, Index: r.base + i, Err: r.errs[i]}
+	return &UnitError{Key: r.plan.Units[i].Key, Index: i, Err: r.errs[i]}
 }
 
-// outcome resolves a finished plan: the first failed unit of its last
-// stage in declaration order wins (deterministic regardless of which
-// units happened to finish), then a second-stage error, otherwise the
-// last stage's Reduce assembles the value.
-func (r *planRun) outcome() Outcome {
+// outcome resolves a finished plan: the first failed unit in
+// declaration order wins (deterministic regardless of which units
+// happened to finish), otherwise Reduce assembles the value. A panic
+// in Reduce is recovered into the outcome, so it fails its plan
+// instead of the caller.
+func (r *planRun) outcome() (o Outcome) {
 	for i, err := range r.errs {
 		if err != nil {
 			return Outcome{Err: r.unitError(i)}
 		}
 	}
-	if r.thenErr != nil {
-		return Outcome{Err: r.thenErr}
-	}
-	if r.stage.Reduce == nil {
+	if r.plan.Reduce == nil {
 		return Outcome{Value: r.outs}
 	}
-	v, err := r.stage.Reduce(r.outs)
+	defer func() {
+		if v := recover(); v != nil {
+			o = Outcome{Err: fmt.Errorf("panic in reduce: %v", v)}
+		}
+	}()
+	v, err := r.plan.Reduce(r.outs)
 	return Outcome{Value: v, Err: err}
 }
 

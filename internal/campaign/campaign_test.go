@@ -4,8 +4,10 @@ import (
 	"errors"
 	"fmt"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 )
 
 // sumPlan builds a plan whose units echo (index, seed) and whose
@@ -204,6 +206,25 @@ func TestPanicBecomesUnitError(t *testing.T) {
 	}
 }
 
+// TestReducePanicBecomesPlanError: a panic in Reduce fails its own
+// plan with the panic's message, on every engine, and leaves the
+// other plans of the batch alone.
+func TestReducePanicBecomesPlanError(t *testing.T) {
+	pool := NewPool(2, 0)
+	defer pool.Close()
+	for _, e := range []Engine{{Workers: 1}, {Workers: 4}, {Pool: pool}} {
+		p := sumPlan(1, 6)
+		p.Reduce = func([]any) (any, error) { panic("search diverged") }
+		outs := e.RunAll([]*Plan{p, sumPlan(2, 3)})
+		if err := outs[0].Err; err == nil || !strings.Contains(err.Error(), "search diverged") {
+			t.Fatalf("workers=%d pool=%v: outcome %v, want the reduce's panic", e.Workers, e.Pool != nil, err)
+		}
+		if outs[1].Err != nil {
+			t.Fatalf("workers=%d pool=%v: the next plan failed too: %v", e.Workers, e.Pool != nil, outs[1].Err)
+		}
+	}
+}
+
 // The deprecated RunScratch takes precedence over Run.
 func TestRunScratchPrecedence(t *testing.T) {
 	p := &Plan{
@@ -324,6 +345,57 @@ func TestWorkersDefaultAndClamp(t *testing.T) {
 		}
 		if !strings.HasPrefix(v.(string), "0:") {
 			t.Fatalf("workers=%d: unexpected output %v", workers, v)
+		}
+	}
+}
+
+// inFlight records the peak number of concurrently running units.
+type inFlight struct {
+	mu        sync.Mutex
+	now, peak int
+}
+
+func (f *inFlight) enter() (leave func()) {
+	f.mu.Lock()
+	f.now++
+	if f.now > f.peak {
+		f.peak = f.now
+	}
+	f.mu.Unlock()
+	return func() {
+		f.mu.Lock()
+		f.now--
+		f.mu.Unlock()
+	}
+}
+
+// TestRunRespectsWorkers probes concurrency: Workers bounds the units
+// in flight across every plan of a batch, and at one worker they run
+// strictly one at a time.
+func TestRunRespectsWorkers(t *testing.T) {
+	for _, workers := range []int{1, 2, 3} {
+		probe := &inFlight{}
+		plans := []*Plan{sumPlan(1, 12), sumPlan(2, 12)}
+		for _, p := range plans {
+			for i := range p.Units {
+				run := p.Units[i].Run
+				p.Units[i].Run = func(s int64) (any, error) {
+					defer probe.enter()()
+					time.Sleep(time.Millisecond)
+					return run(s)
+				}
+			}
+		}
+		for _, o := range (Engine{Workers: workers}).RunAll(plans) {
+			if o.Err != nil {
+				t.Fatal(o.Err)
+			}
+		}
+		if probe.peak > workers || (workers == 1 && probe.peak != 1) {
+			t.Fatalf("workers=%d: %d units in flight at once", workers, probe.peak)
+		}
+		if workers > 1 && probe.peak < 2 {
+			t.Fatalf("workers=%d: units never overlapped", workers)
 		}
 	}
 }

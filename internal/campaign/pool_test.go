@@ -150,6 +150,41 @@ func TestRunEachContextCancelSkipsPendingUnits(t *testing.T) {
 	}
 }
 
+// TestCanceledContextSkipsUnitsOnEveryEngine: once the context is
+// done, no unit starts on any engine; the outcome names the first
+// skipped unit and the batch error carries the cause.
+func TestCanceledContextSkipsUnitsOnEveryEngine(t *testing.T) {
+	pool := NewPool(2, 0)
+	defer pool.Close()
+	for _, e := range []Engine{{Workers: 1}, {Workers: 4}, {Pool: pool}} {
+		ctx, cancel := context.WithCancel(context.Background())
+		cancel()
+		var ran atomic.Int64
+		p := sumPlan(1, 5)
+		for i := range p.Units {
+			p.Units[i].Run = func(int64) (any, error) {
+				ran.Add(1)
+				return nil, nil
+			}
+		}
+		var got Outcome
+		err := e.RunEachContext(ctx, []*Plan{p}, func(_ int, o Outcome) bool {
+			got = o
+			return true
+		})
+		var ue *UnitError
+		if !errors.Is(got.Err, ErrSkipped) || !errors.As(got.Err, &ue) || ue.Key != "unit-0" {
+			t.Fatalf("workers=%d pool=%v: outcome %v, want unit-0 skipped", e.Workers, e.Pool != nil, got.Err)
+		}
+		if ran.Load() != 0 {
+			t.Fatalf("workers=%d pool=%v: %d units ran after cancellation", e.Workers, e.Pool != nil, ran.Load())
+		}
+		if !errors.Is(err, context.Canceled) {
+			t.Fatalf("workers=%d pool=%v: RunEachContext = %v, want context.Canceled surfaced", e.Workers, e.Pool != nil, err)
+		}
+	}
+}
+
 func TestRunEachSurfacesDroppedInFlightErrors(t *testing.T) {
 	// Plan 1's unit fails while plan 0 is still running; plan 0's
 	// delivery then stops the batch, so plan 1 is never delivered. Its

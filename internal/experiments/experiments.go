@@ -187,15 +187,6 @@ func (p *plan) build(reduce func(outs []any) (Result, error)) *campaign.Plan {
 	}
 }
 
-// then finalizes the plan with a second stage instead of a reduce:
-// next turns the declared units' outputs into a follow-up plan whose
-// units run on the same workers (see campaign.Plan.Then). next builds
-// its plan as &plan{seed: seed}, untraced: follow-up units hold
-// analysis, not simulated sessions, and have nothing to trace.
-func (p *plan) then(next func(outs []any) (*campaign.Plan, error)) *campaign.Plan {
-	return &campaign.Plan{Seed: p.seed, Units: p.units, Then: next}
-}
-
 // collect casts a plan's unit outputs, in declaration order, to T.
 func collect[T any](outs []any) []T {
 	runs := make([]T, len(outs))

@@ -6,6 +6,7 @@ import (
 	"repro/internal/campaign"
 	"repro/internal/cloud"
 	"repro/internal/model"
+	"repro/internal/obs"
 	"repro/internal/trace"
 )
 
@@ -79,8 +80,8 @@ func planRevModels(p *plan) *campaign.Plan {
 			sc.RevModel = e.name
 			steps := spec.StepsPerWorker * int64(sc.Workers)
 			for rep := 0; rep < replications; rep++ {
-				p.unit(fmt.Sprintf("revmodels/%s/rep%d", sc.Label(), rep), func(unitSeed int64) (any, error) {
-					out, err := runScenarioWith(e.lm, sc, steps, spec.CheckpointInterval, SessionOptions{}, unitSeed)
+				p.tunit(fmt.Sprintf("revmodels/%s/rep%d", sc.Label(), rep), func(unitSeed int64, rec *obs.Recorder) (any, error) {
+					out, err := runScenarioWith(e.lm, sc, steps, spec.CheckpointInterval, SessionOptions{Trace: rec}, unitSeed)
 					if err != nil {
 						return nil, err
 					}

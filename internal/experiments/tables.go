@@ -62,34 +62,25 @@ var polyCandidates = []regress.Kernel{
 // svrRow evaluates an SVR row the way §III-B describes: a 4:1
 // train/test split, a grid search of the kernel candidates and (C, ε)
 // on the training split, then the winner's k-fold and test errors. The
-// search runs as units of p, one per (kernel, fold), keyed under key;
-// svrRow returns the reduce-side step that selects and evaluates the
-// winner from p's outputs.
-func (p *plan) svrRow(key string, kernels []regress.Kernel, X [][]float64, y []float64, k int, seed int64) (func(outs []any) (RegressionRow, error), error) {
+// search spreads its (kernel, fold) tasks over every CPU (see
+// regress.SVRSearch.Run).
+func svrRow(kernels []regress.Kernel, X [][]float64, y []float64, k int, seed int64) (row RegressionRow, err error) {
 	trX, trY, _, _, err := regress.TrainTestSplit(X, y, 0.8, stats.NewRng(seed))
 	if err != nil {
-		return nil, err
+		return row, err
 	}
 	search, err := regress.NewKernelSearch(kernels, regress.PaperSVRGrid(), trX, trY, k, stats.NewRng(seed+2))
 	if err != nil {
-		return nil, err
-	}
-	first := len(p.units)
-	for t := 0; t < search.Tasks(); t++ {
-		t := t
-		p.unit(key+"/"+search.TaskKey(t), func(int64) (any, error) { return search.RunTask(t) })
-	}
-	return func(outs []any) (row RegressionRow, err error) {
-		results := make([]*regress.TaskResult, search.Tasks())
-		for t := range results {
-			results[t] = outs[first+t].(*regress.TaskResult)
-		}
-		best := search.Select(results)
-		row.C, row.Epsilon = best.C, best.Epsilon
-		// The same seed redraws the same split the search ran on.
-		row.KFoldMAE, row.KFoldStd, row.TestMAE, row.TestMAPE, err = evaluateRegressor(best.Factory(), X, y, k, seed)
 		return row, err
-	}, nil
+	}
+	best, err := search.Run()
+	if err != nil {
+		return row, err
+	}
+	row.C, row.Epsilon = best.C, best.Epsilon
+	// The same seed redraws the same split the search ran on.
+	row.KFoldMAE, row.KFoldStd, row.TestMAE, row.TestMAPE, err = evaluateRegressor(best.Factory(), X, y, k, seed)
+	return row, err
 }
 
 // TableIIResult reproduces Table II: eight step-time prediction
@@ -101,14 +92,13 @@ type TableIIResult struct {
 func planTableII(p *plan) *campaign.Plan {
 	gpus := []model.GPU{model.K80, model.P100}
 	dataset := p.declareSpeedDataset(gpus)
-	return p.then(func(outs []any) (*campaign.Plan, error) {
-		return planTableIIModels(p.seed, gpus, dataset(outs))
+	return p.build(func(outs []any) (Result, error) {
+		return reduceTableII(p.seed, gpus, dataset(outs))
 	})
 }
 
-// planTableIIModels is Table II's second stage: the per-GPU SVR grid
-// searches run as units, and the reduce evaluates every row.
-func planTableIIModels(seed int64, gpus []model.GPU, ds *speedDataset) (*campaign.Plan, error) {
+func reduceTableII(seed int64, gpus []model.GPU, ds *speedDataset) (Result, error) {
+	res := &TableIIResult{}
 	const k = 5
 
 	// GPU-agnostic dataset: all (model, GPU) pairs with raw features
@@ -132,15 +122,32 @@ func planTableIIModels(seed int64, gpus []model.GPU, ds *speedDataset) (*campaig
 		return nil, err
 	}
 
-	// Per-GPU rows: feature is Cm normalized within the GPU's zoo.
-	type gpuRows struct {
-		X         [][]float64
-		stepSec   []float64
-		seed      int64
-		poly, rbf func(outs []any) (RegressionRow, error)
+	linear := func() regress.Regressor { return &regress.Linear{} }
+
+	kf, ks, tm, tp, err := evaluateRegressor(linear, cnormX, yAll, k, seed+10)
+	if err != nil {
+		return nil, err
 	}
-	q := &plan{seed: seed}
-	perGPU := make([]gpuRows, len(gpus))
+	res.Rows = append(res.Rows, RegressionRow{
+		Name: "Univariate, GPU-agnostic", Features: "Cnorm",
+		KFoldMAE: kf, KFoldStd: ks, TestMAE: tm, TestMAPE: tp,
+		PaperKFold: 0.072, PaperTest: 0.068,
+	})
+	kf, ks, tm, tp, err = evaluateRegressor(linear, multiX, yAll, k, seed+11)
+	if err != nil {
+		return nil, err
+	}
+	res.Rows = append(res.Rows, RegressionRow{
+		Name: "Multivariate, GPU-agnostic", Features: "Cm, Cgpu",
+		KFoldMAE: kf, KFoldStd: ks, TestMAE: tm, TestMAPE: tp,
+		PaperKFold: 0.103, PaperTest: 0.093,
+	})
+
+	// Per-GPU rows: feature is Cm normalized within the GPU's zoo.
+	paper := map[model.GPU][3][2]float64{
+		model.K80:  {{0.065, 0.068}, {0.035, 0.041}, {0.026, 0.031}},
+		model.P100: {{0.029, 0.031}, {0.019, 0.020}, {0.012, 0.016}},
+	}
 	for gi, g := range gpus {
 		gflops, stepSec := ds.gpuVectors(g)
 		var scaler regress.MinMaxScaler
@@ -148,74 +155,35 @@ func planTableIIModels(seed int64, gpus []model.GPU, ds *speedDataset) (*campaig
 		if err != nil {
 			return nil, err
 		}
-		r := gpuRows{X: X, stepSec: stepSec, seed: seed + 20 + int64(gi)*10}
-		if r.poly, err = q.svrRow(fmt.Sprintf("svr-poly/%v", g), polyCandidates, X, stepSec, k, r.seed+1); err != nil {
+		rowSeed := seed + 20 + int64(gi)*10
+		kf, ks, tm, tp, err := evaluateRegressor(linear, X, stepSec, k, rowSeed)
+		if err != nil {
 			return nil, err
 		}
-		if r.rbf, err = q.svrRow(fmt.Sprintf("svr-rbf/%v", g), rbfCandidates, X, stepSec, k, r.seed+2); err != nil {
+		res.Rows = append(res.Rows, RegressionRow{
+			Name: fmt.Sprintf("Univariate, %v", g), Features: "Cm",
+			KFoldMAE: kf, KFoldStd: ks, TestMAE: tm, TestMAPE: tp,
+			PaperKFold: paper[g][0][0], PaperTest: paper[g][0][1],
+		})
+		polyRow, err := svrRow(polyCandidates, X, stepSec, k, rowSeed+1)
+		if err != nil {
 			return nil, err
 		}
-		perGPU[gi] = r
+		polyRow.Name = fmt.Sprintf("SVR Polynomial Kernel, %v", g)
+		polyRow.Features = "Cm"
+		polyRow.PaperKFold, polyRow.PaperTest = paper[g][1][0], paper[g][1][1]
+		res.Rows = append(res.Rows, polyRow)
+
+		rbfRow, err := svrRow(rbfCandidates, X, stepSec, k, rowSeed+2)
+		if err != nil {
+			return nil, err
+		}
+		rbfRow.Name = fmt.Sprintf("SVR RBF Kernel, %v", g)
+		rbfRow.Features = "Cm"
+		rbfRow.PaperKFold, rbfRow.PaperTest = paper[g][2][0], paper[g][2][1]
+		res.Rows = append(res.Rows, rbfRow)
 	}
-
-	return q.build(func(outs []any) (Result, error) {
-		res := &TableIIResult{}
-		linear := func() regress.Regressor { return &regress.Linear{} }
-
-		kf, ks, tm, tp, err := evaluateRegressor(linear, cnormX, yAll, k, seed+10)
-		if err != nil {
-			return nil, err
-		}
-		res.Rows = append(res.Rows, RegressionRow{
-			Name: "Univariate, GPU-agnostic", Features: "Cnorm",
-			KFoldMAE: kf, KFoldStd: ks, TestMAE: tm, TestMAPE: tp,
-			PaperKFold: 0.072, PaperTest: 0.068,
-		})
-		kf, ks, tm, tp, err = evaluateRegressor(linear, multiX, yAll, k, seed+11)
-		if err != nil {
-			return nil, err
-		}
-		res.Rows = append(res.Rows, RegressionRow{
-			Name: "Multivariate, GPU-agnostic", Features: "Cm, Cgpu",
-			KFoldMAE: kf, KFoldStd: ks, TestMAE: tm, TestMAPE: tp,
-			PaperKFold: 0.103, PaperTest: 0.093,
-		})
-
-		paper := map[model.GPU][3][2]float64{
-			model.K80:  {{0.065, 0.068}, {0.035, 0.041}, {0.026, 0.031}},
-			model.P100: {{0.029, 0.031}, {0.019, 0.020}, {0.012, 0.016}},
-		}
-		for gi, g := range gpus {
-			r := perGPU[gi]
-			kf, ks, tm, tp, err := evaluateRegressor(linear, r.X, r.stepSec, k, r.seed)
-			if err != nil {
-				return nil, err
-			}
-			res.Rows = append(res.Rows, RegressionRow{
-				Name: fmt.Sprintf("Univariate, %v", g), Features: "Cm",
-				KFoldMAE: kf, KFoldStd: ks, TestMAE: tm, TestMAPE: tp,
-				PaperKFold: paper[g][0][0], PaperTest: paper[g][0][1],
-			})
-			polyRow, err := r.poly(outs)
-			if err != nil {
-				return nil, err
-			}
-			polyRow.Name = fmt.Sprintf("SVR Polynomial Kernel, %v", g)
-			polyRow.Features = "Cm"
-			polyRow.PaperKFold, polyRow.PaperTest = paper[g][1][0], paper[g][1][1]
-			res.Rows = append(res.Rows, polyRow)
-
-			rbfRow, err := r.rbf(outs)
-			if err != nil {
-				return nil, err
-			}
-			rbfRow.Name = fmt.Sprintf("SVR RBF Kernel, %v", g)
-			rbfRow.Features = "Cm"
-			rbfRow.PaperKFold, rbfRow.PaperTest = paper[g][2][0], paper[g][2][1]
-			res.Rows = append(res.Rows, rbfRow)
-		}
-		return res, nil
-	}), nil
+	return res, nil
 }
 
 // String renders the comparison.
@@ -243,14 +211,13 @@ func planTableIV(p *plan) *campaign.Plan {
 	p.unit("ckpt-dataset", func(s int64) (any, error) {
 		return collectCheckpointDataset(5, s), nil
 	})
-	return p.then(func(outs []any) (*campaign.Plan, error) {
-		return planTableIVModels(p.seed, outs[0].(*checkpointDataset))
+	return p.build(func(outs []any) (Result, error) {
+		return reduceTableIV(p.seed, outs[0].(*checkpointDataset))
 	})
 }
 
-// planTableIVModels is Table IV's second stage: the SVR grid search
-// runs as units, and the reduce evaluates every row.
-func planTableIVModels(seed int64, ds *checkpointDataset) (*campaign.Plan, error) {
+func reduceTableIV(seed int64, ds *checkpointDataset) (Result, error) {
+	res := &TableIVResult{}
 	obs := ds.observations()
 	const k = 5
 
@@ -278,53 +245,45 @@ func planTableIVModels(seed int64, ds *checkpointDataset) (*campaign.Plan, error
 		return nil, err
 	}
 
-	q := &plan{seed: seed}
-	svr, err := q.svrRow("svr-rbf", rbfCandidates, scX, y, k, seed+33)
+	linear := func() regress.Regressor { return &regress.Linear{} }
+
+	kf, ks, tm, tp, err := evaluateRegressor(linear, scX, y, k, seed+30)
 	if err != nil {
 		return nil, err
 	}
-	return q.build(func(outs []any) (Result, error) {
-		res := &TableIVResult{}
-		linear := func() regress.Regressor { return &regress.Linear{} }
-
-		kf, ks, tm, tp, err := evaluateRegressor(linear, scX, y, k, seed+30)
-		if err != nil {
-			return nil, err
-		}
-		res.Rows = append(res.Rows, RegressionRow{
-			Name: "Univariate", Features: "Sc",
-			KFoldMAE: kf, KFoldStd: ks, TestMAE: tm, TestMAPE: tp,
-			PaperKFold: 0.345, PaperTest: 0.356,
-		})
-		kf, ks, tm, tp, err = evaluateRegressor(linear, dmX, y, k, seed+31)
-		if err != nil {
-			return nil, err
-		}
-		res.Rows = append(res.Rows, RegressionRow{
-			Name: "Multivariate", Features: "Sd, Sm",
-			KFoldMAE: kf, KFoldStd: ks, TestMAE: tm, TestMAPE: tp,
-			PaperKFold: 0.291, PaperTest: 0.353,
-		})
-		pcaFactory := func() regress.Regressor { return &regress.PCARegressor{Components: 2} }
-		kf, ks, tm, tp, err = evaluateRegressor(pcaFactory, allX, y, k, seed+32)
-		if err != nil {
-			return nil, err
-		}
-		res.Rows = append(res.Rows, RegressionRow{
-			Name: "Multivariate, Two Components PCA", Features: "Sd, Sm, Si",
-			KFoldMAE: kf, KFoldStd: ks, TestMAE: tm, TestMAPE: tp,
-			PaperKFold: 0.286, PaperTest: 0.354,
-		})
-		svrRow, err := svr(outs)
-		if err != nil {
-			return nil, err
-		}
-		svrRow.Name = "SVR RBF kernel"
-		svrRow.Features = "Sc"
-		svrRow.PaperKFold, svrRow.PaperTest = 0.198, 0.245
-		res.Rows = append(res.Rows, svrRow)
-		return res, nil
-	}), nil
+	res.Rows = append(res.Rows, RegressionRow{
+		Name: "Univariate", Features: "Sc",
+		KFoldMAE: kf, KFoldStd: ks, TestMAE: tm, TestMAPE: tp,
+		PaperKFold: 0.345, PaperTest: 0.356,
+	})
+	kf, ks, tm, tp, err = evaluateRegressor(linear, dmX, y, k, seed+31)
+	if err != nil {
+		return nil, err
+	}
+	res.Rows = append(res.Rows, RegressionRow{
+		Name: "Multivariate", Features: "Sd, Sm",
+		KFoldMAE: kf, KFoldStd: ks, TestMAE: tm, TestMAPE: tp,
+		PaperKFold: 0.291, PaperTest: 0.353,
+	})
+	pcaFactory := func() regress.Regressor { return &regress.PCARegressor{Components: 2} }
+	kf, ks, tm, tp, err = evaluateRegressor(pcaFactory, allX, y, k, seed+32)
+	if err != nil {
+		return nil, err
+	}
+	res.Rows = append(res.Rows, RegressionRow{
+		Name: "Multivariate, Two Components PCA", Features: "Sd, Sm, Si",
+		KFoldMAE: kf, KFoldStd: ks, TestMAE: tm, TestMAPE: tp,
+		PaperKFold: 0.286, PaperTest: 0.354,
+	})
+	svr, err := svrRow(rbfCandidates, scX, y, k, seed+33)
+	if err != nil {
+		return nil, err
+	}
+	svr.Name = "SVR RBF kernel"
+	svr.Features = "Sc"
+	svr.PaperKFold, svr.PaperTest = 0.198, 0.245
+	res.Rows = append(res.Rows, svr)
+	return res, nil
 }
 
 // String renders the comparison.

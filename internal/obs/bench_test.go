@@ -30,18 +30,9 @@ func BenchmarkRecorderRecordNil(b *testing.B) {
 	}
 }
 
-func BenchmarkCounterInc(b *testing.B) {
-	reg := NewRegistry()
-	c := reg.NewCounter("bench_total", "bench")
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		c.Inc()
-	}
-}
-
 func BenchmarkHistogramObserve(b *testing.B) {
 	reg := NewRegistry()
-	h := reg.NewHistogram("bench_seconds", "bench", DefaultLatencyBuckets)
+	h := reg.NewHistogramVec("bench_seconds", "bench", "endpoint", DefaultLatencyBuckets).With("measure")
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		h.Observe(0.042)

@@ -1,10 +1,11 @@
 package obs
 
 // The service plane: a dependency-free metrics registry for the
-// planner daemon. Counters and gauges are single atomics, histograms
-// are fixed-bucket atomic arrays with a CAS-folded float sum, and
-// func-metrics read a value lazily at scrape time — so instrumenting
-// an existing atomic counter costs nothing on the hot path at all.
+// planner daemon. Counters and gauges are func-metrics that read a
+// value lazily at scrape time — so instrumenting an existing atomic
+// counter costs nothing on the hot path at all — and histograms are
+// fixed-bucket atomic arrays with a CAS-folded float sum, one per
+// label value of a HistogramVec.
 // Exposition is the Prometheus text format (version 0.0.4), the least
 // common denominator every scraper understands.
 
@@ -86,65 +87,6 @@ func formatValue(v float64) string {
 	return strconv.FormatFloat(v, 'g', -1, 64)
 }
 
-// Counter is a monotonically increasing atomic int64.
-type Counter struct {
-	nm, help string
-	v        atomic.Int64
-}
-
-// NewCounter registers a counter.
-func (r *Registry) NewCounter(name, help string) *Counter {
-	c := &Counter{nm: name, help: help}
-	r.register(c)
-	return c
-}
-
-// Inc adds one.
-func (c *Counter) Inc() { c.v.Add(1) }
-
-// Add adds n (n must not be negative; counters only go up).
-func (c *Counter) Add(n int64) { c.v.Add(n) }
-
-// Value reads the current count.
-func (c *Counter) Value() int64 { return c.v.Load() }
-
-func (c *Counter) name() string     { return c.nm }
-func (c *Counter) typeName() string { return "counter" }
-func (c *Counter) helpText() string { return c.help }
-func (c *Counter) writeSamples(b *strings.Builder) {
-	fmt.Fprintf(b, "%s %d\n", c.nm, c.v.Load())
-}
-
-// Gauge is an atomic int64 that can go up and down.
-type Gauge struct {
-	nm, help string
-	v        atomic.Int64
-}
-
-// NewGauge registers a gauge.
-func (r *Registry) NewGauge(name, help string) *Gauge {
-	g := &Gauge{nm: name, help: help}
-	r.register(g)
-	return g
-}
-
-// Set stores v.
-func (g *Gauge) Set(v int64) { g.v.Store(v) }
-
-// Inc adds one; Dec subtracts one.
-func (g *Gauge) Inc() { g.v.Add(1) }
-func (g *Gauge) Dec() { g.v.Add(-1) }
-
-// Value reads the gauge.
-func (g *Gauge) Value() int64 { return g.v.Load() }
-
-func (g *Gauge) name() string     { return g.nm }
-func (g *Gauge) typeName() string { return "gauge" }
-func (g *Gauge) helpText() string { return g.help }
-func (g *Gauge) writeSamples(b *strings.Builder) {
-	fmt.Fprintf(b, "%s %d\n", g.nm, g.v.Load())
-}
-
 // funcMetric exports a value read lazily at scrape time — the
 // zero-hot-path-cost way to surface a counter some other subsystem
 // already maintains (the planner's cache atomics, the pool's stats).
@@ -171,37 +113,17 @@ func (f *funcMetric) writeSamples(b *strings.Builder) {
 	fmt.Fprintf(b, "%s %s\n", f.nm, formatValue(f.fn()))
 }
 
-// Histogram is a fixed-bucket latency histogram: per-bucket atomic
-// counts plus a CAS-folded float64 sum. Observe is allocation-free — a
-// linear scan over ~17 bounds and three atomic ops.
+// Histogram is one labeled child of a HistogramVec: a fixed-bucket
+// latency histogram with per-bucket atomic counts plus a CAS-folded
+// float64 sum. Observe is allocation-free — a linear scan over ~17
+// bounds and three atomic ops.
 type Histogram struct {
-	nm, help   string
-	label, val string // optional single label pair ("" = unlabeled)
+	nm         string
+	label, val string // the vec's label and this child's value
 	bounds     []float64
 	counts     []atomic.Int64 // len(bounds)+1; last is +Inf
 	sumBits    atomic.Uint64
 	count      atomic.Int64
-}
-
-func newHistogram(name, help, label, val string, bounds []float64) *Histogram {
-	for i := 1; i < len(bounds); i++ {
-		if bounds[i] <= bounds[i-1] {
-			panic(fmt.Sprintf("obs: histogram %q bounds not strictly increasing", name))
-		}
-	}
-	return &Histogram{
-		nm: name, help: help, label: label, val: val,
-		bounds: bounds,
-		counts: make([]atomic.Int64, len(bounds)+1),
-	}
-}
-
-// NewHistogram registers an unlabeled histogram with the given bucket
-// upper bounds (strictly increasing; +Inf is implicit).
-func (r *Registry) NewHistogram(name, help string, bounds []float64) *Histogram {
-	h := newHistogram(name, help, "", "", bounds)
-	r.register(h)
-	return h
 }
 
 // Observe records one value.
@@ -227,12 +149,8 @@ func (h *Histogram) Count() int64 { return h.count.Load() }
 // Sum reads the sum of observed values.
 func (h *Histogram) Sum() float64 { return math.Float64frombits(h.sumBits.Load()) }
 
-func (h *Histogram) name() string     { return h.nm }
-func (h *Histogram) typeName() string { return "histogram" }
-func (h *Histogram) helpText() string { return h.help }
-
-// labelPrefix renders `{label="value",` or `{` for bucket lines, and
-// `{label="value"}` or “ for sum/count lines.
+// writeSamples writes the cumulative bucket lines, then the sum and
+// count, each labeled with the child's label pair.
 func (h *Histogram) writeSamples(b *strings.Builder) {
 	var cum int64
 	for i, bound := range h.bounds {
@@ -241,20 +159,12 @@ func (h *Histogram) writeSamples(b *strings.Builder) {
 	}
 	cum += h.counts[len(h.bounds)].Load()
 	h.bucketLine(b, "+Inf", cum)
-	suffix := ""
-	if h.label != "" {
-		suffix = fmt.Sprintf("{%s=%q}", h.label, h.val)
-	}
-	fmt.Fprintf(b, "%s_sum%s %s\n", h.nm, suffix, formatValue(h.Sum()))
-	fmt.Fprintf(b, "%s_count%s %d\n", h.nm, suffix, h.count.Load())
+	fmt.Fprintf(b, "%s_sum{%s=%q} %s\n", h.nm, h.label, h.val, formatValue(h.Sum()))
+	fmt.Fprintf(b, "%s_count{%s=%q} %d\n", h.nm, h.label, h.val, h.count.Load())
 }
 
 func (h *Histogram) bucketLine(b *strings.Builder, le string, cum int64) {
-	if h.label != "" {
-		fmt.Fprintf(b, "%s_bucket{%s=%q,le=%q} %d\n", h.nm, h.label, h.val, le, cum)
-	} else {
-		fmt.Fprintf(b, "%s_bucket{le=%q} %d\n", h.nm, le, cum)
-	}
+	fmt.Fprintf(b, "%s_bucket{%s=%q,le=%q} %d\n", h.nm, h.label, h.val, le, cum)
 }
 
 // HistogramVec is a family of histograms distinguished by one label
@@ -269,8 +179,14 @@ type HistogramVec struct {
 	children map[string]*Histogram
 }
 
-// NewHistogramVec registers a labeled histogram family.
+// NewHistogramVec registers a labeled histogram family with the given
+// bucket upper bounds (strictly increasing; +Inf is implicit).
 func (r *Registry) NewHistogramVec(name, help, label string, bounds []float64) *HistogramVec {
+	for i := 1; i < len(bounds); i++ {
+		if bounds[i] <= bounds[i-1] {
+			panic(fmt.Sprintf("obs: histogram %q bounds not strictly increasing", name))
+		}
+	}
 	v := &HistogramVec{
 		nm: name, help: help, label: label,
 		bounds:   bounds,
@@ -288,7 +204,11 @@ func (v *HistogramVec) With(value string) *Histogram {
 	if h, ok := v.children[value]; ok {
 		return h
 	}
-	h := newHistogram(v.nm, v.help, v.label, value, v.bounds)
+	h := &Histogram{
+		nm: v.nm, label: v.label, val: value,
+		bounds: v.bounds,
+		counts: make([]atomic.Int64, len(v.bounds)+1),
+	}
 	v.children[value] = h
 	return h
 }

@@ -119,34 +119,9 @@ func TestCollectorConcurrentUnits(t *testing.T) {
 	}
 }
 
-func TestCounterGaugeConcurrent(t *testing.T) {
-	reg := NewRegistry()
-	c := reg.NewCounter("test_total", "a counter")
-	g := reg.NewGauge("test_gauge", "a gauge")
-	var wg sync.WaitGroup
-	for i := 0; i < 8; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for j := 0; j < 1000; j++ {
-				c.Inc()
-				g.Inc()
-				g.Dec()
-			}
-		}()
-	}
-	wg.Wait()
-	if c.Value() != 8000 {
-		t.Fatalf("counter %d, want 8000", c.Value())
-	}
-	if g.Value() != 0 {
-		t.Fatalf("gauge %d, want 0", g.Value())
-	}
-}
-
 func TestHistogramBucketsAndSum(t *testing.T) {
 	reg := NewRegistry()
-	h := reg.NewHistogram("lat_seconds", "latency", []float64{0.1, 1, 10})
+	h := reg.NewHistogramVec("lat_seconds", "latency", "endpoint", []float64{0.1, 1, 10}).With("measure")
 	for _, v := range []float64{0.05, 0.5, 0.5, 5, 50} {
 		h.Observe(v)
 	}
@@ -164,12 +139,12 @@ func TestHistogramBucketsAndSum(t *testing.T) {
 	for _, want := range []string{
 		"# HELP lat_seconds latency",
 		"# TYPE lat_seconds histogram",
-		`lat_seconds_bucket{le="0.1"} 1`,
-		`lat_seconds_bucket{le="1"} 3`,
-		`lat_seconds_bucket{le="10"} 4`,
-		`lat_seconds_bucket{le="+Inf"} 5`,
-		"lat_seconds_sum 56.05",
-		"lat_seconds_count 5",
+		`lat_seconds_bucket{endpoint="measure",le="0.1"} 1`,
+		`lat_seconds_bucket{endpoint="measure",le="1"} 3`,
+		`lat_seconds_bucket{endpoint="measure",le="10"} 4`,
+		`lat_seconds_bucket{endpoint="measure",le="+Inf"} 5`,
+		`lat_seconds_sum{endpoint="measure"} 56.05`,
+		`lat_seconds_count{endpoint="measure"} 5`,
 	} {
 		if !strings.Contains(out, want) {
 			t.Fatalf("exposition missing %q:\n%s", want, out)
@@ -179,7 +154,7 @@ func TestHistogramBucketsAndSum(t *testing.T) {
 
 func TestHistogramConcurrentObserve(t *testing.T) {
 	reg := NewRegistry()
-	h := reg.NewHistogram("h_seconds", "h", DefaultLatencyBuckets)
+	h := reg.NewHistogramVec("h_seconds", "h", "endpoint", DefaultLatencyBuckets).With("measure")
 	var wg sync.WaitGroup
 	for i := 0; i < 8; i++ {
 		wg.Add(1)
@@ -226,13 +201,13 @@ func TestHistogramVecLabels(t *testing.T) {
 
 func TestDuplicateNamePanics(t *testing.T) {
 	reg := NewRegistry()
-	reg.NewCounter("dup_total", "x")
+	reg.NewCounterFunc("dup_total", "x", func() float64 { return 0 })
 	defer func() {
 		if recover() == nil {
 			t.Fatal("expected panic on duplicate metric name")
 		}
 	}()
-	reg.NewGauge("dup_total", "y")
+	reg.NewGaugeFunc("dup_total", "y", func() float64 { return 0 })
 }
 
 // expositionLine matches the two legal shapes of a Prometheus text
@@ -246,11 +221,11 @@ var expositionLine = regexp.MustCompile(
 // the in-process version of the CI curl check.
 func TestExpositionWellFormed(t *testing.T) {
 	reg := NewRegistry()
-	reg.NewCounter("c_total", "counter").Add(3)
-	reg.NewGauge("g", "gauge").Set(-2)
+	reg.NewCounterFunc("c_total", "counter", func() float64 { return 3 })
+	reg.NewGaugeFunc("g", "gauge", func() float64 { return -2 })
 	reg.NewCounterFunc("cf_total", "func counter", func() float64 { return 12.5 })
 	reg.NewGaugeFunc("gf", "func gauge", func() float64 { return 0.25 })
-	reg.NewHistogram("h_seconds", "histogram", DefaultLatencyBuckets).Observe(0.3)
+	reg.NewHistogramVec("h_seconds", "histogram", "endpoint", DefaultLatencyBuckets).With("x").Observe(0.3)
 	vec := reg.NewHistogramVec("hv_seconds", "vec", "endpoint", []float64{0.1, 1})
 	vec.With("a").Observe(0.05)
 	vec.With("b").Observe(5)

@@ -14,10 +14,9 @@ import (
 // bias-augmented Gram matrix once and fits every (C, ε) of the grid
 // against it, so the grid shares one O(n²) kernel evaluation per fold
 // instead of paying it per fit. Tasks share no mutable state: a caller
-// may run them on any goroutines, in any order (the campaign engine
-// does, and so does Run), and Select combines their results into
-// exactly the winner and score a point-by-point search through
-// CrossValScore would pick.
+// may run them on any goroutines, in any order (Run does), and Select
+// combines their results into exactly the winner and score a
+// point-by-point search through CrossValScore would pick.
 type SVRSearch struct {
 	kernels []Kernel
 	grid    SVRGrid
@@ -70,11 +69,6 @@ func NewKernelSearch(kernels []Kernel, grid SVRGrid, X [][]float64, y []float64,
 // Tasks returns the number of (kernel, fold) tasks, kernel-major:
 // task t fits kernel t/k on every fold but t%k.
 func (s *SVRSearch) Tasks() int { return len(s.kernels) * len(s.folds) }
-
-// TaskKey names task t, e.g. "rbf(sigma=0.1)/fold2".
-func (s *SVRSearch) TaskKey(t int) string {
-	return fmt.Sprintf("%v/fold%d", s.kernels[t/len(s.folds)], t%len(s.folds))
-}
 
 // TaskResult is one (kernel, fold) task's output.
 type TaskResult struct {

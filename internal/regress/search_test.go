@@ -160,7 +160,7 @@ func TestSVRSearchTieKeepsFirst(t *testing.T) {
 }
 
 // TestSVRSearchCountsCappedFits checks that tasks run on a goroutine
-// each, as campaign units run them, select what Run selects, and that
+// each, in any interleaving, select what Run selects, and that
 // the search counts no capped fit. It then lowers the iteration cap
 // until fits do stop at it, and compares the search's count with
 // SVR.Converged over the same fold fits.

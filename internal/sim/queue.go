@@ -21,31 +21,12 @@ func NewServer(k *Kernel) *Server {
 	return &Server{k: k}
 }
 
-// Submit enqueues a job with the given service time and schedules done
-// when the job completes. It returns the completion time. Jobs are
-// served in submission order; a job submitted while the server is busy
-// waits for all earlier work.
-func (s *Server) Submit(service float64, done func()) Time {
-	if service < 0 {
-		panic("sim: negative service time")
-	}
-	start := s.k.Now()
-	if s.busyUntil > start {
-		start = s.busyUntil
-	}
-	finish := start + Time(service)
-	s.busyUntil = finish
-	s.busyTime += service
-	s.served++
-	if done != nil {
-		s.k.At(finish, done)
-	}
-	return finish
-}
-
-// SubmitID is Submit with a registered completion callback: the
-// per-update hot path, taking the kernel's pointer-free fire-and-
-// forget lane. Completions are never cancelled, so no Handle exists.
+// SubmitID enqueues a job with the given service time and posts done,
+// a registered callback, when the job completes; it returns the
+// completion time. Jobs are served in submission order; a job
+// submitted while the server is busy waits for all earlier work.
+// Completions take the kernel's pointer-free fire-and-forget lane and
+// are never cancelled, so no Handle exists.
 func (s *Server) SubmitID(service float64, done FnID) Time {
 	if service < 0 {
 		panic("sim: negative service time")

@@ -199,9 +199,11 @@ func TestServerFIFO(t *testing.T) {
 	var k Kernel
 	s := NewServer(&k)
 	var done []string
+	first := k.Register(func() { done = append(done, "first") })
+	second := k.Register(func() { done = append(done, "second") })
 	// Two jobs submitted back to back at t=0: second waits for first.
-	finish1 := s.Submit(2, func() { done = append(done, "first") })
-	finish2 := s.Submit(3, func() { done = append(done, "second") })
+	finish1 := s.SubmitID(2, first)
+	finish2 := s.SubmitID(3, second)
 	if finish1 != 2 || finish2 != 5 {
 		t.Fatalf("finish times %v, %v; want 2, 5", finish1, finish2)
 	}
@@ -217,10 +219,11 @@ func TestServerFIFO(t *testing.T) {
 func TestServerIdleBetweenJobs(t *testing.T) {
 	var k Kernel
 	s := NewServer(&k)
-	s.Submit(1, nil)
+	noop := k.Register(func() {})
+	s.SubmitID(1, noop)
 	k.Run() // clock at 1
 	k.At(10, func() {
-		if got := s.Submit(2, func() {}); got != 12 {
+		if got := s.SubmitID(2, noop); got != 12 {
 			t.Errorf("job after idle finished at %v, want 12", got)
 		}
 	})
@@ -246,7 +249,7 @@ func TestQuickServerOrdering(t *testing.T) {
 		var completions []int
 		for i, d := range raw {
 			i := i
-			s.Submit(float64(d)/8.0, func() { completions = append(completions, i) })
+			s.SubmitID(float64(d)/8.0, k.Register(func() { completions = append(completions, i) }))
 		}
 		k.Run()
 		if len(completions) != len(raw) {
