@@ -214,13 +214,17 @@ func BenchmarkCampaignWorkers(b *testing.B) {
 					}
 					plans[pi] = runner.Plan(42 + int64(i))
 				}
-				for _, o := range (campaign.Engine{Workers: workers}).RunAll(plans) {
+				err := campaign.Engine{Workers: workers}.RunEach(plans, func(_ int, o campaign.Outcome) bool {
 					if o.Err != nil {
 						b.Fatal(o.Err)
 					}
 					if o.Value.(experiments.Result).String() == "" {
 						b.Fatal("empty campaign output")
 					}
+					return true
+				})
+				if err != nil {
+					b.Fatal(err)
 				}
 			}
 		})

@@ -198,10 +198,9 @@ type reduceTiming struct {
 	Seconds    float64 `json:"seconds"`
 }
 
-// timingCollector gathers per-unit timings from the engine's OnUnit
-// hook, which may fire from any worker goroutine, and per-experiment
-// reduce timings from the wrapper timeReduce puts around each plan's
-// Reduce.
+// timingCollector gathers per-unit and per-experiment reduce timings
+// from the wrappers timePlan puts around each plan's units and Reduce,
+// which may run on any worker goroutine.
 type timingCollector struct {
 	ids      []string
 	parallel int
@@ -219,16 +218,22 @@ func newTimingCollector(runners []experiments.Runner, parallel int) *timingColle
 	return &timingCollector{ids: ids, parallel: parallel}
 }
 
-// onUnit is the campaign.Engine OnUnit hook.
-func (t *timingCollector) onUnit(plan, unit int, key string, seconds float64) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	t.units = append(t.units, unitTiming{Experiment: t.ids[plan], Unit: unit, Key: key, Seconds: seconds})
-}
-
-// timeReduce wraps p's Reduce so that each call records its wall-clock
-// time under runner index plan. The reduce's result is untouched.
-func (t *timingCollector) timeReduce(plan int, p *campaign.Plan) {
+// timePlan wraps each of p's units and its Reduce so that each call
+// records its wall-clock time under runner index plan. Results are
+// untouched.
+func (t *timingCollector) timePlan(plan int, p *campaign.Plan) {
+	for i := range p.Units {
+		run, key := p.Units[i].Run, p.Units[i].Key
+		p.Units[i].Run = func(seed int64) (any, error) {
+			start := time.Now()
+			defer func() {
+				t.mu.Lock()
+				defer t.mu.Unlock()
+				t.units = append(t.units, unitTiming{Experiment: t.ids[plan], Unit: i, Key: key, Seconds: time.Since(start).Seconds()})
+			}()
+			return run(seed)
+		}
+	}
 	reduce := p.Reduce
 	if reduce == nil {
 		return
@@ -317,24 +322,20 @@ func writeExperiments(w io.Writer, runners []experiments.Runner, seed int64, par
 // into every traceable unit (the primary output stays byte-identical —
 // recording draws no randomness and schedules no events), and a
 // non-nil timing collector receives each unit's wall-clock execution
-// time from the engine and each experiment's reduce time.
+// time and each experiment's reduce time.
 func writeExperimentsObserved(w io.Writer, runners []experiments.Runner, seed int64, parallel int, col *obs.Collector, timings *timingCollector) (int, error) {
-	// One shared pool across all selected experiments, so the tail of
-	// one campaign overlaps the head of the next.
+	// One batch across all selected experiments, so the tail of one
+	// campaign overlaps the head of the next.
 	plans := make([]*campaign.Plan, len(runners))
 	for i, r := range runners {
 		plans[i] = r.PlanTraced(seed, col)
 		if timings != nil {
-			timings.timeReduce(i, plans[i])
+			timings.timePlan(i, plans[i])
 		}
-	}
-	engine := campaign.Engine{Workers: parallel}
-	if timings != nil {
-		engine.OnUnit = timings.onUnit
 	}
 	printed := 0
 	var failed error
-	dropped := engine.RunEach(plans, func(i int, o campaign.Outcome) bool {
+	dropped := campaign.Engine{Workers: parallel}.RunEach(plans, func(i int, o campaign.Outcome) bool {
 		if o.Err != nil {
 			failed = fmt.Errorf("%s: %w", runners[i].ID, o.Err)
 			return false

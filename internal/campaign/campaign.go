@@ -1,6 +1,6 @@
 // Package campaign schedules measurement campaigns: batches of
-// independent simulation units executed on a worker pool and
-// aggregated deterministically.
+// independent simulation units executed in parallel and aggregated
+// deterministically.
 //
 // The sim kernel is single-threaded by design; determinism there comes
 // from one event loop consuming one seeded RNG. This package scales
@@ -12,6 +12,11 @@
 // scheduling order — and because outputs are collected by index before
 // any aggregation runs, a campaign's result is byte-identical whether
 // it ran on one worker or sixteen.
+//
+// Two runners share that unit model. Engine runs batches of plans on
+// workers it starts for each call (cmd/repro, cmdare). Pool bounds how
+// many units a long-running service runs at once, and its Run executes
+// one unit on the caller's goroutine (the planner's queries).
 package campaign
 
 import (
@@ -77,33 +82,31 @@ type Outcome struct {
 	Err   error
 }
 
-// ErrSkipped marks a unit that never ran because its batch stopped
-// (done returned false) or its context was canceled. Skipped units are
-// bookkeeping, not failures: the aggregated error RunEach returns
-// filters them out.
+// ErrSkipped marks a unit that never ran: its batch stopped (done
+// returned false), or its context ended or its pool closed before it
+// started. Skipped units are bookkeeping, not failures: the aggregated
+// error RunEach returns filters them out.
 var ErrSkipped = errors.New("campaign: unit skipped")
 
-// Pool is a persistent worker pool with a bounded admission queue,
-// shared by any number of Engine calls. The per-call pool Engine spins
-// up is right for batch runs (cmd/repro); a long-running service that
-// answers many concurrent queries wants one fixed set of workers and
-// one queue providing backpressure across all of them — that is Pool.
+// ErrPoolClosed is the cause of a skip by a closed Pool.
+var ErrPoolClosed = errors.New("campaign: pool closed")
+
+// Pool bounds how many units a long-running service runs at once,
+// across every caller sharing it. It starts no goroutines: Run
+// executes its unit on the caller's goroutine once the pool has
+// admitted it and a worker slot is free. Admission is bounded too, to
+// the workers plus a queue, so heavy traffic backpressures instead of
+// piling up.
 type Pool struct {
-	jobs chan func()
-	done chan struct{}
-	// mu orders Submit against Close: senders hold it shared for the
-	// duration of their send, Close takes it exclusively before
-	// closing jobs, so a send on a closed channel is impossible.
-	mu        sync.RWMutex
-	closed    bool
-	closeOnce sync.Once
-	wg        sync.WaitGroup
+	// admitted holds one token per admitted unit, waiting or running;
+	// running one per running unit.
+	admitted, running chan struct{}
+	closed            chan struct{}
+	closeOnce         sync.Once
 
-	workers int
-
-	// Utilization accounting, fed by Submit's wrapper: wall-clock only,
-	// never visible to any simulation. waitNanos is accept → start
-	// (queue wait), busyNanos is start → end (execution).
+	// Utilization accounting: wall-clock only, never visible to any
+	// simulation. waitNanos is admission → start (queue wait),
+	// busyNanos is start → end (execution).
 	jobsRun   atomic.Int64
 	waitNanos atomic.Int64
 	busyNanos atomic.Int64
@@ -111,24 +114,23 @@ type Pool struct {
 
 // PoolStats is a snapshot of the pool's cumulative utilization.
 type PoolStats struct {
-	// Workers is the fixed worker count; QueueCapacity the admission
-	// queue's size; QueueDepth the jobs waiting right now.
+	// Workers is how many units may run at once; QueueCapacity how
+	// many more may wait; QueueDepth the units waiting right now.
 	Workers       int
 	QueueCapacity int
 	QueueDepth    int
-	// JobsRun counts completed jobs; WaitSeconds and BusySeconds total
-	// their queue wait (accept → start) and execution time.
+	// JobsRun counts units run to completion; WaitSeconds and
+	// BusySeconds total their queue wait (admission → start) and
+	// execution time.
 	JobsRun     int64
 	WaitSeconds float64
 	BusySeconds float64
 }
 
-// ErrPoolClosed reports a Submit on a closed pool.
-var ErrPoolClosed = errors.New("campaign: pool closed")
-
-// NewPool starts a pool of workers goroutines fed by a queue holding
-// up to queue pending jobs (0 means hand-off only: every Submit waits
-// for a free worker). Workers ≤ 0 uses GOMAXPROCS.
+// NewPool returns a pool running up to workers units at once, with up
+// to queue more admitted and waiting (0 means none wait: Run blocks
+// for admission until a worker slot is free). Workers ≤ 0 uses
+// GOMAXPROCS.
 func NewPool(workers, queue int) *Pool {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
@@ -136,140 +138,114 @@ func NewPool(workers, queue int) *Pool {
 	if queue < 0 {
 		queue = 0
 	}
-	p := &Pool{jobs: make(chan func(), queue), done: make(chan struct{}), workers: workers}
-	for w := 0; w < workers; w++ {
-		p.wg.Add(1)
-		go func() {
-			defer p.wg.Done()
-			for job := range p.jobs {
-				job()
-			}
-		}()
+	return &Pool{
+		admitted: make(chan struct{}, workers+queue),
+		running:  make(chan struct{}, workers),
+		closed:   make(chan struct{}),
 	}
-	return p
 }
 
-// Submit enqueues one job, blocking while the queue is full. It
-// returns the context's error if ctx is done — or ErrPoolClosed if the
-// pool closes — before the job is accepted; once accepted, the job
-// will run. The func the job returns, if not nil, runs next on the
-// same worker, after Stats already counts the job: a job publishes
-// its result there, so no one who sees the result can read stale
-// utilization.
-func (p *Pool) Submit(ctx context.Context, job func() (then func())) error {
-	p.mu.RLock()
-	defer p.mu.RUnlock()
-	if p.closed {
-		return ErrPoolClosed
+// Run executes u on the caller's goroutine with the seed it would get
+// as the only unit of a Plan with this Seed, Derive(seed, 0, u.Key),
+// and returns its output. It blocks while the pool is full. If ctx
+// ends or the pool closes before u is admitted, or ctx ends before u
+// starts, u is skipped: its error wraps ErrSkipped and the cause.
+// Every error is a *UnitError naming u.Key. A unit that ran is counted
+// in Stats before Run returns, so a caller that sees its result sees
+// it counted.
+func (p *Pool) Run(ctx context.Context, seed int64, u Unit) (any, error) {
+	out, err := p.run(ctx, seed, u)
+	if err != nil {
+		return nil, &UnitError{Key: u.Key, Err: err}
 	}
-	accepted := time.Now()
-	wrapped := func() {
-		start := time.Now()
-		p.waitNanos.Add(start.Sub(accepted).Nanoseconds())
-		then := job()
-		p.busyNanos.Add(time.Since(start).Nanoseconds())
-		p.jobsRun.Add(1)
-		if then != nil {
-			then()
-		}
-	}
-	// Fast path: queue has room (or a worker is waiting).
+	return out, nil
+}
+
+func (p *Pool) run(ctx context.Context, seed int64, u Unit) (any, error) {
 	select {
-	case p.jobs <- wrapped:
-		return nil
+	case <-p.closed:
+		return nil, skipped(ErrPoolClosed)
 	default:
 	}
 	select {
-	case p.jobs <- wrapped:
-		return nil
+	case p.admitted <- struct{}{}:
 	case <-ctx.Done():
-		return context.Cause(ctx)
-	case <-p.done:
-		// Close started while we were waiting for queue space.
-		return ErrPoolClosed
+		return nil, skipped(context.Cause(ctx))
+	case <-p.closed:
+		return nil, skipped(ErrPoolClosed)
 	}
+	defer func() { <-p.admitted }()
+	admittedAt := time.Now()
+	select {
+	case p.running <- struct{}{}:
+	case <-ctx.Done():
+		return nil, skipped(context.Cause(ctx))
+	}
+	defer func() { <-p.running }()
+	if cause := context.Cause(ctx); cause != nil {
+		return nil, skipped(cause)
+	}
+	start := time.Now()
+	p.waitNanos.Add(start.Sub(admittedAt).Nanoseconds())
+	out, err := runUnit(u, Derive(seed, 0, u.Key))
+	p.busyNanos.Add(time.Since(start).Nanoseconds())
+	p.jobsRun.Add(1)
+	return out, err
 }
+
+func skipped(cause error) error { return fmt.Errorf("%w: %w", ErrSkipped, cause) }
 
 // Stats snapshots the pool's utilization counters. Safe to call from
-// any goroutine, including while jobs run.
+// any goroutine, including while units run.
 func (p *Pool) Stats() PoolStats {
+	workers := cap(p.running)
 	return PoolStats{
-		Workers:       p.workers,
-		QueueCapacity: cap(p.jobs),
-		QueueDepth:    len(p.jobs),
-		JobsRun:       p.jobsRun.Load(),
-		WaitSeconds:   float64(p.waitNanos.Load()) / 1e9,
-		BusySeconds:   float64(p.busyNanos.Load()) / 1e9,
+		Workers:       workers,
+		QueueCapacity: cap(p.admitted) - workers,
+		// The two lengths are read apart, so clamp a transient skew.
+		QueueDepth:  max(0, len(p.admitted)-len(p.running)),
+		JobsRun:     p.jobsRun.Load(),
+		WaitSeconds: float64(p.waitNanos.Load()) / 1e9,
+		BusySeconds: float64(p.busyNanos.Load()) / 1e9,
 	}
 }
 
-// Close stops accepting jobs, waits for in-flight submissions to
-// resolve, then drains the queue and joins the workers. A submission
-// accepted before Close wins the race still runs.
+// Close stops admission: a later Run is skipped with ErrPoolClosed.
+// Units already admitted still run on their callers; Close does not
+// wait for them.
 func (p *Pool) Close() {
-	p.closeOnce.Do(func() {
-		close(p.done) // unblock submitters waiting on a full queue
-		p.mu.Lock()   // waits out every sender holding the shared lock
-		p.closed = true
-		p.mu.Unlock()
-		close(p.jobs)
-		p.wg.Wait()
-	})
+	p.closeOnce.Do(func() { close(p.closed) })
 }
 
-// Engine runs plans on a pool of Workers goroutines. The zero value
-// (or any Workers ≤ 0) uses GOMAXPROCS. When Pool is set, execution is
-// dispatched onto that shared pool instead and Workers is ignored: the
-// pool's size bounds concurrency across every engine sharing it.
+// Engine runs batches of plans on Workers goroutines it starts for
+// each call. The zero value (or any Workers ≤ 0) uses GOMAXPROCS.
 type Engine struct {
 	Workers int
-	Pool    *Pool
-	// OnUnit, when set, is called after each unit retires with its
-	// wall-clock execution time — the per-unit timing feed the bench
-	// artifact and future perf work read. It may be called from any
-	// worker goroutine and must be safe for concurrent use. Timing is
-	// observational only; unit results never depend on it.
-	OnUnit func(plan, unit int, key string, seconds float64)
 }
 
 // Run executes a single plan and returns its reduced value.
 func (e Engine) Run(p *Plan) (any, error) {
-	return e.RunContext(context.Background(), p)
-}
-
-// RunContext is Run with cancellation: units not yet started when ctx
-// is done are skipped and surface as ErrSkipped-wrapped unit errors.
-func (e Engine) RunContext(ctx context.Context, p *Plan) (any, error) {
 	var out Outcome
-	e.RunEachContext(ctx, []*Plan{p}, func(i int, o Outcome) bool {
+	e.RunEach([]*Plan{p}, func(_ int, o Outcome) bool {
 		out = o
 		return true
 	})
 	return out.Value, out.Err
 }
 
-// RunAll executes several plans on one shared worker pool, so the tail
-// of one experiment overlaps the head of the next. Each plan's unit
-// seeds are derived from its own Seed exactly as in Run, and each plan
-// reduces over its own index-ordered outputs, so per-plan results are
-// identical to running the plans one at a time.
-func (e Engine) RunAll(plans []*Plan) []Outcome {
-	results := make([]Outcome, len(plans))
-	e.RunEach(plans, func(i int, o Outcome) bool {
-		results[i] = o
-		return true
-	})
-	return results
-}
-
-// RunEach is RunAll with streaming delivery: done is invoked once per
-// plan, in declaration order, as soon as that plan and every earlier
-// one have finished — so a caller can print experiment results while
-// later campaigns are still running. Returning false from done stops
-// the batch: units not yet started are skipped (in-flight units
-// finish) and no further callbacks fire. Because delivery order is
-// declaration order, the sequence of callbacks before a stop is
-// identical for every worker count.
+// RunEach executes several plans on one set of workers, so the tail of
+// one plan overlaps the head of the next. Each plan's unit seeds are
+// derived from its own Seed and each plan reduces over its own
+// index-ordered outputs, so per-plan results are identical to running
+// the plans one at a time.
+//
+// done is invoked once per plan, in declaration order, as soon as that
+// plan and every earlier one have finished — so a caller can print
+// experiment results while later campaigns are still running.
+// Returning false from done stops the batch: units not yet started are
+// skipped (in-flight units finish) and no further callbacks fire.
+// Because delivery order is declaration order, the sequence of
+// callbacks before a stop is identical for every worker count.
 //
 // A stop can strand real failures: units already in flight when done
 // returned false still finish, and their plans are never delivered.
@@ -277,16 +253,6 @@ func (e Engine) RunAll(plans []*Plan) []Outcome {
 // aggregated (errors.Join of UnitErrors) once every in-flight unit has
 // retired; nil means nothing was lost.
 func (e Engine) RunEach(plans []*Plan, done func(i int, o Outcome) bool) error {
-	return e.RunEachContext(context.Background(), plans, done)
-}
-
-// RunEachContext is RunEach with cancellation. When ctx is done, units
-// not yet started are skipped (recorded as ErrSkipped-wrapped errors in
-// their plans' outcomes) while in-flight units finish; delivery still
-// runs to completion so every plan gets its callback. The returned
-// error aggregates the context's cause with any real unit errors whose
-// plans were never delivered after a stop.
-func (e Engine) RunEachContext(ctx context.Context, plans []*Plan, done func(i int, o Outcome) bool) error {
 	runs := make([]planRun, len(plans))
 	var jobs []job
 	for pi, p := range plans {
@@ -339,53 +305,16 @@ func (e Engine) RunEachContext(ctx context.Context, plans []*Plan, done func(i i
 		r := &runs[j.plan]
 		if stop.Load() {
 			r.errs[j.unit] = fmt.Errorf("%w: batch stopped", ErrSkipped)
-		} else if cause := context.Cause(ctx); cause != nil {
-			r.errs[j.unit] = fmt.Errorf("%w: %v", ErrSkipped, cause)
 		} else {
 			u := r.plan.Units[j.unit]
-			start := time.Now()
-			out, err := runUnit(u, Derive(r.plan.Seed, uint64(j.unit), u.Key))
-			if e.OnUnit != nil {
-				e.OnUnit(j.plan, j.unit, u.Key, time.Since(start).Seconds())
-			}
-			r.outs[j.unit] = out
-			r.errs[j.unit] = err
+			r.outs[j.unit], r.errs[j.unit] = runUnit(u, Derive(r.plan.Seed, uint64(j.unit), u.Key))
 		}
 		// The atomic decrement orders every worker's writes to this
 		// plan's slots before the announcement.
 		return r.remaining.Add(-1) == 0
 	}
 
-	switch {
-	case e.Pool != nil:
-		// Shared pool: submissions ride the pool's bounded queue, so a
-		// full queue backpressures this call without starving other
-		// engines. A submission aborted by ctx retires its unit here.
-		for _, j := range jobs {
-			// The plan announces after the pool counts the job, so a
-			// caller that sees the plan's result sees the job counted.
-			err := e.Pool.Submit(ctx, func() func() {
-				if run(j) {
-					return func() { planReady <- j.plan }
-				}
-				return nil
-			})
-			if err != nil {
-				r := &runs[j.plan]
-				r.errs[j.unit] = fmt.Errorf("%w: %v", ErrSkipped, err)
-				if r.remaining.Add(-1) == 0 {
-					planReady <- j.plan
-				}
-			}
-		}
-		// Drain every announcement even after a stop: receiving them
-		// all is what guarantees in-flight units have retired before
-		// the dropped-error scan below.
-		for range plans {
-			deliver(<-planReady)
-		}
-
-	case workers <= 1:
+	if workers <= 1 {
 		// Sequential mode interleaves execution and delivery on one
 		// goroutine, so a stop takes effect before the next unit runs
 		// and nothing is ever in flight when it does.
@@ -409,8 +338,7 @@ func (e Engine) RunEachContext(ctx context.Context, plans []*Plan, done func(i i
 			}
 		}
 		drain()
-
-	default:
+	} else {
 		// Workers take jobs in declaration order by an atomic index.
 		var taken atomic.Int64
 		var wg sync.WaitGroup
@@ -441,9 +369,6 @@ func (e Engine) RunEachContext(ctx context.Context, plans []*Plan, done func(i i
 	// units that finished after the stop, in plans that were never
 	// handed to done.
 	var droppedErrs []error
-	if cause := context.Cause(ctx); cause != nil {
-		droppedErrs = append(droppedErrs, cause)
-	}
 	for pi := range runs {
 		if delivered[pi] {
 			continue

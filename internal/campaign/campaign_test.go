@@ -82,9 +82,19 @@ func TestRunIdenticalAcrossWorkerCounts(t *testing.T) {
 	}
 }
 
-func TestRunAllMatchesIndividualRuns(t *testing.T) {
+// runAll runs plans as one batch and collects every outcome.
+func runAll(e Engine, plans []*Plan) []Outcome {
+	outs := make([]Outcome, len(plans))
+	e.RunEach(plans, func(i int, o Outcome) bool {
+		outs[i] = o
+		return true
+	})
+	return outs
+}
+
+func TestRunEachMatchesIndividualRuns(t *testing.T) {
 	plans := []*Plan{sumPlan(1, 13), sumPlan(2, 5), sumPlan(3, 31)}
-	outcomes := Engine{Workers: 8}.RunAll(plans)
+	outcomes := runAll(Engine{Workers: 8}, plans)
 	for i, p := range plans {
 		alone, err := Engine{Workers: 1}.Run(sumPlan(p.Seed, len(p.Units)))
 		if err != nil {
@@ -94,7 +104,7 @@ func TestRunAllMatchesIndividualRuns(t *testing.T) {
 			t.Fatalf("plan %d: %v", i, outcomes[i].Err)
 		}
 		if outcomes[i].Value != alone {
-			t.Errorf("plan %d differs between RunAll and Run", i)
+			t.Errorf("plan %d differs between a batch and Run", i)
 		}
 	}
 }
@@ -207,20 +217,18 @@ func TestPanicBecomesUnitError(t *testing.T) {
 }
 
 // TestReducePanicBecomesPlanError: a panic in Reduce fails its own
-// plan with the panic's message, on every engine, and leaves the
+// plan with the panic's message, at every worker count, and leaves the
 // other plans of the batch alone.
 func TestReducePanicBecomesPlanError(t *testing.T) {
-	pool := NewPool(2, 0)
-	defer pool.Close()
-	for _, e := range []Engine{{Workers: 1}, {Workers: 4}, {Pool: pool}} {
+	for _, workers := range []int{1, 4} {
 		p := sumPlan(1, 6)
 		p.Reduce = func([]any) (any, error) { panic("search diverged") }
-		outs := e.RunAll([]*Plan{p, sumPlan(2, 3)})
+		outs := runAll(Engine{Workers: workers}, []*Plan{p, sumPlan(2, 3)})
 		if err := outs[0].Err; err == nil || !strings.Contains(err.Error(), "search diverged") {
-			t.Fatalf("workers=%d pool=%v: outcome %v, want the reduce's panic", e.Workers, e.Pool != nil, err)
+			t.Fatalf("workers=%d: outcome %v, want the reduce's panic", workers, err)
 		}
 		if outs[1].Err != nil {
-			t.Fatalf("workers=%d pool=%v: the next plan failed too: %v", e.Workers, e.Pool != nil, outs[1].Err)
+			t.Fatalf("workers=%d: the next plan failed too: %v", workers, outs[1].Err)
 		}
 	}
 }
@@ -386,7 +394,7 @@ func TestRunRespectsWorkers(t *testing.T) {
 				}
 			}
 		}
-		for _, o := range (Engine{Workers: workers}).RunAll(plans) {
+		for _, o := range runAll(Engine{Workers: workers}, plans) {
 			if o.Err != nil {
 				t.Fatal(o.Err)
 			}

@@ -1,6 +1,7 @@
 package campaign
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"testing"
@@ -42,7 +43,8 @@ func TestDeriveNoCollisionsAcrossUnitGrids(t *testing.T) {
 // behind every determinism guarantee in this repo: the seed a unit
 // receives is a pure function of (plan seed, unit index, unit key),
 // never of scheduling. Random plan shapes run at several worker counts
-// — including on a shared Pool — must hand every unit the same seed.
+// must hand every unit the same seed, and a unit run alone on a shared
+// Pool gets the seed it would get as a one-unit plan.
 func TestDeriveSeedsStableAcrossWorkerCounts(t *testing.T) {
 	rng := rand.New(rand.NewSource(99))
 	pool := NewPool(3, 4)
@@ -69,17 +71,25 @@ func TestDeriveSeedsStableAcrossWorkerCounts(t *testing.T) {
 				t.Fatalf("trial %d: unit %d got a seed that is not Derive(plan seed, index, key)", trial, i)
 			}
 		}
-		engines := []Engine{{Workers: 2}, {Workers: 8}, {Pool: pool}}
-		for _, e := range engines {
-			got, err := e.Run(mk())
+		for _, workers := range []int{2, 8} {
+			got, err := Engine{Workers: workers}.Run(mk())
 			if err != nil {
 				t.Fatal(err)
 			}
 			for i := range want.([]any) {
 				if got.([]any)[i] != want.([]any)[i] {
-					t.Fatalf("trial %d: unit %d seed depends on scheduling (%+v)", trial, i, e)
+					t.Fatalf("trial %d: unit %d seed depends on scheduling (workers=%d)", trial, i, workers)
 				}
 			}
+		}
+		// The pool runs a unit as index 0 of a plan with its seed.
+		u := mk().Units[n-1]
+		got, err := pool.Run(context.Background(), planSeed, u)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got != Derive(planSeed, 0, u.Key) || (n == 1 && got != want.([]any)[0]) {
+			t.Fatalf("trial %d: pool seed %v is not Derive(plan seed, 0, %q)", trial, got, u.Key)
 		}
 	}
 }

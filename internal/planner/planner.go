@@ -12,8 +12,9 @@
 //     repeated query is a lookup, never a second simulation;
 //   - singleflight coalescing: concurrent identical queries share one
 //     simulation run;
-//   - a shared campaign.Pool with a bounded admission queue, so heavy
-//     query traffic backpressures instead of forking unbounded work;
+//   - a shared campaign.Pool that bounds how many simulations run and
+//     wait at once, so heavy query traffic backpressures instead of
+//     forking unbounded work;
 //   - per-request contexts: a disconnected or canceled client stops
 //     dispatching its remaining scenarios.
 //
@@ -51,11 +52,12 @@ const (
 
 // Config sizes the planner.
 type Config struct {
-	// Workers is the shared simulation pool size (≤ 0: GOMAXPROCS).
+	// Workers bounds the simulations running at once (≤ 0:
+	// GOMAXPROCS).
 	Workers int
-	// QueueDepth bounds the admission queue feeding the pool; a full
-	// queue blocks new dispatch until a slot frees, providing
-	// backpressure across all concurrent queries (≤ 0: 64).
+	// QueueDepth bounds the simulations admitted to wait for a worker
+	// slot; a full queue blocks new dispatch until a slot frees,
+	// providing backpressure across all concurrent queries (≤ 0: 64).
 	QueueDepth int
 	// CacheSize is the LRU capacity in scenario outcomes (≤ 0: 4096).
 	CacheSize int
@@ -119,7 +121,7 @@ type Planner struct {
 	httpLatency *obs.HistogramVec
 }
 
-// New starts a planner with its worker pool. Close releases the pool.
+// New returns a planner with its simulation pool.
 func New(cfg Config) *Planner {
 	if cfg.QueueDepth <= 0 {
 		cfg.QueueDepth = 64
@@ -137,7 +139,8 @@ func New(cfg Config) *Planner {
 	}
 }
 
-// Close drains and stops the shared pool.
+// Close stops the shared pool admitting simulations; those already
+// admitted still finish on their callers.
 func (p *Planner) Close() { p.pool.Close() }
 
 // Stats snapshots the counters.
@@ -249,42 +252,34 @@ type simulated struct {
 }
 
 // simulate is every simulation's path: cache, then singleflight, then
-// one unit dispatched onto the shared pool, so scenario and fleet
-// traffic share one bounded admission queue and the engine's seed
-// derivation and panic containment. run receives the unit seed and a
-// fresh recorder when trace is set (nil otherwise). The unit key, and
-// so the derived seed, never depends on trace: a traced result is the
-// untraced one plus its events, cached under its own "|trace=1" key.
+// one unit run through the shared pool, so scenario and fleet traffic
+// share one admission bound and the campaign's seed derivation and
+// panic containment. run receives the unit seed and a fresh recorder
+// when trace is set (nil otherwise). The unit key, and so the derived
+// seed, never depends on trace: a traced result is the untraced one
+// plus its events, cached under its own "|trace=1" key.
 func (p *Planner) simulate(ctx context.Context, unitKey string, seed int64, trace bool, run func(unitSeed int64, rec *obs.Recorder) (any, error)) (simulated, bool, error) {
 	key := cacheKey(unitKey, seed)
 	if trace {
 		key += "|trace=1"
 	}
 	v, cached, err := p.cached(ctx, key, func() (any, error) {
-		plan := &campaign.Plan{
-			Seed: seed,
-			Units: []campaign.Unit{{
-				Key: unitKey,
-				Run: func(unitSeed int64) (any, error) {
-					p.inflight.Add(1)
-					defer p.inflight.Add(-1)
-					var rec *obs.Recorder
-					if trace {
-						rec = obs.NewRecorder()
-					}
-					out, err := run(unitSeed, rec)
-					if err != nil {
-						return nil, err
-					}
-					return simulated{value: out, events: rec.Events()}, nil
-				},
-			}},
-		}
-		outs, err := campaign.Engine{Pool: p.pool}.RunContext(ctx, plan)
-		if err != nil {
-			return nil, err
-		}
-		return outs.([]any)[0], nil
+		return p.pool.Run(ctx, seed, campaign.Unit{
+			Key: unitKey,
+			Run: func(unitSeed int64) (any, error) {
+				p.inflight.Add(1)
+				defer p.inflight.Add(-1)
+				var rec *obs.Recorder
+				if trace {
+					rec = obs.NewRecorder()
+				}
+				out, err := run(unitSeed, rec)
+				if err != nil {
+					return nil, err
+				}
+				return simulated{value: out, events: rec.Events()}, nil
+			},
+		})
 	})
 	if err != nil {
 		return simulated{}, false, err

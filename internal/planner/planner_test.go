@@ -373,10 +373,16 @@ func TestCanceledLeaderDoesNotPoisonFollowers(t *testing.T) {
 
 	// Occupy the single worker so the leader's unit sits in the queue,
 	// where cancellation can still skip it.
-	decoy := make(chan struct{})
-	if err := p.pool.Submit(context.Background(), func() func() { <-decoy; return nil }); err != nil {
-		t.Fatal(err)
-	}
+	decoy, decoyRunning, decoyDone := make(chan struct{}), make(chan struct{}), make(chan error, 1)
+	go func() {
+		_, err := p.pool.Run(context.Background(), 0, campaign.Unit{Key: "decoy", Run: func(int64) (any, error) {
+			close(decoyRunning)
+			<-decoy
+			return nil, nil
+		}})
+		decoyDone <- err
+	}()
+	<-decoyRunning
 
 	q := testQuery(3)
 	sc, steps, ic, err := q.scenario()
@@ -415,7 +421,7 @@ func TestCanceledLeaderDoesNotPoisonFollowers(t *testing.T) {
 		time.Sleep(time.Millisecond)
 	}
 	cancelLeader()
-	close(decoy) // the worker now dequeues the leader's skipped unit
+	close(decoy) // the worker slot frees for the follower's retry
 
 	if err := <-leaderErr; err == nil ||
 		!(errors.Is(err, campaign.ErrSkipped) || errors.Is(err, context.Canceled)) {
@@ -429,6 +435,36 @@ func TestCanceledLeaderDoesNotPoisonFollowers(t *testing.T) {
 	}
 	if n := sims.Load(); n != 1 {
 		t.Fatalf("%d simulations ran, want 1 (the follower's retry)", n)
+	}
+	if err := <-decoyDone; err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestMeasureAfterCloseIsRejected: a query on a closed planner fails
+// with an error that wraps both the closed pool and the skip, and
+// counts as a rejection, not a failed scenario.
+func TestMeasureAfterCloseIsRejected(t *testing.T) {
+	p := New(Config{Workers: 1, QueueDepth: 1, CacheSize: 4})
+	var sims atomic.Int64
+	p.measure = fakeMeasure(&sims)
+	p.Close()
+
+	q := testQuery(1)
+	sc, steps, ic, err := q.scenario()
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, err = p.Measure(context.Background(), q)
+	if !errors.Is(err, campaign.ErrPoolClosed) || !errors.Is(err, campaign.ErrSkipped) {
+		t.Fatalf("Measure after Close = %v, want ErrPoolClosed and ErrSkipped wrapped", err)
+	}
+	want := fmt.Sprintf("unit 0 (%s): campaign: unit skipped: campaign: pool closed", experiments.ScenarioKey(sc, steps, ic))
+	if err.Error() != want {
+		t.Fatalf("error text %q, want %q", err.Error(), want)
+	}
+	if st := p.Stats(); st.Rejections != 1 || st.PoolJobsRun != 0 || sims.Load() != 0 {
+		t.Fatalf("stats = %+v after %d simulations, want one rejection and nothing run", st, sims.Load())
 	}
 }
 
