@@ -92,17 +92,21 @@ func checkTraceInvariants(t *testing.T, col *obs.Collector) {
 }
 
 // membership replays one scope's cluster membership from its trace and
-// checks three invariants: every rebalance splits the same global
+// checks four invariants: every rebalance splits the same global
 // batch; a rebalance names only members, the workers that started
 // with the session or have joined, and have not since been revoked or
-// shrunk; and no worker joins after it left. The session's workers are
-// the ones its first rebalance names when no join, revocation or
-// shrink precedes it: Start rebalances before any membership change.
+// shrunk; no worker joins after it left; and the manager never
+// requests more replacements than the cluster has seen revocations.
+// The session's workers are the ones its first rebalance names when no
+// join, revocation or shrink precedes it: Start rebalances before any
+// membership change.
 type membership struct {
 	total   int             // the global batch, from the first rebalance
 	changed bool            // a join, revocation or shrink has happened
 	members map[string]bool // workers training now
 	left    map[string]bool // workers revoked or shrunk
+
+	revocations, replaces int
 }
 
 func (m *membership) observe(e obs.Event) error {
@@ -114,9 +118,16 @@ func (m *membership) observe(e obs.Event) error {
 		m.members[e.Worker] = true
 		m.changed = true
 	case train.EventRevocation, train.EventShrink:
+		if e.Kind == train.EventRevocation {
+			m.revocations++
+		}
 		delete(m.members, e.Worker)
 		m.left[e.Worker] = true
 		m.changed = true
+	case "replace":
+		if m.replaces++; m.replaces > m.revocations {
+			return fmt.Errorf("replacement %d follows only %d revocations", m.replaces, m.revocations)
+		}
 	case train.EventRebalance:
 		sum := 0
 		for _, f := range strings.Fields(e.Detail) {

@@ -155,9 +155,9 @@ type Session struct {
 	// servers.
 	owned []*cloud.Instance
 
-	// pending holds worker placements whose instances are up before
-	// the parameter servers are.
-	pending []Placement
+	// pending holds worker instances that came up before the
+	// parameter servers did.
+	pending []*cloud.Instance
 
 	instances    map[int64]Placement // live GPU instances by ID
 	instWorker   map[int64]string    // instance → cluster worker name
@@ -308,15 +308,18 @@ func (s *Session) requestWorker(pl Placement) error {
 	return nil
 }
 
-// psRunning counts parameter servers coming up and flushes queued
-// worker joins once all are ready.
+// psRunning counts parameter servers coming up and, once all are
+// ready, brings up the workers that waited for them, skipping any
+// whose instance was revoked meanwhile.
 func (s *Session) psRunning() {
 	s.psUp++
 	if s.psUp < s.cfg.ParameterServers {
 		return
 	}
-	for _, pl := range s.pending {
-		s.joinWorker(pl)
+	for _, in := range s.pending {
+		if pl, live := s.instances[in.ID]; live {
+			s.workerUp(in, pl)
+		}
 	}
 	s.pending = nil
 }
@@ -328,7 +331,7 @@ func (s *Session) workerUp(in *cloud.Instance, pl Placement) {
 		return
 	}
 	if s.psUp < s.cfg.ParameterServers {
-		s.pending = append(s.pending, pl)
+		s.pending = append(s.pending, in)
 		return
 	}
 	name := s.joinWorker(pl)

@@ -5,8 +5,10 @@ import (
 
 	"repro/internal/cloud"
 	"repro/internal/model"
+	"repro/internal/obs"
 	"repro/internal/sim"
 	"repro/internal/stats"
+	"repro/internal/train"
 )
 
 func newEnv(seed int64) (*sim.Kernel, *cloud.Provider) {
@@ -176,6 +178,67 @@ func TestMaxReplacementsBudget(t *testing.T) {
 	k.RunUntil(sim.Time(30 * 3600))
 	if s.Replacements() > 2 {
 		t.Fatalf("replacements %d exceed budget 2", s.Replacements())
+	}
+}
+
+// slowPSSession starts two transient K80 workers on a market whose
+// parameter server boots in 100 s and GPU servers in 10 s, so both
+// workers wait for it, and whose transient servers are revoked
+// lifetime seconds after they boot. Nothing replaces them.
+func slowPSSession(t *testing.T, lifetime float64) (*sim.Kernel, *Session, *obs.Recorder) {
+	t.Helper()
+	spec := *cloud.DefaultProvider()
+	spec.Name = "test-slow-ps"
+	spec.Startup = func(_ *stats.Rng, g model.GPU, _ cloud.Tier, _ cloud.Region, _ bool) cloud.StartupBreakdown {
+		if g == 0 {
+			return cloud.StartupBreakdown{Booting: 100}
+		}
+		return cloud.StartupBreakdown{Booting: 10}
+	}
+	k := &sim.Kernel{}
+	p := cloud.NewProviderFor(k, stats.NewRng(1), &spec, &scriptedVictims{afters: []float64{lifetime, lifetime}})
+	cfg := basicConfig(2)
+	cfg.TargetSteps = 1000000
+	cfg.Replacement = ReplaceNone
+	cfg.Trace = obs.NewRecorder()
+	s, err := NewSession(p, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return k, s, cfg.Trace
+}
+
+// TestWorkersWaitingForPSAreRevocable: workers that booted before the
+// parameter server join when it is up, and a later revocation of
+// their instances removes them from the cluster.
+func TestWorkersWaitingForPSAreRevocable(t *testing.T) {
+	k, s, rec := slowPSSession(t, 600) // revoked at 610 s
+	k.RunUntil(sim.Time(600))
+	if n := len(s.Cluster().LiveWorkers()); n != 2 {
+		t.Fatalf("%d workers train before the revocations, want 2", n)
+	}
+	k.RunUntil(sim.Time(700))
+	if live := s.Cluster().LiveWorkers(); len(live) != 0 {
+		t.Fatalf("workers %v still train after their instances were revoked", live)
+	}
+	if n := len(rec.EventsOf("startup")); n != 2 {
+		t.Fatalf("%d startup events, want one per joined worker", n)
+	}
+}
+
+// TestWorkersRevokedWhileWaitingNeverJoin: a worker whose instance is
+// revoked while it waits for the parameter server never joins.
+func TestWorkersRevokedWhileWaitingNeverJoin(t *testing.T) {
+	k, s, rec := slowPSSession(t, 50) // revoked at 60 s
+	k.RunUntil(sim.Time(300))
+	if live := s.Cluster().LiveWorkers(); len(live) != 0 {
+		t.Fatalf("workers %v still train after their instances were revoked", live)
+	}
+	if joins := rec.EventsOf(train.EventJoin); len(joins) != 0 {
+		t.Fatalf("revoked workers joined: %v", joins)
+	}
+	if s.Revocations() != 2 {
+		t.Fatalf("revocations = %d, want 2", s.Revocations())
 	}
 }
 
