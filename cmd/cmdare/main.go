@@ -50,14 +50,9 @@ func run() int {
 		fmt.Fprintf(os.Stderr, "cmdare: %v\n", err)
 		return 2
 	}
-	var gpu model.GPU
-	for _, g := range model.AllGPUs() {
-		if g.String() == *gpuName {
-			gpu = g
-		}
-	}
-	if gpu == 0 {
-		fmt.Fprintf(os.Stderr, "cmdare: unknown GPU %q\n", *gpuName)
+	gpu, err := model.ParseGPU(*gpuName)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "cmdare: %v\n", err)
 		return 2
 	}
 	region, err := cloud.ParseRegion(*regionStr)

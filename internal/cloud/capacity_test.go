@@ -30,7 +30,7 @@ func (m reaperModel) SampleLifetime(*stats.Rng, Region, model.GPU, float64) (boo
 func newCapacityProvider(t *testing.T, lm LifetimeModel, cap Capacity) (*sim.Kernel, *Provider) {
 	t.Helper()
 	k := &sim.Kernel{}
-	p := NewProviderWithLifetime(k, stats.NewRng(1), lm)
+	p := NewProviderFor(k, stats.NewRng(1), nil, lm)
 	p.SetTransientCapacity(cap)
 	return k, p
 }

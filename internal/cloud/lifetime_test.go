@@ -246,7 +246,7 @@ func TestProviderHonorsLifetimeModel(t *testing.T) {
 		t.Fatal(err)
 	}
 	k := &sim.Kernel{}
-	p := NewProviderWithLifetime(k, stats.NewRng(3), m)
+	p := NewProviderFor(k, stats.NewRng(3), nil, m)
 	if p.Lifetime() != m {
 		t.Fatal("provider does not expose its lifetime model")
 	}
@@ -266,7 +266,7 @@ func TestProviderHonorsLifetimeModel(t *testing.T) {
 }
 
 // TestDefaultProviderUnchangedByRefactor: NewProvider and an explicit
-// table5 NewProviderWithLifetime must consume randomness identically —
+// table5 NewProviderFor must consume randomness identically —
 // the property that keeps every golden snapshot stable.
 func TestDefaultProviderUnchangedByRefactor(t *testing.T) {
 	run := func(mk func(*sim.Kernel, *stats.Rng) *Provider) []float64 {
@@ -284,7 +284,7 @@ func TestDefaultProviderUnchangedByRefactor(t *testing.T) {
 	}
 	a := run(NewProvider)
 	b := run(func(k *sim.Kernel, rng *stats.Rng) *Provider {
-		return NewProviderWithLifetime(k, rng, DefaultLifetimeModel())
+		return NewProviderFor(k, rng, nil, DefaultLifetimeModel())
 	})
 	for i := range a {
 		if a[i] != b[i] {

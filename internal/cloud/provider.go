@@ -52,16 +52,10 @@ type Provider struct {
 // NewProvider returns a provider bound to the kernel, drawing all
 // randomness from rng (which it forks, so the caller's stream is
 // unaffected by provider internals). Transient lifetimes follow the
-// default Table V calibration; use NewProviderWithLifetime to simulate
-// a different revocation regime.
+// default Table V calibration; use NewProviderFor to simulate a
+// different market or revocation regime.
 func NewProvider(k *sim.Kernel, rng *stats.Rng) *Provider {
-	return NewProviderWithLifetime(k, rng, nil)
-}
-
-// NewProviderWithLifetime is NewProvider under an explicit revocation
-// regime; a nil model means the default.
-func NewProviderWithLifetime(k *sim.Kernel, rng *stats.Rng, m LifetimeModel) *Provider {
-	return NewProviderFor(k, rng, nil, m)
+	return NewProviderFor(k, rng, nil, nil)
 }
 
 // NewProviderFor instantiates one market: a provider whose catalog,

@@ -31,12 +31,12 @@ func (m *firstVictimModel) SampleLifetime(*stats.Rng, cloud.Region, model.GPU, f
 // TestReplacementRetriesWhenPoolIsFull drives the churn-aware retry
 // path: a one-slot cell, a delayed replacement, and a rival that
 // steals the freed slot during the delay. The session must keep
-// retrying (without burning extra replacement budget) and land its
+// retrying (counting one replacement, not one per retry) and land its
 // replacement once the rival leaves.
 func TestReplacementRetriesWhenPoolIsFull(t *testing.T) {
 	cell := cloud.PoolKey{Region: cloud.USCentral1, GPU: model.K80}
 	k := &sim.Kernel{}
-	p := cloud.NewProviderWithLifetime(k, stats.NewRng(3), &firstVictimModel{after: 1800})
+	p := cloud.NewProviderFor(k, stats.NewRng(3), nil, &firstVictimModel{after: 1800})
 	p.SetTransientCapacity(cloud.Capacity{cell: 1})
 
 	// The rival grabs the slot the instant the victim's revocation

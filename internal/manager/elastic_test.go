@@ -46,7 +46,7 @@ func calmEnv(t *testing.T, seed int64) (*sim.Kernel, *cloud.Provider) {
 		t.Fatal(err)
 	}
 	k := &sim.Kernel{}
-	return k, cloud.NewProviderWithLifetime(k, stats.NewRng(seed), lm)
+	return k, cloud.NewProviderFor(k, stats.NewRng(seed), nil, lm)
 }
 
 func elasticConfig(policy string, n int, risk RiskSignal) Config {
@@ -233,7 +233,7 @@ func TestElasticRevocationClampsToFloor(t *testing.T) {
 	// replacement), the second leaves 1 (< floor, replace immediately).
 	lm := &scriptedVictims{afters: []float64{1800, 3600}}
 	k := &sim.Kernel{}
-	p := cloud.NewProviderWithLifetime(k, stats.NewRng(15), lm)
+	p := cloud.NewProviderFor(k, stats.NewRng(15), nil, lm)
 	cfg := elasticConfig("elastic", 3, constRisk(1.3)) // neutral band: no resizes
 	cfg.Replacement = ReplaceImmediate
 	s, err := NewSession(p, cfg)
@@ -261,7 +261,7 @@ func TestElasticBlockedReplacementDuringResize(t *testing.T) {
 	cell := cloud.PoolKey{Region: cloud.USCentral1, GPU: model.K80}
 	lm := &scriptedVictims{afters: []float64{1800}}
 	k := &sim.Kernel{}
-	p := cloud.NewProviderWithLifetime(k, stats.NewRng(16), lm)
+	p := cloud.NewProviderFor(k, stats.NewRng(16), nil, lm)
 	p.SetTransientCapacity(cloud.Capacity{cell: 1})
 
 	var rival *cloud.Instance
@@ -314,7 +314,7 @@ func TestElasticRevocationMidRebalance(t *testing.T) {
 	// 3-worker cluster (live 3 ≥ floor 2, so no replacement either).
 	lm := &scriptedVictims{afters: []float64{320}}
 	k := &sim.Kernel{}
-	p := cloud.NewProviderWithLifetime(k, stats.NewRng(17), lm)
+	p := cloud.NewProviderFor(k, stats.NewRng(17), nil, lm)
 	// The loop looks one hour ahead, so the first check (t = 300 s)
 	// evaluates risk at ≈1.08 h; let only that one shrink.
 	cfg := elasticConfig("elastic", 4, riskFunc(func(_ cloud.Region, _ model.GPU, atHours float64) float64 {

@@ -70,9 +70,6 @@ type Config struct {
 	Replacement  ReplacementPolicy
 	DelaySeconds float64 // for ReplaceDelayed
 
-	// MaxReplacements bounds controller spending; 0 means unlimited.
-	MaxReplacements int
-
 	// Batch switches the cluster to synchronous dynamic batching
 	// (train.BatchPolicy); nil keeps the asynchronous default. A
 	// non-static Elastic policy with a nil Batch auto-derives
@@ -407,16 +404,12 @@ const (
 	capacityRetryCalmSeconds  = 60
 )
 
-// replace requests a same-placement instance after delay seconds,
-// respecting the replacement budget. On a capacity-constrained
-// provider (internal/fleet's shared pool) the request can be rejected
-// with cloud.ErrNoCapacity; the session then retries on a churn-aware
-// cadence until a slot frees or training finishes, consuming only one
-// unit of the replacement budget for the whole retry loop.
+// replace requests a same-placement instance after delay seconds. On
+// a capacity-constrained provider (internal/fleet's shared pool) the
+// request can be rejected with cloud.ErrNoCapacity; the session then
+// retries on a churn-aware cadence until a slot frees or training
+// finishes, counting one replacement for the whole retry loop.
 func (s *Session) replace(pl Placement, delay float64) {
-	if s.cfg.MaxReplacements > 0 && s.replacements >= s.cfg.MaxReplacements {
-		return
-	}
 	s.replacements++
 	var launch func()
 	launch = func() {

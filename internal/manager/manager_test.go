@@ -158,29 +158,6 @@ func TestDelayedReplacement(t *testing.T) {
 	}
 }
 
-func TestMaxReplacementsBudget(t *testing.T) {
-	if testing.Short() {
-		t.Skip("long transient-cluster campaign; skipped in -short mode")
-	}
-	k, p := newEnv(23)
-	cfg := Config{
-		Model:           model.ResNet15(),
-		Workers:         placements(model.P100, cloud.USEast1, 4),
-		TargetSteps:     5000000,
-		Replacement:     ReplaceImmediate,
-		MaxReplacements: 2,
-		Seed:            29,
-	}
-	s, err := NewSession(p, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	k.RunUntil(sim.Time(30 * 3600))
-	if s.Replacements() > 2 {
-		t.Fatalf("replacements %d exceed budget 2", s.Replacements())
-	}
-}
-
 // slowPSSession starts two transient K80 workers on a market whose
 // parameter server boots in 100 s and GPU servers in 10 s, so both
 // workers wait for it, and whose transient servers are revoked

@@ -305,8 +305,6 @@ type JoinMode struct {
 	// join + graph setup + dataset download); warm reuses an existing
 	// server (no download). Fig. 10's two bars.
 	Cold bool
-	// MakeChief gives the new worker checkpoint duty on join.
-	MakeChief bool
 	// ReuseChiefIP reproduces unmodified TensorFlow's recomputation
 	// behavior (§V-E): the new worker binds the revoked chief's
 	// address, becomes chief, and the session restarts from the last

@@ -158,7 +158,7 @@ func (w *Worker) join() {
 	if w.joinMode.ReuseChiefIP {
 		c.rollback()
 		c.chief = w
-	} else if w.joinMode.MakeChief || c.chief == nil {
+	} else if c.chief == nil {
 		c.chief = w
 		c.addEvent(EventChiefHandoff, w.name)
 	}
