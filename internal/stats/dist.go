@@ -137,28 +137,3 @@ func (g *Rng) Weibull(scale, shape float64) float64 {
 func (g *Rng) Bernoulli(p float64) bool {
 	return g.r.Float64() < p
 }
-
-// Categorical draws an index from the (unnormalized, non-negative)
-// weight vector. It panics if the weights sum to zero or the slice is
-// empty, because sampling from nothing is a programming error.
-func (g *Rng) Categorical(weights []float64) int {
-	var total float64
-	for _, w := range weights {
-		if w < 0 {
-			panic("stats: Categorical weight is negative")
-		}
-		total += w
-	}
-	if total == 0 {
-		panic("stats: Categorical weights sum to zero")
-	}
-	u := g.r.Float64() * total
-	var acc float64
-	for i, w := range weights {
-		acc += w
-		if u < acc {
-			return i
-		}
-	}
-	return len(weights) - 1
-}

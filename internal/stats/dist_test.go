@@ -111,36 +111,6 @@ func TestBernoulliRate(t *testing.T) {
 	}
 }
 
-func TestCategorical(t *testing.T) {
-	g := NewRng(7)
-	counts := make([]int, 3)
-	const n = 90000
-	for i := 0; i < n; i++ {
-		counts[g.Categorical([]float64{1, 2, 0})]++
-	}
-	if counts[2] != 0 {
-		t.Fatalf("zero-weight category drawn %d times", counts[2])
-	}
-	frac0 := float64(counts[0]) / n
-	if !almostEqual(frac0, 1.0/3.0, 0.02) {
-		t.Fatalf("Categorical frac0 = %v, want ≈1/3", frac0)
-	}
-}
-
-func TestCategoricalPanics(t *testing.T) {
-	g := NewRng(8)
-	for _, weights := range [][]float64{nil, {0, 0}, {-1, 2}} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Errorf("Categorical(%v) should panic", weights)
-				}
-			}()
-			g.Categorical(weights)
-		}()
-	}
-}
-
 func TestUniformRange(t *testing.T) {
 	g := NewRng(9)
 	for i := 0; i < 10000; i++ {

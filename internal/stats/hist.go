@@ -1,61 +1,5 @@
 package stats
 
-import "fmt"
-
-// Histogram is a fixed-width-bin histogram over [Lo, Hi). Values below
-// Lo are clamped into the first bin and values at or above Hi into the
-// last, so campaign outliers never vanish silently.
-type Histogram struct {
-	Lo, Hi float64
-	Counts []int
-}
-
-// NewHistogram creates a histogram with bins equal-width bins spanning
-// [lo, hi). It returns an error for a non-positive bin count or an
-// empty range.
-func NewHistogram(lo, hi float64, bins int) (*Histogram, error) {
-	if bins <= 0 {
-		return nil, fmt.Errorf("stats: histogram needs at least one bin, got %d", bins)
-	}
-	if hi <= lo {
-		return nil, fmt.Errorf("stats: histogram range [%v, %v) is empty", lo, hi)
-	}
-	return &Histogram{Lo: lo, Hi: hi, Counts: make([]int, bins)}, nil
-}
-
-// Add records one observation.
-func (h *Histogram) Add(x float64) {
-	idx := h.binOf(x)
-	h.Counts[idx]++
-}
-
-func (h *Histogram) binOf(x float64) int {
-	if x < h.Lo {
-		return 0
-	}
-	width := (h.Hi - h.Lo) / float64(len(h.Counts))
-	idx := int((x - h.Lo) / width)
-	if idx >= len(h.Counts) {
-		idx = len(h.Counts) - 1
-	}
-	return idx
-}
-
-// Total returns the number of recorded observations.
-func (h *Histogram) Total() int {
-	t := 0
-	for _, c := range h.Counts {
-		t += c
-	}
-	return t
-}
-
-// BinCenter returns the midpoint of bin i, for plotting.
-func (h *Histogram) BinCenter(i int) float64 {
-	width := (h.Hi - h.Lo) / float64(len(h.Counts))
-	return h.Lo + width*(float64(i)+0.5)
-}
-
 // HourHistogram counts events by hour of day (0–23). The paper's Fig. 9
 // reports revocations against the revoked server's local hour.
 type HourHistogram struct {

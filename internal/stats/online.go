@@ -74,82 +74,3 @@ func (a *Accumulator) Max() float64 {
 	}
 	return a.max
 }
-
-// Merge folds another accumulator into this one, as if every
-// observation recorded in other had been recorded here (Chan et al.
-// parallel variance combination).
-func (a *Accumulator) Merge(other Accumulator) {
-	if other.n == 0 {
-		return
-	}
-	if a.n == 0 {
-		*a = other
-		return
-	}
-	n := a.n + other.n
-	delta := other.mean - a.mean
-	mean := a.mean + delta*float64(other.n)/float64(n)
-	m2 := a.m2 + other.m2 + delta*delta*float64(a.n)*float64(other.n)/float64(n)
-	if other.min < a.min {
-		a.min = other.min
-	}
-	if other.max > a.max {
-		a.max = other.max
-	}
-	a.n, a.mean, a.m2 = n, mean, m2
-}
-
-// RollingMean keeps the mean of the most recent Window observations.
-// The profiler averages training speed over 100-step windows, matching
-// the paper's measurement methodology.
-type RollingMean struct {
-	window int
-	buf    []float64
-	next   int
-	filled bool
-	sum    float64
-}
-
-// NewRollingMean returns a rolling mean over the given window size.
-// It panics on a non-positive window.
-func NewRollingMean(window int) *RollingMean {
-	if window <= 0 {
-		panic("stats: RollingMean window must be positive")
-	}
-	return &RollingMean{window: window, buf: make([]float64, window)}
-}
-
-// Add records an observation, evicting the oldest when the window is
-// full.
-func (r *RollingMean) Add(x float64) {
-	if r.filled {
-		r.sum -= r.buf[r.next]
-	}
-	r.buf[r.next] = x
-	r.sum += x
-	r.next++
-	if r.next == r.window {
-		r.next = 0
-		r.filled = true
-	}
-}
-
-// N returns how many observations currently contribute to the mean.
-func (r *RollingMean) N() int {
-	if r.filled {
-		return r.window
-	}
-	return r.next
-}
-
-// Mean returns the mean of the current window, or 0 when empty.
-func (r *RollingMean) Mean() float64 {
-	n := r.N()
-	if n == 0 {
-		return 0
-	}
-	return r.sum / float64(n)
-}
-
-// Full reports whether the window has been filled at least once.
-func (r *RollingMean) Full() bool { return r.filled }

@@ -1,10 +1,6 @@
 package stats
 
-import (
-	"math"
-	"testing"
-	"testing/quick"
-)
+import "testing"
 
 func TestAccumulatorMatchesBatch(t *testing.T) {
 	xs := []float64{3, 1, 4, 1, 5, 9, 2, 6}
@@ -30,145 +26,6 @@ func TestAccumulatorEmpty(t *testing.T) {
 	var acc Accumulator
 	if acc.Mean() != 0 || acc.Variance() != 0 || acc.Min() != 0 || acc.Max() != 0 || acc.CoV() != 0 {
 		t.Fatal("empty accumulator should report zeros")
-	}
-}
-
-func TestAccumulatorMerge(t *testing.T) {
-	xs := []float64{1, 2, 3, 4, 5, 6, 7}
-	var left, right, all Accumulator
-	for i, x := range xs {
-		if i < 3 {
-			left.Add(x)
-		} else {
-			right.Add(x)
-		}
-		all.Add(x)
-	}
-	left.Merge(right)
-	if left.N() != all.N() {
-		t.Fatalf("merged N = %d, want %d", left.N(), all.N())
-	}
-	if !almostEqual(left.Mean(), all.Mean(), 1e-12) {
-		t.Fatalf("merged Mean = %v, want %v", left.Mean(), all.Mean())
-	}
-	if !almostEqual(left.Variance(), all.Variance(), 1e-12) {
-		t.Fatalf("merged Variance = %v, want %v", left.Variance(), all.Variance())
-	}
-	if left.Min() != 1 || left.Max() != 7 {
-		t.Fatalf("merged Min/Max = %v/%v", left.Min(), left.Max())
-	}
-}
-
-func TestAccumulatorMergeEmpty(t *testing.T) {
-	var a, b Accumulator
-	a.Add(2)
-	a.Merge(b) // merging empty is a no-op
-	if a.N() != 1 || a.Mean() != 2 {
-		t.Fatal("merge with empty changed state")
-	}
-	b.Merge(a) // merging into empty copies
-	if b.N() != 1 || b.Mean() != 2 {
-		t.Fatal("merge into empty did not copy")
-	}
-}
-
-// Property: merging two accumulators equals accumulating the
-// concatenated sample.
-func TestQuickAccumulatorMerge(t *testing.T) {
-	f := func(rawA, rawB []float64) bool {
-		clean := func(raw []float64) []float64 {
-			out := make([]float64, 0, len(raw))
-			for _, x := range raw {
-				if !math.IsNaN(x) && !math.IsInf(x, 0) && math.Abs(x) < 1e9 {
-					out = append(out, x)
-				}
-			}
-			return out
-		}
-		a, b := clean(rawA), clean(rawB)
-		var accA, accB, accAll Accumulator
-		for _, x := range a {
-			accA.Add(x)
-			accAll.Add(x)
-		}
-		for _, x := range b {
-			accB.Add(x)
-			accAll.Add(x)
-		}
-		accA.Merge(accB)
-		if accA.N() != accAll.N() {
-			return false
-		}
-		if accA.N() == 0 {
-			return true
-		}
-		scale := math.Max(1, math.Abs(accAll.Mean()))
-		return almostEqual(accA.Mean(), accAll.Mean(), 1e-6*scale) &&
-			almostEqual(accA.Variance(), accAll.Variance(), 1e-4*scale*scale+1e-6)
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestRollingMean(t *testing.T) {
-	r := NewRollingMean(3)
-	if r.Mean() != 0 || r.N() != 0 || r.Full() {
-		t.Fatal("fresh RollingMean should be empty")
-	}
-	r.Add(1)
-	r.Add(2)
-	if !almostEqual(r.Mean(), 1.5, 1e-12) || r.N() != 2 {
-		t.Fatalf("partial window mean = %v, n = %d", r.Mean(), r.N())
-	}
-	r.Add(3)
-	if !r.Full() || !almostEqual(r.Mean(), 2, 1e-12) {
-		t.Fatalf("full window mean = %v", r.Mean())
-	}
-	r.Add(10) // evicts 1
-	if !almostEqual(r.Mean(), 5, 1e-12) {
-		t.Fatalf("rolled mean = %v, want 5", r.Mean())
-	}
-}
-
-func TestRollingMeanPanicsOnBadWindow(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("NewRollingMean(0) should panic")
-		}
-	}()
-	NewRollingMean(0)
-}
-
-func TestHistogram(t *testing.T) {
-	h, err := NewHistogram(0, 10, 5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, x := range []float64{-1, 0, 1.9, 2, 9.9, 10, 100} {
-		h.Add(x)
-	}
-	if h.Total() != 7 {
-		t.Fatalf("Total = %d, want 7", h.Total())
-	}
-	// -1, 0, 1.9 → bin 0; 2 → bin 1; 9.9, 10, 100 → bin 4.
-	want := []int{3, 1, 0, 0, 3}
-	for i, w := range want {
-		if h.Counts[i] != w {
-			t.Fatalf("Counts = %v, want %v", h.Counts, want)
-		}
-	}
-	if got := h.BinCenter(0); !almostEqual(got, 1, 1e-12) {
-		t.Fatalf("BinCenter(0) = %v, want 1", got)
-	}
-}
-
-func TestHistogramValidation(t *testing.T) {
-	if _, err := NewHistogram(0, 10, 0); err == nil {
-		t.Fatal("zero bins should error")
-	}
-	if _, err := NewHistogram(5, 5, 3); err == nil {
-		t.Fatal("empty range should error")
 	}
 }
 

@@ -1,6 +1,7 @@
 // Package stats provides the small statistical toolkit used throughout
-// CM-DARE: descriptive statistics, empirical CDFs, histograms, online
-// accumulators, and seeded random-variate generators.
+// CM-DARE: descriptive statistics, empirical CDFs, an hour-of-day
+// histogram, online accumulators, and seeded random-variate
+// generators.
 //
 // Everything in this package is deterministic given a seed; no global
 // random state is used. All functions operate on float64 slices and do
@@ -181,18 +182,4 @@ func MAPE(pred, target []float64) float64 {
 		return 0
 	}
 	return 100 * s / float64(n)
-}
-
-// RMSE returns the root mean squared error between predictions and
-// targets. It panics if the lengths differ or are zero.
-func RMSE(pred, target []float64) float64 {
-	if len(pred) != len(target) || len(pred) == 0 {
-		panic("stats: RMSE requires equal, non-empty slices")
-	}
-	var s float64
-	for i := range pred {
-		d := pred[i] - target[i]
-		s += d * d
-	}
-	return math.Sqrt(s / float64(len(pred)))
 }

@@ -109,10 +109,6 @@ func TestErrorMetrics(t *testing.T) {
 	if got := MAE(pred, target); !almostEqual(got, 1, 1e-12) {
 		t.Fatalf("MAE = %v, want 1", got)
 	}
-	wantRMSE := math.Sqrt((1.0 + 0 + 4) / 3)
-	if got := RMSE(pred, target); !almostEqual(got, wantRMSE, 1e-12) {
-		t.Fatalf("RMSE = %v, want %v", got, wantRMSE)
-	}
 	// MAPE skips zero targets.
 	if got := MAPE([]float64{1, 5}, []float64{0, 4}); !almostEqual(got, 25, 1e-12) {
 		t.Fatalf("MAPE = %v, want 25", got)
@@ -128,7 +124,7 @@ func TestMAEPanicsOnMismatch(t *testing.T) {
 	MAE([]float64{1}, []float64{1, 2})
 }
 
-// Property: for any sample, min ≤ mean ≤ max and RMSE ≥ MAE.
+// Property: for any sample, min ≤ mean ≤ max.
 func TestQuickMeanBounds(t *testing.T) {
 	f := func(raw []float64) bool {
 		xs := make([]float64, 0, len(raw))
@@ -142,35 +138,6 @@ func TestQuickMeanBounds(t *testing.T) {
 		}
 		m := Mean(xs)
 		return Min(xs) <= m+1e-6 && m <= Max(xs)+1e-6
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestQuickRMSEDominatesMAE(t *testing.T) {
-	f := func(raw []float64) bool {
-		if len(raw) < 2 {
-			return true
-		}
-		half := len(raw) / 2
-		pred := make([]float64, 0, half)
-		tgt := make([]float64, 0, half)
-		for i := 0; i < half; i++ {
-			p, q := raw[i], raw[half+i]
-			if math.IsNaN(p) || math.IsInf(p, 0) || math.IsNaN(q) || math.IsInf(q, 0) {
-				return true
-			}
-			if math.Abs(p) > 1e9 || math.Abs(q) > 1e9 {
-				return true
-			}
-			pred = append(pred, p)
-			tgt = append(tgt, q)
-		}
-		if len(pred) == 0 {
-			return true
-		}
-		return RMSE(pred, tgt)+1e-9 >= MAE(pred, tgt)
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
