@@ -119,7 +119,7 @@ type PoolStats struct {
 	Workers       int
 	QueueCapacity int
 	QueueDepth    int
-	// JobsRun counts units run to completion; WaitSeconds and
+	// JobsRun counts units that ran, skips excluded; WaitSeconds and
 	// BusySeconds total their queue wait (admission → start) and
 	// execution time.
 	JobsRun     int64
@@ -162,6 +162,8 @@ func (p *Pool) Run(ctx context.Context, seed int64, u Unit) (any, error) {
 }
 
 func (p *Pool) run(ctx context.Context, seed int64, u Unit) (any, error) {
+	// A select picks at random among ready cases, so a closed pool and
+	// an ended ctx are checked apart from the token they race with.
 	select {
 	case <-p.closed:
 		return nil, skipped(ErrPoolClosed)

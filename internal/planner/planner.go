@@ -12,9 +12,8 @@
 //     repeated query is a lookup, never a second simulation;
 //   - singleflight coalescing: concurrent identical queries share one
 //     simulation run;
-//   - a shared campaign.Pool that bounds how many simulations run and
-//     wait at once, so heavy query traffic backpressures instead of
-//     forking unbounded work;
+//   - a shared campaign.Pool with a bounded admission queue, so heavy
+//     query traffic backpressures instead of forking unbounded work;
 //   - per-request contexts: a disconnected or canceled client stops
 //     dispatching its remaining scenarios.
 //
@@ -52,12 +51,11 @@ const (
 
 // Config sizes the planner.
 type Config struct {
-	// Workers bounds the simulations running at once (≤ 0:
-	// GOMAXPROCS).
+	// Workers is the shared simulation pool size (≤ 0: GOMAXPROCS).
 	Workers int
-	// QueueDepth bounds the simulations admitted to wait for a worker
-	// slot; a full queue blocks new dispatch until a slot frees,
-	// providing backpressure across all concurrent queries (≤ 0: 64).
+	// QueueDepth bounds the admission queue feeding the pool; a full
+	// queue blocks new dispatch until a slot frees, providing
+	// backpressure across all concurrent queries (≤ 0: 64).
 	QueueDepth int
 	// CacheSize is the LRU capacity in scenario outcomes (≤ 0: 4096).
 	CacheSize int
