@@ -10,6 +10,55 @@ import (
 	"repro/internal/train"
 )
 
+// trial is one Fig. 10 or Fig. 11 session, built and not yet run. It
+// reads its result off the first n events of one kind on its private
+// recorder. Those land long before its horizon, which only bounds a
+// trial whose events never come.
+type trial struct {
+	k       *sim.Kernel
+	rec     *obs.Recorder
+	kind    string
+	n       int
+	horizon sim.Time
+	read    func(events []obs.Event) (float64, error)
+}
+
+// trialSlice is how many simulated seconds a trial runs between looks
+// at its recorder.
+const trialSlice = 10
+
+// run advances the trial in slices of trialSlice seconds until its
+// recorder holds n events of its kind, or to its horizon, and reads
+// the events of that kind recorded by then. The slices fire the same
+// events in the same order as one run to the horizon: a slice ends
+// between two events, and nothing outside the events schedules any.
+func (t *trial) run() (float64, error) {
+	for t.k.Now() < t.horizon && len(t.rec.EventsOf(t.kind)) < t.n {
+		t.k.RunUntil(min(t.k.Now()+trialSlice, t.horizon))
+	}
+	return t.read(t.rec.EventsOf(t.kind))
+}
+
+// trialSpec declares one trial: its unit key and the builder of its
+// session for a unit seed.
+type trialSpec struct {
+	key   string
+	build func(seed int64) (*trial, error)
+}
+
+// trials declares one unit per spec, each running its trial.
+func (p *plan) trials(specs []trialSpec) {
+	for _, s := range specs {
+		p.unit(s.key, func(seed int64) (any, error) {
+			t, err := s.build(seed)
+			if err != nil {
+				return nil, err
+			}
+			return t.run()
+		})
+	}
+}
+
 // Figure10Result reproduces Fig. 10: worker replacement overhead for
 // cold starts (new server) vs. warm starts (existing server), for the
 // four canonical models.
@@ -26,17 +75,11 @@ var paperFigure10 = map[string][2]float64{
 	"ShakeShakeBig":   {90.6, 29.8},
 }
 
+// figure10Trials is how many trials average into each bar.
+const figure10Trials = 20
+
 func planFigure10(p *plan) *campaign.Plan {
-	const trials = 20
-	for _, m := range model.CanonicalModels() {
-		for _, cold := range []bool{true, false} {
-			for trial := 0; trial < trials; trial++ {
-				p.unit(fmt.Sprintf("fig10/%s/cold=%v/%d", m.Name, cold, trial), func(s int64) (any, error) {
-					return figure10Trial(m, cold, s)
-				})
-			}
-		}
-	}
+	p.trials(figure10Specs())
 	return p.build(func(outs []any) (Result, error) {
 		res := &Figure10Result{Seconds: make(map[string][2]float64)}
 		i := 0
@@ -44,11 +87,11 @@ func planFigure10(p *plan) *campaign.Plan {
 			var vals [2]float64
 			for ci := range vals {
 				var sum float64
-				for trial := 0; trial < trials; trial++ {
+				for range figure10Trials {
 					sum += outs[i].(float64)
 					i++
 				}
-				vals[ci] = sum / trials
+				vals[ci] = sum / figure10Trials
 			}
 			res.Seconds[m.Name] = vals
 		}
@@ -56,10 +99,26 @@ func planFigure10(p *plan) *campaign.Plan {
 	})
 }
 
-// figure10Trial runs one replacement trial: a single-K80 session with
-// a worker joining five seconds in, returning the request-to-join
-// latency read off the session's private timeline.
-func figure10Trial(m model.Model, cold bool, seed int64) (float64, error) {
+// figure10Specs lists Fig. 10's trials in declaration order.
+func figure10Specs() []trialSpec {
+	var specs []trialSpec
+	for _, m := range model.CanonicalModels() {
+		for _, cold := range []bool{true, false} {
+			for i := 0; i < figure10Trials; i++ {
+				specs = append(specs, trialSpec{
+					key:   fmt.Sprintf("fig10/%s/cold=%v/%d", m.Name, cold, i),
+					build: func(seed int64) (*trial, error) { return newFigure10Trial(m, cold, seed) },
+				})
+			}
+		}
+	}
+	return specs
+}
+
+// newFigure10Trial builds one replacement trial: a single-K80 session
+// with a worker requested five seconds in. It reads the
+// request-to-join latency off the session's private timeline.
+func newFigure10Trial(m model.Model, cold bool, seed int64) (*trial, error) {
 	k := &sim.Kernel{}
 	rec := obs.NewRecorder()
 	c, err := train.NewCluster(k, train.Config{
@@ -70,20 +129,21 @@ func figure10Trial(m model.Model, cold bool, seed int64) (float64, error) {
 		Trace:         rec,
 	})
 	if err != nil {
-		return 0, err
+		return nil, err
 	}
 	c.Start()
 	k.RunUntil(sim.Time(5))
 	requestedAt := k.Now().Seconds()
 	if _, err := c.AddWorker(train.WorkerSpec{GPU: model.K80}, train.JoinMode{Cold: cold}); err != nil {
-		return 0, err
+		return nil, err
 	}
-	k.RunUntil(sim.Time(400))
-	joins := rec.EventsOf(train.EventJoin)
-	if len(joins) != 1 {
-		return 0, fmt.Errorf("figure10: expected one join, got %d", len(joins))
-	}
-	return joins[0].T - requestedAt, nil
+	return &trial{k: k, rec: rec, kind: train.EventJoin, n: 1, horizon: sim.Time(400),
+		read: func(joins []obs.Event) (float64, error) {
+			if len(joins) != 1 {
+				return 0, fmt.Errorf("figure10: expected one join, got %d", len(joins))
+			}
+			return joins[0].T - requestedAt, nil
+		}}, nil
 }
 
 // String renders the cold/warm bars.
@@ -114,22 +174,21 @@ type Figure11Result struct {
 	OverheadSeconds []float64
 }
 
+// Fig. 11's grid: checkpoint every figure11CkptInterval steps, revoke
+// the chief figure11RevokeAfter steps past the checkpoint (§V-A), and
+// join the replacement at each of figure11JoinAts steps past it.
+const (
+	figure11CkptInterval = 4000
+	figure11RevokeAfter  = 1000
+)
+
+var figure11JoinAts = []int64{1500, 2000, 2500, 3000, 3500}
+
 func planFigure11(p *plan) *campaign.Plan {
-	const (
-		ckptInterval = 4000
-		revokeAfter  = 1000 // chief revoked 1k steps past the checkpoint (§V-A)
-	)
-	joinAts := []int64{1500, 2000, 2500, 3000, 3500}
-	for _, joinAt := range joinAts {
-		for _, reuseIP := range []bool{true, false} {
-			p.unit(fmt.Sprintf("fig11/%d/reuse=%v", joinAt, reuseIP), func(s int64) (any, error) {
-				return figure11Trial(s, joinAt, reuseIP, ckptInterval, revokeAfter)
-			})
-		}
-	}
+	p.trials(figure11Specs())
 	return p.build(func(outs []any) (Result, error) {
 		res := &Figure11Result{}
-		for i, joinAt := range joinAts {
+		for i, joinAt := range figure11JoinAts {
 			reuse := outs[2*i].(float64)
 			fresh := outs[2*i+1].(float64)
 			res.StepsSince = append(res.StepsSince, joinAt)
@@ -139,49 +198,63 @@ func planFigure11(p *plan) *campaign.Plan {
 	})
 }
 
-// figure11Trial runs one 2×K80 ResNet-15 session: checkpoint at
-// ckptInterval, chief revoked revokeAfter steps later, replacement
-// joining when the session has advanced joinAt steps past the
-// checkpoint. It returns the time from the first checkpoint to the
-// next one (the "time to reach the next designated checkpoint"), read
-// off the session's private timeline.
-func figure11Trial(seed, joinAt int64, reuseIP bool, ckptInterval, revokeAfter int64) (float64, error) {
+// figure11Specs lists Fig. 11's trials in declaration order: for each
+// join point, the IP-reusing trial, then the fresh-IP one.
+func figure11Specs() []trialSpec {
+	var specs []trialSpec
+	for _, joinAt := range figure11JoinAts {
+		for _, reuseIP := range []bool{true, false} {
+			specs = append(specs, trialSpec{
+				key:   fmt.Sprintf("fig11/%d/reuse=%v", joinAt, reuseIP),
+				build: func(seed int64) (*trial, error) { return newFigure11Trial(seed, joinAt, reuseIP) },
+			})
+		}
+	}
+	return specs
+}
+
+// newFigure11Trial builds one 2×K80 ResNet-15 session: checkpoint at
+// figure11CkptInterval, chief revoked figure11RevokeAfter steps later,
+// replacement joining when the session has advanced joinAt steps past
+// the checkpoint. It reads the time from the first checkpoint to the
+// second (the "time to reach the next designated checkpoint") off the
+// session's private timeline.
+func newFigure11Trial(seed, joinAt int64, reuseIP bool) (*trial, error) {
 	k := &sim.Kernel{}
 	rec := obs.NewRecorder()
 	c, err := train.NewCluster(k, train.Config{
 		Model:              model.ResNet15(),
 		Workers:            train.Homogeneous(model.K80, 2),
-		CheckpointInterval: ckptInterval,
+		CheckpointInterval: figure11CkptInterval,
 		DisableWarmup:      true,
 		Seed:               seed,
 		Trace:              rec,
 	})
 	if err != nil {
-		return 0, err
+		return nil, err
 	}
 	// Unmodified TensorFlow for the IP-reuse variant: no handoff.
 	c.SetChiefHandoff(!reuseIP)
 	chief := c.Chief()
-	c.WhenStep(ckptInterval+revokeAfter, func() {
+	c.WhenStep(figure11CkptInterval+figure11RevokeAfter, func() {
 		if err := c.KillWorker(chief); err != nil {
 			panic(fmt.Sprintf("figure11: kill: %v", err))
 		}
 	})
-	c.WhenStep(ckptInterval+joinAt, func() {
+	c.WhenStep(figure11CkptInterval+joinAt, func() {
 		mode := train.JoinMode{Cold: true, ReuseChiefIP: reuseIP}
 		if _, err := c.AddWorker(train.WorkerSpec{GPU: model.K80}, mode); err != nil {
 			panic(fmt.Sprintf("figure11: join: %v", err))
 		}
 	})
 	c.Start()
-	// Run until the second checkpoint lands (bounded horizon keeps a
-	// logic bug from hanging the experiment).
-	k.RunUntil(sim.Time(4 * 3600))
-	ckpts := rec.EventsOf(train.EventCheckpoint)
-	if len(ckpts) < 2 {
-		return 0, fmt.Errorf("figure11: only %d checkpoints completed", len(ckpts))
-	}
-	return ckpts[1].T - ckpts[0].T, nil
+	return &trial{k: k, rec: rec, kind: train.EventCheckpoint, n: 2, horizon: sim.Time(4 * 3600),
+		read: func(ckpts []obs.Event) (float64, error) {
+			if len(ckpts) < 2 {
+				return 0, fmt.Errorf("figure11: only %d checkpoints completed", len(ckpts))
+			}
+			return ckpts[1].T - ckpts[0].T, nil
+		}}, nil
 }
 
 // String renders the overhead curve.
