@@ -120,6 +120,9 @@ func (m *membership) observe(e obs.Event) error {
 	case train.EventRevocation, train.EventShrink:
 		if e.Kind == train.EventRevocation {
 			m.revocations++
+			if e.Worker == "" {
+				break // an instance revoked before its worker joined
+			}
 		}
 		delete(m.members, e.Worker)
 		m.left[e.Worker] = true

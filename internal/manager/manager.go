@@ -374,6 +374,16 @@ func (s *Session) workerRevoked(in *cloud.Instance) {
 		// finished); ignore that case but keep training-time errors
 		// loud via the cluster's own validation.
 		_ = s.cluster.KillWorker(name)
+	} else {
+		// Revoked before its worker joined (it waited for the
+		// parameter servers): no cluster worker records the
+		// revocation, so the session does.
+		s.cfg.Trace.Record(obs.Event{
+			T:      s.provider.Now().Seconds(),
+			Kind:   train.EventRevocation,
+			Step:   s.cluster.GlobalStep(),
+			Detail: fmt.Sprintf("instance %d %v/%v", in.ID, pl.Region, pl.GPU),
+		})
 	}
 	if s.cluster.Done() {
 		return

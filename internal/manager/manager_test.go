@@ -1,6 +1,7 @@
 package manager
 
 import (
+	"strings"
 	"testing"
 
 	"repro/internal/cloud"
@@ -160,9 +161,10 @@ func TestDelayedReplacement(t *testing.T) {
 
 // slowPSSession starts two transient K80 workers on a market whose
 // parameter server boots in 100 s and GPU servers in 10 s, so both
-// workers wait for it, and whose transient servers are revoked
-// lifetime seconds after they boot. Nothing replaces them.
-func slowPSSession(t *testing.T, lifetime float64) (*sim.Kernel, *Session, *obs.Recorder) {
+// workers wait for it, and whose first two transient servers are
+// revoked lifetime seconds after they boot. policy decides what
+// replaces them.
+func slowPSSession(t *testing.T, lifetime float64, policy ReplacementPolicy) (*sim.Kernel, *Session, *obs.Recorder) {
 	t.Helper()
 	spec := *cloud.DefaultProvider()
 	spec.Name = "test-slow-ps"
@@ -176,7 +178,7 @@ func slowPSSession(t *testing.T, lifetime float64) (*sim.Kernel, *Session, *obs.
 	p := cloud.NewProviderFor(k, stats.NewRng(1), &spec, &scriptedVictims{afters: []float64{lifetime, lifetime}})
 	cfg := basicConfig(2)
 	cfg.TargetSteps = 1000000
-	cfg.Replacement = ReplaceNone
+	cfg.Replacement = policy
 	cfg.Trace = obs.NewRecorder()
 	s, err := NewSession(p, cfg)
 	if err != nil {
@@ -189,7 +191,7 @@ func slowPSSession(t *testing.T, lifetime float64) (*sim.Kernel, *Session, *obs.
 // parameter server join when it is up, and a later revocation of
 // their instances removes them from the cluster.
 func TestWorkersWaitingForPSAreRevocable(t *testing.T) {
-	k, s, rec := slowPSSession(t, 600) // revoked at 610 s
+	k, s, rec := slowPSSession(t, 600, ReplaceNone) // revoked at 610 s
 	k.RunUntil(sim.Time(600))
 	if n := len(s.Cluster().LiveWorkers()); n != 2 {
 		t.Fatalf("%d workers train before the revocations, want 2", n)
@@ -206,7 +208,7 @@ func TestWorkersWaitingForPSAreRevocable(t *testing.T) {
 // TestWorkersRevokedWhileWaitingNeverJoin: a worker whose instance is
 // revoked while it waits for the parameter server never joins.
 func TestWorkersRevokedWhileWaitingNeverJoin(t *testing.T) {
-	k, s, rec := slowPSSession(t, 50) // revoked at 60 s
+	k, s, rec := slowPSSession(t, 50, ReplaceNone) // revoked at 60 s
 	k.RunUntil(sim.Time(300))
 	if live := s.Cluster().LiveWorkers(); len(live) != 0 {
 		t.Fatalf("workers %v still train after their instances were revoked", live)
@@ -237,5 +239,27 @@ func TestTerminateAllStopsBilling(t *testing.T) {
 func TestPolicyStrings(t *testing.T) {
 	if ReplaceNone.String() != "none" || ReplaceImmediate.String() != "immediate" || ReplaceDelayed.String() != "delayed" {
 		t.Error("policy stringers broken")
+	}
+}
+
+// TestRevocationWhileWaitingIsTraced: an instance revoked while it
+// waits for the parameter server has no cluster worker to record the
+// revocation, so the session records it. Its replacement's replace
+// event then follows a revocation, as checkTraceInvariants in
+// cmd/repro requires of every traced session.
+func TestRevocationWhileWaitingIsTraced(t *testing.T) {
+	k, s, rec := slowPSSession(t, 50, ReplaceImmediate) // revoked at 60 s, replaced at once
+	k.RunUntil(sim.Time(115))
+	revs, replaces := rec.EventsOf(train.EventRevocation), rec.EventsOf("replace")
+	if s.Revocations() != 2 || len(replaces) != 2 {
+		t.Fatalf("%d revocations and %d replace events, want 2 of each", s.Revocations(), len(replaces))
+	}
+	if len(revs) != s.Revocations() {
+		t.Fatalf("%d revocation events for %d revocations", len(revs), s.Revocations())
+	}
+	for _, e := range revs {
+		if e.Worker != "" || !strings.HasPrefix(e.Detail, "instance ") {
+			t.Errorf("revocation %+v: want no worker and the instance in its detail", e)
+		}
 	}
 }

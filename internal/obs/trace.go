@@ -40,7 +40,8 @@ import (
 //	train:   checkpoint, revocation, join, rollback, chief-handoff,
 //	         shrink, rebalance, speed
 //	manager: startup, replace, replace-blocked, elastic-shrink,
-//	         elastic-grow
+//	         elastic-grow, and revocation of an instance whose worker
+//	         had not joined (no Worker; the instance in Detail)
 //	fleet:   job-arrive, job-place, job-done
 type Event struct {
 	// T is the simulation time in seconds.
