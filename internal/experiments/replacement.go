@@ -46,7 +46,8 @@ type trialSpec struct {
 	build func(seed int64) (*trial, error)
 }
 
-// trials declares one unit per spec, each running its trial.
+// trials declares one unit per spec, each running its trial to the
+// events it reads.
 func (p *plan) trials(specs []trialSpec) {
 	for _, s := range specs {
 		p.unit(s.key, func(seed int64) (any, error) {
@@ -104,7 +105,7 @@ func figure10Specs() []trialSpec {
 	var specs []trialSpec
 	for _, m := range model.CanonicalModels() {
 		for _, cold := range []bool{true, false} {
-			for i := 0; i < figure10Trials; i++ {
+			for i := range figure10Trials {
 				specs = append(specs, trialSpec{
 					key:   fmt.Sprintf("fig10/%s/cold=%v/%d", m.Name, cold, i),
 					build: func(seed int64) (*trial, error) { return newFigure10Trial(m, cold, seed) },
@@ -174,14 +175,8 @@ type Figure11Result struct {
 	OverheadSeconds []float64
 }
 
-// Fig. 11's grid: checkpoint every figure11CkptInterval steps, revoke
-// the chief figure11RevokeAfter steps past the checkpoint (§V-A), and
-// join the replacement at each of figure11JoinAts steps past it.
-const (
-	figure11CkptInterval = 4000
-	figure11RevokeAfter  = 1000
-)
-
+// figure11JoinAts are Fig. 11's x axis: how many steps past the
+// checkpoint the replacement joins.
 var figure11JoinAts = []int64{1500, 2000, 2500, 3000, 3500}
 
 func planFigure11(p *plan) *campaign.Plan {
@@ -214,18 +209,22 @@ func figure11Specs() []trialSpec {
 }
 
 // newFigure11Trial builds one 2×K80 ResNet-15 session: checkpoint at
-// figure11CkptInterval, chief revoked figure11RevokeAfter steps later,
-// replacement joining when the session has advanced joinAt steps past
-// the checkpoint. It reads the time from the first checkpoint to the
+// ckptInterval, chief revoked revokeAfter steps later, replacement
+// joining when the session has advanced joinAt steps past the
+// checkpoint. It reads the time from the first checkpoint to the
 // second (the "time to reach the next designated checkpoint") off the
 // session's private timeline.
 func newFigure11Trial(seed, joinAt int64, reuseIP bool) (*trial, error) {
+	const (
+		ckptInterval = 4000
+		revokeAfter  = 1000 // chief revoked 1k steps past the checkpoint (§V-A)
+	)
 	k := &sim.Kernel{}
 	rec := obs.NewRecorder()
 	c, err := train.NewCluster(k, train.Config{
 		Model:              model.ResNet15(),
 		Workers:            train.Homogeneous(model.K80, 2),
-		CheckpointInterval: figure11CkptInterval,
+		CheckpointInterval: ckptInterval,
 		DisableWarmup:      true,
 		Seed:               seed,
 		Trace:              rec,
@@ -236,18 +235,20 @@ func newFigure11Trial(seed, joinAt int64, reuseIP bool) (*trial, error) {
 	// Unmodified TensorFlow for the IP-reuse variant: no handoff.
 	c.SetChiefHandoff(!reuseIP)
 	chief := c.Chief()
-	c.WhenStep(figure11CkptInterval+figure11RevokeAfter, func() {
+	c.WhenStep(ckptInterval+revokeAfter, func() {
 		if err := c.KillWorker(chief); err != nil {
 			panic(fmt.Sprintf("figure11: kill: %v", err))
 		}
 	})
-	c.WhenStep(figure11CkptInterval+joinAt, func() {
+	c.WhenStep(ckptInterval+joinAt, func() {
 		mode := train.JoinMode{Cold: true, ReuseChiefIP: reuseIP}
 		if _, err := c.AddWorker(train.WorkerSpec{GPU: model.K80}, mode); err != nil {
 			panic(fmt.Sprintf("figure11: join: %v", err))
 		}
 	})
 	c.Start()
+	// The trial stops at the second checkpoint; the 4 h horizon only
+	// keeps a logic bug from hanging the experiment.
 	return &trial{k: k, rec: rec, kind: train.EventCheckpoint, n: 2, horizon: sim.Time(4 * 3600),
 		read: func(ckpts []obs.Event) (float64, error) {
 			if len(ckpts) < 2 {
