@@ -9,6 +9,7 @@
 package repro_test
 
 import (
+	"errors"
 	"fmt"
 	"testing"
 
@@ -214,16 +215,18 @@ func BenchmarkCampaignWorkers(b *testing.B) {
 					}
 					plans[pi] = runner.Plan(42 + int64(i))
 				}
-				err := campaign.Engine{Workers: workers}.RunEach(plans, func(_ int, o campaign.Outcome) bool {
+				// done runs on a worker, where the benchmark must not
+				// call FailNow; the first failure stops the batch.
+				var failed error
+				dropped := campaign.Engine{Workers: workers}.RunEach(plans, func(pi int, o campaign.Outcome) bool {
 					if o.Err != nil {
-						b.Fatal(o.Err)
+						failed = o.Err
+					} else if o.Value.(experiments.Result).String() == "" {
+						failed = fmt.Errorf("%s: empty campaign output", batch[pi])
 					}
-					if o.Value.(experiments.Result).String() == "" {
-						b.Fatal("empty campaign output")
-					}
-					return true
+					return failed == nil
 				})
-				if err != nil {
+				if err := errors.Join(failed, dropped); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -14,9 +14,12 @@
 // it ran on one worker or sixteen.
 //
 // Two runners share that unit model. Engine runs batches of plans on
-// workers it starts for each call (cmd/repro, cmdare). Pool bounds how
-// many units a long-running service runs at once, and its Run executes
-// one unit on the caller's goroutine (the planner's queries).
+// workers it starts for each call (cmd/repro, cmdare). The worker that
+// retires a plan's last unit reduces the plan, beside other plans'
+// units and reduces, and hands the caller each resolved plan in
+// declaration order, one at a time. Pool bounds how many units a
+// long-running service runs at once, and its Run executes one unit on
+// the caller's goroutine (the planner's queries).
 package campaign
 
 import (
@@ -54,9 +57,10 @@ type Scratch struct{}
 // Plan is a declared campaign: a base seed, an ordered list of
 // independent units, and a reduce that assembles the final value from
 // the unit outputs (outs[i] is Units[i]'s output). Reduce runs only
-// after every unit succeeded; it sees outputs in declaration order
-// regardless of completion order. A panic in Reduce becomes the plan's
-// error, as a unit's panic does.
+// after every unit succeeded, on the worker that retired the last one,
+// so it may run concurrently with other plans' units and reduces. It
+// sees outputs in declaration order regardless of completion order. A
+// panic in Reduce becomes the plan's error, as a unit's panic does.
 type Plan struct {
 	Seed   int64
 	Units  []Unit
@@ -241,13 +245,21 @@ func (e Engine) Run(p *Plan) (any, error) {
 // index-ordered outputs, so per-plan results are identical to running
 // the plans one at a time.
 //
-// done is invoked once per plan, in declaration order, as soon as that
-// plan and every earlier one have finished — so a caller can print
-// experiment results while later campaigns are still running.
+// A plan's Reduce runs on the worker that retires its last unit, so
+// reduces of different plans overlap each other and later units. done
+// is invoked once per plan, in declaration order, as soon as that plan
+// and every earlier one have resolved — so a caller can print
+// experiment results while later campaigns are still running. done is
+// called from a worker (from the caller when Workers ≤ 1), never
+// concurrently, and each call happens before the next and before
+// RunEach returns.
+//
 // Returning false from done stops the batch: units not yet started are
-// skipped (in-flight units finish) and no further callbacks fire.
-// Because delivery order is declaration order, the sequence of
-// callbacks before a stop is identical for every worker count.
+// skipped (in-flight units finish), no Reduce starts and no further
+// callbacks fire. Because delivery order is declaration order, the
+// sequence of callbacks before a stop is identical for every worker
+// count. A panic in done stops the batch the same way and is re-raised
+// on the caller once every worker has returned.
 //
 // A stop can strand real failures: units already in flight when done
 // returned false still finish, and their plans are never delivered.
@@ -272,109 +284,95 @@ func (e Engine) RunEach(plans []*Plan, done func(i int, o Outcome) bool) error {
 		workers = runtime.GOMAXPROCS(0)
 	}
 
-	// Delivery state lives on this goroutine: plans are handed to done
-	// in declaration order as soon as they and every earlier plan have
-	// finished. A false return from done latches stop, which skips
-	// every unit not yet started.
-	var stop atomic.Bool
-	completed := make([]bool, len(plans))
-	delivered := make([]bool, len(plans))
-	next := 0
-	deliver := func(pi int) {
-		completed[pi] = true
-		for next < len(plans) && completed[next] {
-			delivered[next] = true
-			if !done(next, runs[next].outcome()) {
+	// Plans before next have been handed to done; outcomes[i] is set
+	// once plan i resolves. done runs under mu, so its calls never
+	// overlap, and a false return or a panic latches stop under mu.
+	var (
+		stop      atomic.Bool
+		mu        sync.Mutex
+		next      int
+		outcomes  = make([]*Outcome, len(plans))
+		donePanic any
+	)
+	// resolve reduces plan pi, unless the batch has stopped, then hands
+	// done every consecutive resolved plan from next. Reading stop under
+	// mu waits out a done call in progress, so no Reduce starts after a
+	// stop.
+	resolve := func(pi int) {
+		mu.Lock()
+		stopped := stop.Load()
+		mu.Unlock()
+		if stopped {
+			return
+		}
+		o := runs[pi].outcome()
+		mu.Lock()
+		defer func() {
+			if v := recover(); v != nil {
+				donePanic = v
 				stop.Store(true)
-				next = len(plans)
-				return
 			}
-			next++
+			mu.Unlock()
+		}()
+		outcomes[pi] = &o
+		for ; !stop.Load() && next < len(plans) && outcomes[next] != nil; next++ {
+			if !done(next, *outcomes[next]) {
+				stop.Store(true)
+			}
 		}
 	}
 
-	// Every plan announces exactly once: a plan with no units right
-	// away, any other when its last unit retires.
-	planReady := make(chan int, len(plans))
 	for pi, p := range plans {
 		if len(p.Units) == 0 {
-			planReady <- pi
+			resolve(pi)
 		}
 	}
-	// run executes one unit and reports whether it was its plan's
-	// last, whose caller then announces the plan.
-	run := func(j job) (last bool) {
-		r := &runs[j.plan]
-		if stop.Load() {
-			r.errs[j.unit] = fmt.Errorf("%w: batch stopped", ErrSkipped)
-		} else {
-			u := r.plan.Units[j.unit]
-			r.outs[j.unit], r.errs[j.unit] = runUnit(u, Derive(r.plan.Seed, uint64(j.unit), u.Key))
-		}
-		// The atomic decrement orders every worker's writes to this
-		// plan's slots before the announcement.
-		return r.remaining.Add(-1) == 0
-	}
-
-	if workers <= 1 {
-		// Sequential mode interleaves execution and delivery on one
-		// goroutine, so a stop takes effect before the next unit runs
-		// and nothing is ever in flight when it does.
-		drain := func() {
-			for {
-				select {
-				case pi := <-planReady:
-					deliver(pi)
-				default:
-					return
-				}
-			}
-		}
-		for _, j := range jobs {
-			drain()
+	// Workers take jobs in declaration order by an atomic index, and
+	// whoever retires a plan's last unit resolves the plan. With one
+	// worker the caller is the worker, so each plan resolves before the
+	// next unit runs and nothing is in flight when a stop lands.
+	var taken atomic.Int64
+	work := func() {
+		for i := int(taken.Add(1)) - 1; i < len(jobs); i = int(taken.Add(1)) - 1 {
+			j := jobs[i]
+			r := &runs[j.plan]
 			if stop.Load() {
-				break
+				r.errs[j.unit] = fmt.Errorf("%w: batch stopped", ErrSkipped)
+			} else {
+				u := r.plan.Units[j.unit]
+				r.outs[j.unit], r.errs[j.unit] = runUnit(u, Derive(r.plan.Seed, uint64(j.unit), u.Key))
 			}
-			if run(j) {
-				planReady <- j.plan
+			// The atomic decrement orders every worker's writes to this
+			// plan's slots before its resolution.
+			if r.remaining.Add(-1) == 0 {
+				resolve(j.plan)
 			}
 		}
-		drain()
+	}
+	if workers <= 1 {
+		work()
 	} else {
-		// Workers take jobs in declaration order by an atomic index.
-		var taken atomic.Int64
 		var wg sync.WaitGroup
 		for range min(workers, len(jobs)) {
 			wg.Add(1)
 			go func() {
 				defer wg.Done()
-				for {
-					i := int(taken.Add(1)) - 1
-					if i >= len(jobs) {
-						return
-					}
-					if run(jobs[i]) {
-						planReady <- jobs[i].plan
-					}
-				}
+				work()
 			}()
 		}
-		for n := 0; n < len(plans) && next < len(plans); n++ {
-			deliver(<-planReady)
-		}
 		// Joining the workers publishes every in-flight unit's error
-		// slot before the dropped-error scan.
+		// slot and every done call before the checks below.
 		wg.Wait()
+	}
+	if donePanic != nil {
+		panic(donePanic)
 	}
 
 	// Surface what fail-fast would otherwise lose: real errors from
 	// units that finished after the stop, in plans that were never
 	// handed to done.
 	var droppedErrs []error
-	for pi := range runs {
-		if delivered[pi] {
-			continue
-		}
+	for pi := next; pi < len(runs); pi++ {
 		for ui, err := range runs[pi].errs {
 			if err == nil || errors.Is(err, ErrSkipped) {
 				continue

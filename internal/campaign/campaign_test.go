@@ -3,6 +3,7 @@ package campaign
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -109,6 +110,22 @@ func TestRunEachMatchesIndividualRuns(t *testing.T) {
 	}
 }
 
+// deliveryOrder runs plans as one batch and returns the order done saw
+// them in, with every error. done runs on a worker, where a test must
+// not call FailNow, so it only records.
+func deliveryOrder(e Engine, plans []*Plan) ([]int, error) {
+	var order []int
+	var errs []error
+	dropped := e.RunEach(plans, func(i int, o Outcome) bool {
+		if o.Err != nil {
+			errs = append(errs, fmt.Errorf("plan %d: %w", i, o.Err))
+		}
+		order = append(order, i)
+		return true
+	})
+	return order, errors.Join(append(errs, dropped)...)
+}
+
 func TestRunEachDeliversInDeclarationOrder(t *testing.T) {
 	// Later plans are much cheaper than earlier ones, so completion
 	// order inverts declaration order; delivery must not.
@@ -130,16 +147,152 @@ func TestRunEachDeliversInDeclarationOrder(t *testing.T) {
 		return p
 	}
 	plans := []*Plan{mkPlan(1, 200000), mkPlan(2, 2000), mkPlan(3, 20)}
-	var order []int
-	Engine{Workers: 3}.RunEach(plans, func(i int, o Outcome) bool {
-		if o.Err != nil {
-			t.Fatalf("plan %d: %v", i, o.Err)
-		}
-		order = append(order, i)
-		return true
-	})
-	if len(order) != 3 || order[0] != 0 || order[1] != 1 || order[2] != 2 {
+	order, err := deliveryOrder(Engine{Workers: 3}, plans)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !slices.Equal(order, []int{0, 1, 2}) {
 		t.Fatalf("delivery order = %v, want [0 1 2]", order)
+	}
+}
+
+// TestReducesOfDifferentPlansOverlap: a plan reduces on the worker that
+// retired it, so plan 0's Reduce can wait for plan 1's to start, and
+// done still sees the plans in declaration order.
+func TestReducesOfDifferentPlansOverlap(t *testing.T) {
+	p0, p1 := sumPlan(1, 1), sumPlan(2, 1)
+	started := make(chan struct{})
+	reduce0, reduce1 := p0.Reduce, p1.Reduce
+	p0.Reduce = func(outs []any) (any, error) {
+		if err := await(started); err != nil {
+			return nil, fmt.Errorf("plan 1's reduce never started: %w", err)
+		}
+		return reduce0(outs)
+	}
+	p1.Reduce = func(outs []any) (any, error) {
+		close(started)
+		return reduce1(outs)
+	}
+	order, err := deliveryOrder(Engine{Workers: 2}, []*Plan{p0, p1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !slices.Equal(order, []int{0, 1}) {
+		t.Fatalf("delivery order = %v, want [0 1]", order)
+	}
+}
+
+// await waits until ch is closed, for at most five seconds.
+func await(ch chan struct{}) error {
+	select {
+	case <-ch:
+		return nil
+	case <-time.After(5 * time.Second):
+		return errors.New("timed out")
+	}
+}
+
+// stopBatch is three one-unit plans, a, b and c, for a batch whose done
+// stops it when handed plan 0. At two workers, a waits until b has
+// started and b until done has closed stopping, so plan 1 is in flight
+// at the stop and retires after it, and a worker is free to take c only
+// once the batch has stopped.
+type stopBatch struct {
+	plans    []*Plan
+	stopping chan struct{}
+	// retired counts b's finished runs, later c's started runs and
+	// reduced the Reduce calls of plans 1 and 2.
+	retired, later, reduced atomic.Int64
+}
+
+func newStopBatch(workers int) *stopBatch {
+	sb := &stopBatch{stopping: make(chan struct{})}
+	bStarted := make(chan struct{})
+	gate := func(ch chan struct{}) error {
+		if workers <= 1 {
+			return nil
+		}
+		return await(ch)
+	}
+	reduce := func([]any) (any, error) {
+		sb.reduced.Add(1)
+		return nil, nil
+	}
+	sb.plans = []*Plan{
+		{Seed: 1, Units: []Unit{{Key: "a", Run: func(int64) (any, error) {
+			return nil, gate(bStarted)
+		}}}},
+		{Seed: 2, Reduce: reduce, Units: []Unit{{Key: "b", Run: func(int64) (any, error) {
+			close(bStarted)
+			defer sb.retired.Add(1)
+			return nil, gate(sb.stopping)
+		}}}},
+		{Seed: 3, Reduce: reduce, Units: []Unit{{Key: "c", Run: func(int64) (any, error) {
+			sb.later.Add(1)
+			return nil, nil
+		}}}},
+	}
+	return sb
+}
+
+// TestNoReduceAfterStop: once done returns false, no later plan's
+// Reduce runs, not even that of a plan whose units were in flight at
+// the stop and retire after it, and no unit starts.
+func TestNoReduceAfterStop(t *testing.T) {
+	for _, workers := range []int{1, 2} {
+		sb := newStopBatch(workers)
+		var calls []int
+		var errs []error
+		err := Engine{Workers: workers}.RunEach(sb.plans, func(i int, o Outcome) bool {
+			calls = append(calls, i)
+			errs = append(errs, o.Err)
+			close(sb.stopping)
+			return false
+		})
+		if err := errors.Join(append(errs, err)...); err != nil {
+			t.Fatalf("workers=%d: %v", workers, err)
+		}
+		if !slices.Equal(calls, []int{0}) {
+			t.Fatalf("workers=%d: callbacks = %v, want [0] then stop", workers, calls)
+		}
+		if n := sb.retired.Load(); n != int64(workers-1) {
+			t.Fatalf("workers=%d: plan 1's unit finished %d times, want %d", workers, n, workers-1)
+		}
+		if n := sb.reduced.Load(); n != 0 {
+			t.Fatalf("workers=%d: plans 1 and 2 reduced %d times, want 0", workers, n)
+		}
+		if n := sb.later.Load(); n != 0 {
+			t.Fatalf("workers=%d: plan 2's unit ran %d times, want 0", workers, n)
+		}
+	}
+}
+
+// TestDonePanicReachesCaller: a panic in done stops the batch like a
+// false return, and comes out of RunEach on the calling goroutine once
+// the unit in flight has retired.
+func TestDonePanicReachesCaller(t *testing.T) {
+	for _, workers := range []int{1, 2} {
+		sb := newStopBatch(workers)
+		var got any
+		func() {
+			defer func() { got = recover() }()
+			Engine{Workers: workers}.RunEach(sb.plans, func(i int, o Outcome) bool {
+				close(sb.stopping)
+				panic(fmt.Sprintf("done failed at plan %d", i))
+			})
+		}()
+		if got != "done failed at plan 0" {
+			t.Fatalf("workers=%d: recovered %v, want done's panic", workers, got)
+		}
+		if n := sb.retired.Load(); n != int64(workers-1) {
+			t.Fatalf("workers=%d: plan 1's unit finished %d times before RunEach returned, want %d", workers, n, workers-1)
+		}
+		if n := sb.reduced.Load(); n != 0 {
+			t.Fatalf("workers=%d: plans 1 and 2 reduced %d times, want 0", workers, n)
+		}
+		if n := sb.later.Load(); n != 0 {
+			t.Fatalf("workers=%d: plan 2's unit ran %d times, want 0", workers, n)
+		}
 	}
 }
 
