@@ -12,7 +12,7 @@
 //	repro -exp table1
 //	repro -exp all [-seed 42] [-parallel 8]
 //	repro -exp all -trace-out trace.ndjson   # sim-plane event trace
-//	repro -exp all -timing-out timing.json   # per-unit and per-reduce wall timing
+//	repro -exp all -timing-out timing.json   # per-unit, per-reduce and delivery wall timing
 //	repro -exp sweep -cpuprofile cpu.pprof -memprofile mem.pprof
 //	repro -exp revmodels   # extras run individually, outside "all"
 //	repro -exp fleet       # multi-job scheduler comparison (extra)
@@ -24,9 +24,10 @@
 // internal/obs) as NDJSON, units sorted by key: the trace is a pure
 // function of (experiment set, seed), byte-identical at any -parallel,
 // and never perturbs the primary output. -timing-out is the service
-// plane's counterpart: per-unit and per-reduce wall-clock timings as
-// JSON — useful for profiling the campaign itself, by construction
-// excluded from every simulated number.
+// plane's counterpart: per-unit and per-reduce wall-clock timings, and
+// when each experiment's result was ready to print, as JSON — useful
+// for profiling the campaign itself, by construction excluded from
+// every simulated number.
 //
 // "all" runs exactly the paper's artifact set (the stream the golden
 // snapshot pins); extra experiments — revmodels, the revocation-model
@@ -68,7 +69,7 @@ func run() int {
 		parallel   = flag.Int("parallel", runtime.GOMAXPROCS(0), "worker pool size for campaign replications")
 		list       = flag.Bool("list", false, "list experiment ids and exit")
 		traceOut   = flag.String("trace-out", "", "write the sim-plane event trace (NDJSON, deterministic) to this file")
-		timingOut  = flag.String("timing-out", "", "write per-unit and per-reduce wall-clock timings (JSON) to this file")
+		timingOut  = flag.String("timing-out", "", "write per-unit, per-reduce and delivery wall-clock timings (JSON) to this file")
 		cpuProfile = flag.String("cpuprofile", "", "write a CPU profile of the run to this file (go tool pprof)")
 		memProfile = flag.String("memprofile", "", "write a heap profile at exit to this file (go tool pprof)")
 	)
@@ -198,16 +199,25 @@ type reduceTiming struct {
 	Seconds    float64 `json:"seconds"`
 }
 
+// deliveryTiming is when one experiment's result was handed over for
+// printing: the seconds from the engine's start to its done call.
+type deliveryTiming struct {
+	Experiment       string  `json:"experiment"`
+	DeliveredSeconds float64 `json:"delivered_seconds"`
+}
+
 // timingCollector gathers per-unit and per-experiment reduce timings
 // from the wrappers timePlan puts around each plan's units and Reduce,
-// which may run on any worker goroutine.
+// which may run on any worker goroutine, and each experiment's delivery
+// time.
 type timingCollector struct {
 	ids      []string
 	parallel int
 
-	mu      sync.Mutex
-	units   []unitTiming
-	reduces []reduceTiming
+	mu         sync.Mutex
+	units      []unitTiming
+	reduces    []reduceTiming
+	deliveries []deliveryTiming
 }
 
 func newTimingCollector(runners []experiments.Runner, parallel int) *timingCollector {
@@ -249,18 +259,28 @@ func (t *timingCollector) timePlan(plan int, p *campaign.Plan) {
 	}
 }
 
+// delivered records that runner plan's result was handed over seconds
+// after the engine started.
+func (t *timingCollector) delivered(plan int, seconds float64) {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	t.deliveries = append(t.deliveries, deliveryTiming{Experiment: t.ids[plan], DeliveredSeconds: seconds})
+}
+
 // timingReport is the -timing-out JSON shape: the campaign's shape and
 // totals plus every unit's and every reduce's timing, sorted by
 // experiment (units then by index) so the artifact is stable however
-// the pool scheduled the work.
+// the pool scheduled the work, and every experiment's delivery time in
+// declaration order, the order results are printed in.
 type timingReport struct {
-	Parallel           int            `json:"parallel"`
-	Units              int            `json:"units"`
-	TotalUnitSeconds   float64        `json:"total_unit_seconds"`
-	TotalReduceSeconds float64        `json:"total_reduce_seconds"`
-	WallSeconds        float64        `json:"wall_seconds"`
-	PerUnit            []unitTiming   `json:"per_unit"`
-	PerReduce          []reduceTiming `json:"per_reduce"`
+	Parallel           int              `json:"parallel"`
+	Units              int              `json:"units"`
+	TotalUnitSeconds   float64          `json:"total_unit_seconds"`
+	TotalReduceSeconds float64          `json:"total_reduce_seconds"`
+	WallSeconds        float64          `json:"wall_seconds"`
+	PerUnit            []unitTiming     `json:"per_unit"`
+	PerReduce          []reduceTiming   `json:"per_reduce"`
+	PerDelivery        []deliveryTiming `json:"per_delivery"`
 }
 
 func (t *timingCollector) writeFile(path string, wallSeconds float64) error {
@@ -269,6 +289,8 @@ func (t *timingCollector) writeFile(path string, wallSeconds float64) error {
 	copy(units, t.units)
 	reduces := make([]reduceTiming, len(t.reduces))
 	copy(reduces, t.reduces)
+	deliveries := make([]deliveryTiming, len(t.deliveries))
+	copy(deliveries, t.deliveries)
 	t.mu.Unlock()
 	order := func(i, j int) bool {
 		if units[i].Experiment != units[j].Experiment {
@@ -293,6 +315,7 @@ func (t *timingCollector) writeFile(path string, wallSeconds float64) error {
 		WallSeconds:        wallSeconds,
 		PerUnit:            units,
 		PerReduce:          reduces,
+		PerDelivery:        deliveries,
 	}
 	f, err := os.Create(path)
 	if err != nil {
@@ -322,7 +345,8 @@ func writeExperiments(w io.Writer, runners []experiments.Runner, seed int64, par
 // into every traceable unit (the primary output stays byte-identical —
 // recording draws no randomness and schedules no events), and a
 // non-nil timing collector receives each unit's wall-clock execution
-// time and each experiment's reduce time.
+// time, each experiment's reduce time and the time its result was
+// handed over for printing.
 func writeExperimentsObserved(w io.Writer, runners []experiments.Runner, seed int64, parallel int, col *obs.Collector, timings *timingCollector) (int, error) {
 	// One batch across all selected experiments, so the tail of one
 	// campaign overlaps the head of the next.
@@ -335,7 +359,11 @@ func writeExperimentsObserved(w io.Writer, runners []experiments.Runner, seed in
 	}
 	printed := 0
 	var failed error
+	start := time.Now()
 	dropped := campaign.Engine{Workers: parallel}.RunEach(plans, func(i int, o campaign.Outcome) bool {
+		if timings != nil {
+			timings.delivered(i, time.Since(start).Seconds())
+		}
 		if o.Err != nil {
 			failed = fmt.Errorf("%s: %w", runners[i].ID, o.Err)
 			return false

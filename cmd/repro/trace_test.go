@@ -233,7 +233,8 @@ func TestTraceGoldenDeterministic(t *testing.T) {
 }
 
 // TestTimingCollectorReport covers the -timing-out artifact shape: one
-// row per unit, experiment-major order, totals consistent.
+// row per unit, experiment-major order, totals consistent, and a
+// delivery time.
 func TestTimingCollectorReport(t *testing.T) {
 	r, ok := experiments.ByID("fig5")
 	if !ok {
@@ -254,7 +255,8 @@ func TestTimingCollectorReport(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Contains(raw, []byte(`"experiment": "fig5"`)) || !bytes.Contains(raw, []byte(`"per_unit"`)) {
+	if !bytes.Contains(raw, []byte(`"experiment": "fig5"`)) || !bytes.Contains(raw, []byte(`"per_unit"`)) ||
+		!bytes.Contains(raw, []byte(`"delivered_seconds"`)) {
 		t.Fatalf("timing artifact missing expected fields:\n%s", raw)
 	}
 }
@@ -264,7 +266,9 @@ func TestTimingCollectorReport(t *testing.T) {
 // another, so their seconds must come within 5% of the measured wall:
 // table4's SVR grid search and endtoend's model fits run in their
 // reduces, and both reduces must be listed. Each experiment's unit
-// rows are its units, numbered in declaration order.
+// rows are its units, numbered in declaration order, and its delivery
+// row comes in declaration order, no earlier than the one before it and
+// no later than the wall.
 func TestTimingAccountsForWall(t *testing.T) {
 	if testing.Short() {
 		t.Skip("table4 and endtoend campaigns in -short mode")
@@ -309,6 +313,17 @@ func TestTimingAccountsForWall(t *testing.T) {
 		if n := len(r.Plan(42).Units); seen[r.ID] != n {
 			t.Fatalf("%s: %d unit rows for %d units", r.ID, seen[r.ID], n)
 		}
+	}
+	if len(rep.PerDelivery) != len(runners) {
+		t.Fatalf("delivery rows %+v, want one per experiment", rep.PerDelivery)
+	}
+	prev := 0.0
+	for i, d := range rep.PerDelivery {
+		if d.Experiment != runners[i].ID || d.DeliveredSeconds < prev || d.DeliveredSeconds > rep.WallSeconds {
+			t.Fatalf("delivery rows %+v, want %s's at %d, non-decreasing and within the %.3fs wall",
+				rep.PerDelivery, runners[i].ID, i, rep.WallSeconds)
+		}
+		prev = d.DeliveredSeconds
 	}
 	covered := rep.TotalUnitSeconds + rep.TotalReduceSeconds
 	if math.Abs(covered-rep.WallSeconds) > 0.05*rep.WallSeconds {
