@@ -87,9 +87,6 @@ func NewProviderFor(k *sim.Kernel, rng *stats.Rng, spec *ProviderSpec, m Lifetim
 	}
 }
 
-// Lifetime returns the revocation regime this provider simulates.
-func (p *Provider) Lifetime() LifetimeModel { return p.lifetime }
-
 // Spec returns the market this provider instantiates.
 func (p *Provider) Spec() *ProviderSpec { return p.spec }
 

@@ -60,16 +60,6 @@ func checkMatrix(X [][]float64, y []float64) (n, d int, err error) {
 	return n, d, nil
 }
 
-// Column extracts one feature column as a vector, a convenience for
-// assembling univariate models from a shared dataset.
-func Column(X [][]float64, j int) []float64 {
-	out := make([]float64, len(X))
-	for i, row := range X {
-		out[i] = row[j]
-	}
-	return out
-}
-
 // AsMatrix lifts a single feature vector into an n×1 design matrix.
 func AsMatrix(xs []float64) [][]float64 {
 	out := make([][]float64, len(xs))

@@ -419,12 +419,7 @@ func TestGridSearchSVRFindsLowErrorModel(t *testing.T) {
 	}
 }
 
-func TestColumnAndAsMatrix(t *testing.T) {
-	X := [][]float64{{1, 2}, {3, 4}}
-	col := Column(X, 1)
-	if col[0] != 2 || col[1] != 4 {
-		t.Fatalf("Column = %v", col)
-	}
+func TestAsMatrix(t *testing.T) {
 	m := AsMatrix([]float64{5, 6})
 	if m[0][0] != 5 || m[1][0] != 6 {
 		t.Fatalf("AsMatrix = %v", m)

@@ -10,9 +10,8 @@ type Server struct {
 	// busyUntil is the virtual time at which the server finishes all
 	// currently accepted work.
 	busyUntil Time
-	// Served counts completed jobs, BusyTime integrates service time;
-	// together they give utilization for bottleneck diagnosis.
-	served   uint64
+	// busyTime integrates accepted service time, the numerator of
+	// Utilization.
 	busyTime float64
 }
 
@@ -38,23 +37,9 @@ func (s *Server) SubmitID(service float64, done FnID) Time {
 	finish := start + Time(service)
 	s.busyUntil = finish
 	s.busyTime += service
-	s.served++
 	s.k.Post(finish, done)
 	return finish
 }
-
-// QueueDelay returns how long a job submitted now would wait before
-// starting service.
-func (s *Server) QueueDelay() float64 {
-	if s.busyUntil <= s.k.Now() {
-		return 0
-	}
-	return float64(s.busyUntil - s.k.Now())
-}
-
-// Served returns the number of completed (or scheduled-to-complete)
-// jobs.
-func (s *Server) Served() uint64 { return s.served }
 
 // Utilization returns the fraction of virtual time the server has been
 // busy since the start of the simulation, or 0 at time zero.

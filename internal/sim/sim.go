@@ -37,17 +37,6 @@ func (t Time) Seconds() float64 { return float64(t) }
 // Hours returns the time in hours.
 func (t Time) Hours() float64 { return float64(t) / 3600 }
 
-// HourOfDay returns the hour-of-day component in [0, 24), treating
-// simulation start as midnight. The cloud simulator offsets this per
-// region to model local time zones.
-func (t Time) HourOfDay() int {
-	h := int(math.Floor(float64(t)/3600)) % 24
-	if h < 0 {
-		h += 24
-	}
-	return h
-}
-
 // Handle identifies a scheduled event. It is a small value — copying it
 // is free and never allocates — stamped with the generation of the
 // kernel slot it points at, so a Handle kept after its event fired (and

@@ -11,23 +11,11 @@ type Accumulator struct {
 	n    int
 	mean float64
 	m2   float64
-	min  float64
-	max  float64
 }
 
 // Add records one observation.
 func (a *Accumulator) Add(x float64) {
 	a.n++
-	if a.n == 1 {
-		a.min, a.max = x, x
-	} else {
-		if x < a.min {
-			a.min = x
-		}
-		if x > a.max {
-			a.max = x
-		}
-	}
 	delta := x - a.mean
 	a.mean += delta / float64(a.n)
 	a.m2 += delta * (x - a.mean)
@@ -57,20 +45,4 @@ func (a *Accumulator) CoV() float64 {
 		return 0
 	}
 	return a.Std() / a.mean
-}
-
-// Min returns the smallest observation, or 0 if empty.
-func (a *Accumulator) Min() float64 {
-	if a.n == 0 {
-		return 0
-	}
-	return a.min
-}
-
-// Max returns the largest observation, or 0 if empty.
-func (a *Accumulator) Max() float64 {
-	if a.n == 0 {
-		return 0
-	}
-	return a.max
 }

@@ -225,8 +225,8 @@ func (c *Cluster) LiveWorkers() []string {
 	return out
 }
 
-// PSMaxUtilization returns the highest shard utilization, the signal
-// CM-DARE's bottleneck detector reads (§VI-B).
+// PSMaxUtilization returns the simulator's busiest-shard utilization,
+// which tests read to confirm that the parameter servers saturate.
 func (c *Cluster) PSMaxUtilization() float64 {
 	var max float64
 	for _, s := range c.shards {

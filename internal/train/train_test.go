@@ -3,11 +3,25 @@ package train
 import (
 	"math"
 	"testing"
+	"unsafe"
 
 	"repro/internal/model"
 	"repro/internal/obs"
 	"repro/internal/sim"
 )
+
+// TestWorkerSizeIsCacheLineMultiple pins Worker's size to a multiple of
+// 64 bytes, for the reason sim's TestKernelSizeIsCacheLineMultiple
+// gives: at any other size a worker shares a cache line with the next
+// object of its size class, often a worker of the campaign unit running
+// on the other CPU, and every step writes a line the other core keeps
+// reading. Unpadded at 240 bytes, revmodels at -parallel 2 ran 13%
+// slower than at 256 (median over 12 seeds on a 2-vCPU Xeon).
+func TestWorkerSizeIsCacheLineMultiple(t *testing.T) {
+	if n := unsafe.Sizeof(Worker{}); n%64 != 0 {
+		t.Fatalf("unsafe.Sizeof(Worker{}) = %d bytes, want a multiple of 64", n)
+	}
+}
 
 // runCluster builds, starts, and drains a session, returning its
 // result.

@@ -61,6 +61,10 @@ type Worker struct {
 	// ckptSnapshot/ckptDur describe the in-flight checkpoint.
 	ckptSnapshot int64
 	ckptDur      float64
+
+	// Padding to 256 bytes, pinned by TestWorkerSizeIsCacheLineMultiple;
+	// see that test for why.
+	_ [16]byte
 }
 
 // bindHandlers interns the worker's reusable timer handlers.
