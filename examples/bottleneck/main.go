@@ -29,13 +29,12 @@ func main() {
 
 	// Run with one parameter server and let the detector judge.
 	run1 := measure(resnet32, workers, 1)
-	detector := core.NewDetector()
-	verdict, err := detector.Check(predicted, run1.SpeedSeries)
+	verdict, err := core.DetectBottleneck(predicted, run1.SpeedSeries)
 	if err != nil {
 		log.Fatal(err)
 	}
 	fmt.Printf("\n1 PS: measured %.1f steps/s — deviation %.1f%% (threshold %.1f%%)\n",
-		verdict.MeasuredSpeed, verdict.Deviation*100, detector.Threshold*100)
+		verdict.MeasuredSpeed, verdict.Deviation*100, core.BottleneckThreshold*100)
 	if !verdict.Bottlenecked {
 		fmt.Println("no bottleneck flagged; nothing to mitigate")
 		return
@@ -44,7 +43,7 @@ func main() {
 	fmt.Printf("(session restart costs ≈%.0f s, §VI-B)\n", train.SessionRestartSeconds())
 
 	run2 := measure(resnet32, workers, 2)
-	verdict2, err := detector.Check(predicted, run2.SpeedSeries)
+	verdict2, err := core.DetectBottleneck(predicted, run2.SpeedSeries)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -18,33 +18,15 @@ import (
 	"repro/internal/stats"
 )
 
-// ModelKind selects the regression family for a performance model,
-// mirroring the rows of Tables II and IV.
+// ModelKind names the regression family of a performance model.
+// Tables II and IV compare several (internal/experiments fits their
+// rows); the paper deploys SVR-RBF (§III-B, §IV-C), and so does core:
+// any other kind is rejected.
 type ModelKind int
 
-const (
-	// KindLinear is univariate/multivariate ordinary least squares.
-	KindLinear ModelKind = iota + 1
-	// KindSVRPoly is SVR with the two-degree polynomial kernel.
-	KindSVRPoly
-	// KindSVRRBF is SVR with the RBF kernel, the paper's best
-	// performer in both tables.
-	KindSVRRBF
-)
-
-// String names the kind.
-func (k ModelKind) String() string {
-	switch k {
-	case KindLinear:
-		return "linear"
-	case KindSVRPoly:
-		return "svr-poly"
-	case KindSVRRBF:
-		return "svr-rbf"
-	default:
-		return fmt.Sprintf("ModelKind(%d)", int(k))
-	}
-}
+// KindSVRRBF is SVR with the RBF kernel, the paper's best performer in
+// both tables.
+const KindSVRRBF ModelKind = 1
 
 // coreGrid is the coarse hyperparameter grid used when fitting
 // performance models (a subset of the paper's full grid keeps model
@@ -56,63 +38,42 @@ var coreGrid = regress.SVRGrid{
 	Epsilons: []float64{0.001, 0.002, 0.005, 0.02},
 }
 
-// rbfKernels and polyKernels are the kernel-bandwidth candidates
-// swept during fitting, on min-max-normalized log features. The
-// log transform spaces the zoo evenly (neighbor distance ≈ 0.05), so
-// narrow bandwidths interpolate safely; wide bandwidths produce an
-// ill-conditioned Gram matrix and oversmoothed fits.
+// rbfKernels are the kernel-bandwidth candidates swept during fitting,
+// on min-max-normalized log features. The log transform spaces the zoo
+// evenly (neighbor distance ≈ 0.05), so narrow bandwidths interpolate
+// safely; wide bandwidths produce an ill-conditioned Gram matrix and
+// oversmoothed fits.
 var rbfKernels = []regress.Kernel{
 	regress.RBF{Sigma: 0.03}, regress.RBF{Sigma: 0.05},
 	regress.RBF{Sigma: 0.08}, regress.RBF{Sigma: 0.12},
 }
 
-var polyKernels = []regress.Kernel{
-	regress.Polynomial{Degree: 2, Coef0: 0.5},
-	regress.Polynomial{Degree: 2, Coef0: 1},
-	regress.Polynomial{Degree: 2, Coef0: 2},
-}
-
-// fitRegressor trains a regressor of the given kind on the (already
-// normalized) features, cross-validating SVR hyperparameters under
-// the given scorer. Deployment models select by the metric that
-// matters for their consumer: the speed model by MAPE (Eq. 4 errors
-// are relative), the checkpoint model by MAE (Table IV's metric).
-func fitRegressor(kind ModelKind, X [][]float64, y []float64, score regress.Scorer) (regress.Regressor, error) {
-	switch kind {
-	case KindLinear:
-		lin := &regress.Linear{}
-		if err := lin.Fit(X, y); err != nil {
-			return nil, err
-		}
-		return lin, nil
-	case KindSVRPoly, KindSVRRBF:
-		kernels := rbfKernels
-		if kind == KindSVRPoly {
-			kernels = polyKernels
-		}
-		k := 5
-		if len(X) < 2*k {
-			k = len(X) / 2
-		}
-		if k < 2 {
-			return nil, fmt.Errorf("core: %d samples too few for SVR cross-validation", len(X))
-		}
-		search, err := regress.NewSVRSearch(kernels, coreGrid, X, y, k, stats.NewRng(1), score)
-		if err != nil {
-			return nil, err
-		}
-		best, err := search.Run()
-		if err != nil {
-			return nil, err
-		}
-		m := best.Factory()()
-		if err := m.Fit(X, y); err != nil {
-			return nil, err
-		}
-		return m, nil
-	default:
-		panic(fmt.Sprintf("core: unknown model kind %d", int(kind)))
+// fitSVR trains an SVR-RBF regressor on the (already normalized)
+// features, cross-validating its hyperparameters under the given
+// scorer. Deployment models select by the metric that matters for
+// their consumer: the speed model by MAPE (Eq. 4 errors are relative),
+// the checkpoint model by MAE (Table IV's metric).
+func fitSVR(X [][]float64, y []float64, score regress.Scorer) (regress.Regressor, error) {
+	k := 5
+	if len(X) < 2*k {
+		k = len(X) / 2
 	}
+	if k < 2 {
+		return nil, fmt.Errorf("core: %d samples too few for SVR cross-validation", len(X))
+	}
+	search, err := regress.NewSVRSearch(rbfKernels, coreGrid, X, y, k, stats.NewRng(1), score)
+	if err != nil {
+		return nil, err
+	}
+	best, err := search.Run()
+	if err != nil {
+		return nil, err
+	}
+	m := best.Factory()()
+	if err := m.Fit(X, y); err != nil {
+		return nil, err
+	}
+	return m, nil
 }
 
 // SpeedObservation is one measured (model, GPU) step time, the unit of
@@ -144,8 +105,12 @@ type gpuSpeedModel struct {
 
 // FitSpeedModel trains one regressor per GPU present in the
 // observations. Each GPU needs at least four observations; fewer
-// would make cross-validation and the SVR fit meaningless.
+// would make cross-validation and the SVR fit meaningless. The kind
+// must be KindSVRRBF.
 func FitSpeedModel(obs []SpeedObservation, kind ModelKind) (*SpeedModel, error) {
+	if kind != KindSVRRBF {
+		return nil, fmt.Errorf("core: model kind %d not supported, only KindSVRRBF", int(kind))
+	}
 	byGPU := make(map[model.GPU][]SpeedObservation)
 	for _, o := range obs {
 		if !o.GPU.Valid() {
@@ -175,7 +140,7 @@ func FitSpeedModel(obs []SpeedObservation, kind ModelKind) (*SpeedModel, error) 
 		if err != nil {
 			return nil, fmt.Errorf("core: scaling %v observations: %w", g, err)
 		}
-		gm.reg, err = fitRegressor(kind, scaled, y, stats.MAPE)
+		gm.reg, err = fitSVR(scaled, y, stats.MAPE)
 		if err != nil {
 			return nil, fmt.Errorf("core: fitting %v speed model: %w", g, err)
 		}
@@ -272,78 +237,54 @@ type CheckpointObservation struct {
 	Seconds                          float64
 }
 
-// CheckpointFeatures selects the feature set for the checkpoint model,
-// mirroring Table IV's rows.
+// CheckpointFeatures names the feature set of the checkpoint model.
+// Table IV compares several; the deployed model, and so core, uses
+// FeatTotalSize only.
 type CheckpointFeatures int
 
-const (
-	// FeatTotalSize uses Sc = Sd + Sm + Si (univariate / SVR rows).
-	FeatTotalSize CheckpointFeatures = iota + 1
-	// FeatDataMeta uses (Sd, Sm) (multivariate row).
-	FeatDataMeta
-	// FeatPCA uses two-component PCA over (Sd, Sm, Si).
-	FeatPCA
-)
+// FeatTotalSize uses Sc = Sd + Sm + Si, in MB.
+const FeatTotalSize CheckpointFeatures = 1
 
 // CheckpointModel predicts checkpoint duration from file sizes.
 type CheckpointModel struct {
-	features CheckpointFeatures
-	reg      regress.Regressor
-	scaler   regress.MinMaxScaler
+	reg    regress.Regressor
+	scaler regress.MinMaxScaler
 }
 
-// FitCheckpointModel trains a checkpoint-time model. PCA features
-// imply a linear regressor (Table IV model iii); other feature sets
-// accept any kind.
+// FitCheckpointModel trains a checkpoint-time model. The features must
+// be FeatTotalSize and the kind KindSVRRBF.
 func FitCheckpointModel(obs []CheckpointObservation, features CheckpointFeatures, kind ModelKind) (*CheckpointModel, error) {
+	if features != FeatTotalSize || kind != KindSVRRBF {
+		return nil, fmt.Errorf("core: checkpoint features %d with model kind %d not supported, only FeatTotalSize with KindSVRRBF",
+			int(features), int(kind))
+	}
 	if len(obs) < 4 {
 		return nil, fmt.Errorf("core: %d checkpoint observations, need ≥4", len(obs))
 	}
-	m := &CheckpointModel{features: features}
+	m := &CheckpointModel{}
 	X := make([][]float64, len(obs))
 	y := make([]float64, len(obs))
 	for i, o := range obs {
-		X[i] = checkpointFeatureVector(features, o.DataBytes, o.MetaBytes, o.IndexBytes)
+		X[i] = []float64{checkpointMB(o.DataBytes + o.MetaBytes + o.IndexBytes)}
 		y[i] = o.Seconds
 	}
 	scaled, err := m.scaler.FitTransform(X)
 	if err != nil {
 		return nil, err
 	}
-	if features == FeatPCA {
-		pca := &regress.PCARegressor{Components: 2}
-		if err := pca.Fit(scaled, y); err != nil {
-			return nil, fmt.Errorf("core: fitting checkpoint model: %w", err)
-		}
-		m.reg = pca
-		return m, nil
-	}
-	m.reg, err = fitRegressor(kind, scaled, y, stats.MAE)
+	m.reg, err = fitSVR(scaled, y, stats.MAE)
 	if err != nil {
 		return nil, fmt.Errorf("core: fitting checkpoint model: %w", err)
 	}
 	return m, nil
 }
 
-// checkpointFeatureVector assembles the configured features in MB.
-func checkpointFeatureVector(features CheckpointFeatures, data, meta, index int64) []float64 {
-	const mb = 1e6
-	switch features {
-	case FeatTotalSize:
-		return []float64{float64(data+meta+index) / mb}
-	case FeatDataMeta:
-		return []float64{float64(data) / mb, float64(meta) / mb}
-	case FeatPCA:
-		return []float64{float64(data) / mb, float64(meta) / mb, float64(index) / mb}
-	default:
-		panic(fmt.Sprintf("core: unknown checkpoint features %d", int(features)))
-	}
-}
+// checkpointMB converts a checkpoint size to the model's feature unit.
+func checkpointMB(bytes int64) float64 { return float64(bytes) / 1e6 }
 
 // Seconds predicts the checkpoint duration for a zoo model.
 func (m *CheckpointModel) Seconds(mm model.Model) float64 {
-	x := checkpointFeatureVector(m.features, mm.CkptDataBytes, mm.CkptMetaBytes, mm.CkptIndexBytes)
-	pred := m.reg.Predict(m.scaler.Transform(x))
+	pred := m.reg.Predict(m.scaler.Transform([]float64{checkpointMB(mm.CheckpointBytes())}))
 	if pred < 0 {
 		pred = 0
 	}

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/model"
+	"repro/internal/regress"
 	"repro/internal/stats"
 	"repro/internal/train"
 )
@@ -52,23 +53,32 @@ func TestFitSpeedModelPredictsAnchors(t *testing.T) {
 func TestSpeedModelKindsOrdering(t *testing.T) {
 	// GPU-specific SVR-RBF should achieve lower training error than
 	// plain linear on the curved step-time data — the Table II story.
+	// The linear baseline fits the same log-GFLOPs feature.
 	obs := zooSpeedObservations(model.K80)
-	maeOf := func(kind ModelKind) float64 {
-		m, err := FitSpeedModel(obs, kind)
+	m, err := FitSpeedModel(obs, KindSVRRBF)
+	if err != nil {
+		t.Fatal(err)
+	}
+	X := make([][]float64, len(obs))
+	y := make([]float64, len(obs))
+	for i, o := range obs {
+		X[i] = []float64{math.Log(o.GFLOPs)}
+		y[i] = o.StepSeconds
+	}
+	var lin regress.Linear
+	if err := lin.Fit(X, y); err != nil {
+		t.Fatal(err)
+	}
+	var rbfErrs, linErrs []float64
+	for i, o := range obs {
+		pred, err := m.StepTime(model.K80, o.GFLOPs)
 		if err != nil {
 			t.Fatal(err)
 		}
-		var errs []float64
-		for _, o := range obs {
-			pred, err := m.StepTime(model.K80, o.GFLOPs)
-			if err != nil {
-				t.Fatal(err)
-			}
-			errs = append(errs, math.Abs(pred-o.StepSeconds))
-		}
-		return stats.Mean(errs)
+		rbfErrs = append(rbfErrs, math.Abs(pred-o.StepSeconds))
+		linErrs = append(linErrs, math.Abs(lin.Predict(X[i])-o.StepSeconds))
 	}
-	linear, rbf := maeOf(KindLinear), maeOf(KindSVRRBF)
+	linear, rbf := stats.Mean(linErrs), stats.Mean(rbfErrs)
 	if rbf >= linear {
 		t.Errorf("SVR-RBF MAE %.4f should beat linear %.4f on curved data", rbf, linear)
 	}
@@ -102,19 +112,22 @@ func TestClusterSpeedIsSum(t *testing.T) {
 }
 
 func TestFitSpeedModelValidation(t *testing.T) {
-	if _, err := FitSpeedModel(nil, KindLinear); err == nil {
+	if _, err := FitSpeedModel(nil, KindSVRRBF); err == nil {
 		t.Error("no observations should error")
 	}
 	bad := []SpeedObservation{{GPU: model.K80, GFLOPs: -1, StepSeconds: 1}}
-	if _, err := FitSpeedModel(bad, KindLinear); err == nil {
+	if _, err := FitSpeedModel(bad, KindSVRRBF); err == nil {
 		t.Error("negative GFLOPs should error")
 	}
 	few := []SpeedObservation{
 		{GPU: model.K80, GFLOPs: 1, StepSeconds: 0.1},
 		{GPU: model.K80, GFLOPs: 2, StepSeconds: 0.2},
 	}
-	if _, err := FitSpeedModel(few, KindLinear); err == nil {
+	if _, err := FitSpeedModel(few, KindSVRRBF); err == nil {
 		t.Error("too few observations should error")
+	}
+	if _, err := FitSpeedModel(zooSpeedObservations(model.K80), KindSVRRBF+1); err == nil {
+		t.Error("a kind other than KindSVRRBF should error")
 	}
 }
 
@@ -137,30 +150,25 @@ func TestCheckpointModelFeatureSets(t *testing.T) {
 	obs := zooCheckpointObservations(0.02, 3)
 	r32 := model.ResNet32()
 	want := 0.81 + float64(r32.CheckpointBytes())/28e6
-	for _, tc := range []struct {
-		feats CheckpointFeatures
-		kind  ModelKind
-	}{
-		{FeatTotalSize, KindLinear},
-		{FeatTotalSize, KindSVRRBF},
-		{FeatDataMeta, KindLinear},
-		{FeatPCA, KindLinear},
-	} {
-		m, err := FitCheckpointModel(obs, tc.feats, tc.kind)
-		if err != nil {
-			t.Fatalf("features %d kind %v: %v", tc.feats, tc.kind, err)
-		}
-		got := m.Seconds(r32)
-		if math.Abs(got-want)/want > 0.12 {
-			t.Errorf("features %d kind %v: ResNet-32 checkpoint predicted %.2f s, want ≈%.2f",
-				tc.feats, tc.kind, got, want)
-		}
+	m, err := FitCheckpointModel(obs, FeatTotalSize, KindSVRRBF)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := m.Seconds(r32); math.Abs(got-want)/want > 0.12 {
+		t.Errorf("ResNet-32 checkpoint predicted %.2f s, want ≈%.2f", got, want)
 	}
 }
 
 func TestCheckpointModelValidation(t *testing.T) {
-	if _, err := FitCheckpointModel(nil, FeatTotalSize, KindLinear); err == nil {
+	if _, err := FitCheckpointModel(nil, FeatTotalSize, KindSVRRBF); err == nil {
 		t.Error("no observations should error")
+	}
+	obs := zooCheckpointObservations(0.02, 3)
+	if _, err := FitCheckpointModel(obs, FeatTotalSize+1, KindSVRRBF); err == nil {
+		t.Error("a feature set other than FeatTotalSize should error")
+	}
+	if _, err := FitCheckpointModel(obs, FeatTotalSize, KindSVRRBF+1); err == nil {
+		t.Error("a kind other than KindSVRRBF should error")
 	}
 }
 
@@ -300,7 +308,6 @@ func TestEstimateValidation(t *testing.T) {
 }
 
 func TestDetector(t *testing.T) {
-	d := NewDetector()
 	mk := func(speeds []float64) []train.SpeedSample {
 		var out []train.SpeedSample
 		for i, s := range speeds {
@@ -309,7 +316,7 @@ func TestDetector(t *testing.T) {
 		return out
 	}
 	// Measured matches prediction: not bottlenecked.
-	v, err := d.Check(100, mk([]float64{60, 80, 99, 100, 101, 99}))
+	v, err := DetectBottleneck(100, mk([]float64{60, 80, 99, 100, 101, 99}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -321,7 +328,7 @@ func TestDetector(t *testing.T) {
 		t.Errorf("post-warm-up samples = %d, want 3", v.Samples)
 	}
 	// Measured 20% low: bottlenecked.
-	v, err = d.Check(100, mk([]float64{50, 70, 80, 80, 80, 80}))
+	v, err = DetectBottleneck(100, mk([]float64{50, 70, 80, 80, 80, 80}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -332,7 +339,7 @@ func TestDetector(t *testing.T) {
 		t.Errorf("deviation = %v, want 0.2", v.Deviation)
 	}
 	// Deviation just under threshold: not flagged.
-	v, err = d.Check(100, mk([]float64{90, 90, 90, 94, 94, 94}))
+	v, err = DetectBottleneck(100, mk([]float64{90, 90, 90, 94, 94, 94}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -342,15 +349,14 @@ func TestDetector(t *testing.T) {
 }
 
 func TestDetectorErrors(t *testing.T) {
-	d := NewDetector()
-	if _, err := d.Check(0, nil); err == nil {
+	if _, err := DetectBottleneck(0, nil); err == nil {
 		t.Error("non-positive prediction should error")
 	}
-	if _, err := d.Check(10, nil); err == nil {
+	if _, err := DetectBottleneck(10, nil); err == nil {
 		t.Error("empty series should error")
 	}
 	short := []train.SpeedSample{{Time: 0, Speed: 5}}
-	if _, err := d.Check(10, short); err == nil {
+	if _, err := DetectBottleneck(10, short); err == nil {
 		t.Error("all-warm-up series should error")
 	}
 }

@@ -7,21 +7,14 @@ import (
 	"repro/internal/train"
 )
 
-// Detector flags parameter-server bottlenecks (and straggling workers)
-// by comparing the theoretically predicted cluster speed with the
-// measured one (§VI-B). The paper's operating point: a 30-second
-// warm-up and a 6.7% deviation threshold, both chosen empirically.
-type Detector struct {
-	// WarmupSeconds of measurements are ignored before judging.
-	WarmupSeconds float64
-	// Threshold is the relative deviation that flags a bottleneck.
-	Threshold float64
-}
-
-// NewDetector returns a detector at the paper's operating point.
-func NewDetector() *Detector {
-	return &Detector{WarmupSeconds: 30, Threshold: 0.067}
-}
+// The paper's bottleneck-detector operating point (§VI-B), both chosen
+// empirically: the first BottleneckWarmupSeconds of measurements are
+// ignored, and a measured speed short of the prediction by more than
+// BottleneckThreshold, relatively, flags a bottleneck.
+const (
+	BottleneckWarmupSeconds = 30.0
+	BottleneckThreshold     = 0.067
+)
 
 // Verdict is the outcome of a bottleneck check.
 type Verdict struct {
@@ -38,10 +31,12 @@ type Verdict struct {
 	Samples int
 }
 
-// Check compares a predicted cluster speed with a measured speed
-// series. It returns an error if no sample survives the warm-up
-// filter: judging with no data would silently pass bottlenecks.
-func (d *Detector) Check(predicted float64, series []train.SpeedSample) (Verdict, error) {
+// DetectBottleneck flags parameter-server bottlenecks (and straggling
+// workers) by comparing a predicted cluster speed with a measured speed
+// series (§VI-B). It returns an error if no sample survives the
+// warm-up filter: judging with no data would silently pass
+// bottlenecks.
+func DetectBottleneck(predicted float64, series []train.SpeedSample) (Verdict, error) {
 	if predicted <= 0 {
 		return Verdict{}, fmt.Errorf("core: non-positive predicted speed %v", predicted)
 	}
@@ -51,12 +46,12 @@ func (d *Detector) Check(predicted float64, series []train.SpeedSample) (Verdict
 	start := series[0].Time
 	var post []float64
 	for _, s := range series {
-		if s.Time-start >= d.WarmupSeconds {
+		if s.Time-start >= BottleneckWarmupSeconds {
 			post = append(post, s.Speed)
 		}
 	}
 	if len(post) == 0 {
-		return Verdict{}, fmt.Errorf("core: no samples after %.0fs warm-up", d.WarmupSeconds)
+		return Verdict{}, fmt.Errorf("core: no samples after %.0fs warm-up", BottleneckWarmupSeconds)
 	}
 	measured := stats.Mean(post)
 	dev := (predicted - measured) / predicted
@@ -64,7 +59,7 @@ func (d *Detector) Check(predicted float64, series []train.SpeedSample) (Verdict
 		PredictedSpeed: predicted,
 		MeasuredSpeed:  measured,
 		Deviation:      dev,
-		Bottlenecked:   dev > d.Threshold,
+		Bottlenecked:   dev > BottleneckThreshold,
 		Samples:        len(post),
 	}, nil
 }

@@ -23,7 +23,7 @@ type Plan struct {
 	Workers []Placement
 	// ParameterServers counts PS shards (pricing only; the speed
 	// model assumes the pre-bottleneck regime — pair the estimate
-	// with the Detector to validate that assumption online). Zero
+	// with DetectBottleneck to validate that assumption online). Zero
 	// means zero: a deliberately PS-less plan bills no parameter
 	// server. Callers estimating a managed session should pass the
 	// session's real count (manager defaults to one).

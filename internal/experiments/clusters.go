@@ -170,7 +170,7 @@ func planFigure12(p *plan) *campaign.Plan {
 			return nil, err
 		}
 		predicted := 8 / model.StepTimeModel(model.P100, r32)
-		return core.NewDetector().Check(predicted, run.SpeedSeries)
+		return core.DetectBottleneck(predicted, run.SpeedSeries)
 	})
 	return p.build(func(outs []any) (Result, error) {
 		res := &Figure12Result{Speeds: make(map[string][2][]float64)}

@@ -122,7 +122,7 @@ func planElastic(p *plan) *campaign.Plan {
 					Elastic:  policy,
 				}
 				p.tunit(fmt.Sprintf("elastic/%s/%s/rep%d", regime.label, policy, rep), func(_ int64, rec *obs.Recorder) (any, error) {
-					out, err := runScenario(sc, steps, elasticCheckpointInterval, SessionOptions{Trace: rec}, cellSeed)
+					out, err := MeasureScenario(sc, steps, elasticCheckpointInterval, SessionOptions{Trace: rec}, cellSeed)
 					if err != nil {
 						return nil, err
 					}

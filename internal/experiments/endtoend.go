@@ -6,9 +6,7 @@ import (
 	"repro/internal/campaign"
 	"repro/internal/cloud"
 	"repro/internal/core"
-	"repro/internal/manager"
 	"repro/internal/model"
-	"repro/internal/sim"
 	"repro/internal/stats"
 	"repro/internal/trace"
 	"repro/internal/train"
@@ -26,13 +24,6 @@ type EndToEndResult struct {
 	ActualRevoked  int
 	PredictedCost  float64
 	ActualCostMean float64
-}
-
-// validationRun summarizes one managed validation session.
-type validationRun struct {
-	Seconds float64
-	Revoked int
-	Cost    float64
 }
 
 func planEndToEnd(p *plan) *campaign.Plan {
@@ -68,35 +59,11 @@ func planEndToEnd(p *plan) *campaign.Plan {
 	})
 
 	// 5. Full managed sessions on the cloud for validation.
+	session := Scenario{Model: resnet32, GPU: model.K80, Region: region, Tier: cloud.Transient, Workers: 2}
 	valIdx := make([]int, sessions)
 	for i := range valIdx {
-		i := i
 		valIdx[i] = p.unit(fmt.Sprintf("endtoend/session-%d", i), func(s int64) (any, error) {
-			k, prov := newCloud(s)
-			sess, err := manager.NewSession(prov, manager.Config{
-				Model: resnet32,
-				Workers: []manager.Placement{
-					{GPU: model.K80, Region: region, Tier: cloud.Transient},
-					{GPU: model.K80, Region: region, Tier: cloud.Transient},
-				},
-				TargetSteps:        nw,
-				CheckpointInterval: ic,
-				Replacement:        manager.ReplaceImmediate,
-				Seed:               s + 1,
-			})
-			if err != nil {
-				return nil, err
-			}
-			k.RunUntil(sim.Time(12 * 3600))
-			if !sess.Done() {
-				return nil, fmt.Errorf("endtoend: session %d incomplete at %d steps", i, sess.Cluster().GlobalStep())
-			}
-			sess.TerminateAll()
-			return validationRun{
-				Seconds: sess.TrainingSeconds(),
-				Revoked: sess.Revocations(),
-				Cost:    sess.Cost(),
-			}, nil
+			return MeasureScenario(session, nw, ic, SessionOptions{}, s)
 		})
 	}
 
@@ -146,10 +113,10 @@ func planEndToEnd(p *plan) *campaign.Plan {
 		res := &EndToEndResult{Estimate: est, PredictedCost: est.CostUSD}
 		var costSum float64
 		for _, vi := range valIdx {
-			v := outs[vi].(validationRun)
-			res.ActualSeconds = append(res.ActualSeconds, v.Seconds)
-			res.ActualRevoked += v.Revoked
-			costSum += v.Cost
+			v := outs[vi].(ScenarioOutcome)
+			res.ActualSeconds = append(res.ActualSeconds, v.TrainingSeconds)
+			res.ActualRevoked += v.Revocations
+			costSum += v.CostUSD
 		}
 		res.MeanActual = stats.Mean(res.ActualSeconds)
 		res.ErrorPct = (est.TotalSeconds - res.MeanActual) / res.MeanActual * 100

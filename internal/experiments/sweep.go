@@ -219,11 +219,14 @@ type SessionOptions struct {
 	Trace *obs.Recorder
 }
 
-// runScenario measures one scenario with a full managed session on a
-// fresh kernel, resolving the scenario's provider and revocation model
-// by name (an unnamed revocation model means the provider's default
-// regime).
-func runScenario(sc Scenario, steps, ic int64, opts SessionOptions, seed int64) (ScenarioOutcome, error) {
+// MeasureScenario measures one scenario with a full managed session
+// on a fresh kernel, resolving the scenario's provider and revocation
+// model by name (an unnamed revocation model means the provider's
+// default regime). It takes the step target as given; a sweep scales
+// it per worker before calling. It is also the building block
+// cmd/cmdare and the planner use to validate an Eq. 4/5 pick against
+// the simulated cloud.
+func MeasureScenario(sc Scenario, steps, ic int64, opts SessionOptions, seed int64) (ScenarioOutcome, error) {
 	lm, err := cloud.LookupLifetimeModel(sc.RevModelName())
 	if err != nil {
 		return ScenarioOutcome{}, err
@@ -231,7 +234,7 @@ func runScenario(sc Scenario, steps, ic int64, opts SessionOptions, seed int64) 
 	return runScenarioWith(lm, sc, steps, ic, opts, seed)
 }
 
-// runScenarioWith is runScenario under an explicit lifetime model —
+// runScenarioWith is MeasureScenario under an explicit lifetime model —
 // the path the revmodels experiment uses for models it builds itself
 // (e.g. a trace replay) without going through the registry.
 func runScenarioWith(lm cloud.LifetimeModel, sc Scenario, steps, ic int64, opts SessionOptions, seed int64) (ScenarioOutcome, error) {
@@ -295,20 +298,12 @@ func runScenarioWith(lm cloud.LifetimeModel, sc Scenario, steps, ic int64, opts 
 	}, nil
 }
 
-// MeasureScenario measures one scenario with a full managed session —
-// the building block cmd/cmdare and the examples use to validate an
-// Eq. 4/5 pick against the simulated cloud. Unlike a sweep's units,
-// whose step target scales per worker, it takes the target as given.
-func MeasureScenario(sc Scenario, steps, ic int64, opts SessionOptions, seed int64) (ScenarioOutcome, error) {
-	return runScenario(sc, steps, ic, opts, seed)
-}
-
 // declare adds the sweep to p as a campaign: one unit per scenario.
 func (s SweepSpec) declare(p *plan) *campaign.Plan {
 	for _, sc := range s.Scenarios() {
 		steps := s.StepsPerWorker * int64(sc.Workers)
 		p.tunit("sweep/"+sc.Label(), func(unitSeed int64, rec *obs.Recorder) (any, error) {
-			return runScenario(sc, steps, s.CheckpointInterval, SessionOptions{Trace: rec}, unitSeed)
+			return MeasureScenario(sc, steps, s.CheckpointInterval, SessionOptions{Trace: rec}, unitSeed)
 		})
 	}
 	return p.build(func(outs []any) (Result, error) {

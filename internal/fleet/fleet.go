@@ -50,8 +50,8 @@ type Config struct {
 }
 
 // DefaultHorizonHours bounds a fleet run when the config names no
-// horizon: one week, the same cap runScenario puts on a single
-// session.
+// horizon: one week, the same cap experiments.MeasureScenario puts on
+// a single session.
 const DefaultHorizonHours = 7 * 24
 
 // marketPlan is one resolved market of a validated config.

@@ -36,27 +36,32 @@ func (DiurnalRisk) RevocationRisk(r cloud.Region, g model.GPU, atHours float64) 
 	return cloud.DiurnalRiskRatio(r, g, atHours)
 }
 
-// ElasticPolicy parameterizes the resize loop. The zero value (and the
-// default static policy) disables it.
-type ElasticPolicy struct {
-	Name string
-	// CheckSeconds is the risk-evaluation cadence. The loop draws no
-	// randomness, so the cadence itself never perturbs the simulation's
-	// random streams.
-	CheckSeconds float64
-	// LookaheadHours is how far ahead the risk signal is evaluated —
+// The resize loop's operating point. The elastic policies share it and
+// differ only in their ceiling (ElasticPolicy.MaxGrowFactor).
+const (
+	// checkSeconds is the risk-evaluation cadence. The loop draws no
+	// randomness, so the cadence itself never perturbs the
+	// simulation's random streams.
+	checkSeconds = 300
+	// lookaheadHours is how far ahead the risk signal is evaluated —
 	// shrinking when the wave arrives is too late, since a revocation
 	// takes the worker's in-flight share with it.
-	LookaheadHours float64
-	// ShrinkAbove sheds one worker per check while predicted risk is at
-	// or above this ratio and the cluster is above its floor.
-	ShrinkAbove float64
-	// GrowBelow adds one worker per check while predicted risk is at or
-	// below this ratio and the cluster is below its ceiling.
-	GrowBelow float64
-	// MinShrinkFactor × initial workers is the floor (rounded up, never
+	lookaheadHours = 1
+	// The loop sheds one worker per check while predicted risk is at or
+	// above shrinkAbove and the cluster is above its floor, and adds
+	// one while risk is at or below growBelow and the cluster is below
+	// its ceiling.
+	shrinkAbove = 1.6
+	growBelow   = 1.0
+	// minShrinkFactor × initial workers is the floor (rounded up, never
 	// below one): the session always keeps a core that makes progress.
-	MinShrinkFactor float64
+	minShrinkFactor = 0.5
+)
+
+// ElasticPolicy names a resize policy and its ceiling. The zero value
+// (and the default static policy) disables the loop.
+type ElasticPolicy struct {
+	Name string
 	// MaxGrowFactor × initial workers is the ceiling (rounded down):
 	// 1.0 only re-grows what revocations or shrinks took; >1 surges
 	// past the requested size in quiet hours.
@@ -64,7 +69,7 @@ type ElasticPolicy struct {
 }
 
 // Enabled reports whether the policy actually resizes.
-func (p ElasticPolicy) Enabled() bool { return p.CheckSeconds > 0 }
+func (p ElasticPolicy) Enabled() bool { return p.MaxGrowFactor > 0 }
 
 // DefaultElasticPolicyName is the policy a session runs when its
 // config names none: hold the launch shape, only replace revocations.
@@ -77,24 +82,8 @@ var elasticPolicies = registry.New[ElasticPolicy]("manager", "elastic policy", D
 func init() {
 	for _, p := range []ElasticPolicy{
 		{Name: DefaultElasticPolicyName},
-		{
-			Name:            "elastic",
-			CheckSeconds:    300,
-			LookaheadHours:  1,
-			ShrinkAbove:     1.6,
-			GrowBelow:       1.0,
-			MinShrinkFactor: 0.5,
-			MaxGrowFactor:   1.0,
-		},
-		{
-			Name:            "surge",
-			CheckSeconds:    300,
-			LookaheadHours:  1,
-			ShrinkAbove:     1.6,
-			GrowBelow:       1.0,
-			MinShrinkFactor: 0.5,
-			MaxGrowFactor:   1.5,
-		},
+		{Name: "elastic", MaxGrowFactor: 1.0},
+		{Name: "surge", MaxGrowFactor: 1.5},
 	} {
 		elasticPolicies.Register(p.Name, p)
 	}
@@ -121,7 +110,7 @@ func (s *Session) LiveWorkerInstances() int { return len(s.instances) }
 // elasticFloor is the minimum worker-instance count the loop (and the
 // revocation-replacement clamp) maintains.
 func (s *Session) elasticFloor() int {
-	floor := int(float64(s.initialWorkers)*s.elastic.MinShrinkFactor + 0.999999)
+	floor := int(float64(s.initialWorkers)*minShrinkFactor + 0.999999)
 	if floor < 1 {
 		floor = 1
 	}
@@ -140,7 +129,7 @@ func (s *Session) elasticCeiling() int {
 
 // scheduleElasticCheck arms the next risk check.
 func (s *Session) scheduleElasticCheck() {
-	s.provider.Kernel().After(s.elastic.CheckSeconds, s.elasticCheck)
+	s.provider.Kernel().After(checkSeconds, s.elasticCheck)
 }
 
 // elasticCheck is one pass of the resize loop: shrink one worker if a
@@ -151,7 +140,7 @@ func (s *Session) elasticCheck() {
 	if s.cluster.Done() {
 		return
 	}
-	atHours := s.provider.Now().Seconds()/3600 + s.elastic.LookaheadHours
+	atHours := s.provider.Now().Seconds()/3600 + lookaheadHours
 	if !s.shrinkIfRisky(atHours) {
 		s.growIfClear(atHours)
 	}
@@ -171,7 +160,7 @@ func (s *Session) shrinkIfRisky(atHours float64) bool {
 	var worst float64
 	for _, in := range s.ownedLiveTransients() {
 		risk := s.risk.RevocationRisk(in.Region, in.GPU, atHours)
-		if risk < s.elastic.ShrinkAbove {
+		if risk < shrinkAbove {
 			continue
 		}
 		// Highest predicted risk first; among equals, the most recent
@@ -218,7 +207,7 @@ func (s *Session) growIfClear(atHours float64) {
 	var bestRisk float64
 	for _, pl := range s.growthCells() {
 		risk := s.risk.RevocationRisk(pl.Region, pl.GPU, atHours)
-		if risk > s.elastic.GrowBelow {
+		if risk > growBelow {
 			continue
 		}
 		if s.provider.Churning(pl.Region) || s.provider.TransientAvailable(pl.Region, pl.GPU) == 0 {

@@ -104,15 +104,19 @@ func TestImmediateReplacementKeepsClusterSize(t *testing.T) {
 	}
 }
 
+// scriptedEnv is newEnv on a market whose first len(afters) transient
+// servers are revoked at the scripted lifetimes; later ones survive.
+func scriptedEnv(seed int64, afters ...float64) (*sim.Kernel, *cloud.Provider) {
+	k := &sim.Kernel{}
+	return k, cloud.NewProviderFor(k, stats.NewRng(seed), nil, &scriptedVictims{afters: afters})
+}
+
 func TestReplaceNonePolicyShrinks(t *testing.T) {
-	if testing.Short() {
-		t.Skip("long transient-cluster campaign; skipped in -short mode")
-	}
-	k, p := newEnv(11)
+	k, p := scriptedEnv(11, 1800, 3600)
 	cfg := Config{
 		Model:       model.ResNet15(),
 		Workers:     placements(model.K80, cloud.EuropeWest1, 4),
-		TargetSteps: 2000000, // will not finish in 24 h — we only watch the cluster shrink
+		TargetSteps: 2000000, // will not finish in 3 h — we only watch the cluster shrink
 		Replacement: ReplaceNone,
 		Seed:        13,
 	}
@@ -120,27 +124,20 @@ func TestReplaceNonePolicyShrinks(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	k.RunUntil(sim.Time(24 * 3600))
-	if s.Replacements() != 0 {
-		t.Fatalf("ReplaceNone requested %d replacements", s.Replacements())
+	k.RunUntil(sim.Time(3 * 3600))
+	if s.Revocations() != 2 || s.Replacements() != 0 {
+		t.Fatalf("ReplaceNone: %d revocations and %d replacements, want 2 and 0", s.Revocations(), s.Replacements())
 	}
-	if s.Revocations() == 0 {
-		t.Skip("no revocations drawn in 24h for this seed; nothing to assert")
-	}
-	live := len(s.Cluster().LiveWorkers())
-	if live >= 4 {
-		t.Errorf("live workers = %d after %d revocations with no replacement", live, s.Revocations())
+	if live := len(s.Cluster().LiveWorkers()); live != 2 {
+		t.Errorf("live workers = %d after 2 revocations with no replacement, want 2", live)
 	}
 }
 
 func TestDelayedReplacement(t *testing.T) {
-	if testing.Short() {
-		t.Skip("long transient-cluster campaign; skipped in -short mode")
-	}
-	k, p := newEnv(17)
+	k, p := scriptedEnv(17, 1800)
 	cfg := Config{
 		Model:        model.ResNet15(),
-		Workers:      placements(model.P100, cloud.USEast1, 2), // 70% revocation cell
+		Workers:      placements(model.P100, cloud.USEast1, 2),
 		TargetSteps:  1000000,
 		Replacement:  ReplaceDelayed,
 		DelaySeconds: 3600,
@@ -150,12 +147,23 @@ func TestDelayedReplacement(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	k.RunUntil(sim.Time(12 * 3600))
-	if s.Revocations() == 0 {
-		t.Skip("no revocations drawn; nothing to assert")
+	k.RunUntil(sim.Time(3 * 3600))
+	if s.Revocations() != 1 || s.Replacements() != 1 {
+		t.Fatalf("%d revocations and %d replacements, want 1 and 1", s.Revocations(), s.Replacements())
 	}
-	if s.Replacements() > s.Revocations() {
-		t.Errorf("replacements %d exceed revocations %d", s.Replacements(), s.Revocations())
+	var victim *cloud.Instance
+	for _, in := range s.owned {
+		if in.WasRevoked() {
+			victim = in
+		}
+	}
+	repl := s.owned[len(s.owned)-1]
+	if victim == nil || repl == victim {
+		t.Fatalf("no revoked instance followed by a replacement among %d owned", len(s.owned))
+	}
+	if want := victim.EndedAt + sim.Time(cfg.DelaySeconds); repl.RequestedAt != want {
+		t.Errorf("replacement requested at %v, want %v: %v s after the revocation at %v",
+			repl.RequestedAt, want, cfg.DelaySeconds, victim.EndedAt)
 	}
 }
 

@@ -69,21 +69,3 @@ func (k Polynomial) Eval(a, b []float64) float64 {
 func (k Polynomial) String() string {
 	return fmt.Sprintf("poly(degree=%d, coef0=%g)", k.Degree, k.Coef0)
 }
-
-// LinearKernel is the plain inner product, available for completeness
-// and for testing SVR against OLS behavior.
-type LinearKernel struct{}
-
-var _ Kernel = LinearKernel{}
-
-// Eval returns ⟨a, b⟩.
-func (LinearKernel) Eval(a, b []float64) float64 {
-	var dot float64
-	for i := range a {
-		dot += a[i] * b[i]
-	}
-	return dot
-}
-
-// String names the kernel.
-func (LinearKernel) String() string { return "linear" }

@@ -115,9 +115,6 @@ func TestKernels(t *testing.T) {
 	if got := poly.Eval(a, a); math.Abs(got-4) > 1e-12 { // (1+1)²
 		t.Fatalf("poly(a,a) = %v, want 4", got)
 	}
-	if got := (LinearKernel{}).Eval([]float64{2, 3}, []float64{4, 5}); got != 23 {
-		t.Fatalf("linear kernel = %v, want 23", got)
-	}
 }
 
 func TestSVRFitsNonlinearFunction(t *testing.T) {

@@ -128,6 +128,20 @@ func TestGridSearchSVRKernelsMatchesReference(t *testing.T) {
 	}
 }
 
+// dotKernel is the plain inner product: a kernel value distinct from
+// Polynomial{Degree: 1} with the same Gram matrix.
+type dotKernel struct{}
+
+func (dotKernel) Eval(a, b []float64) float64 {
+	var dot float64
+	for i := range a {
+		dot += a[i] * b[i]
+	}
+	return dot
+}
+
+func (dotKernel) String() string { return "dot" }
+
 // TestSVRSearchTieKeepsFirst builds a total tie: two kernels with the
 // same Gram matrix, and an ε wider than every target so no coefficient
 // ever moves. The first kernel and the first grid point must win, as
@@ -137,7 +151,7 @@ func TestSVRSearchTieKeepsFirst(t *testing.T) {
 	for i := range y {
 		y[i] = 0.5 + 0.1*float64(i%3)
 	}
-	kernels := []Kernel{LinearKernel{}, Polynomial{Degree: 1}}
+	kernels := []Kernel{dotKernel{}, Polynomial{Degree: 1}}
 	grid := SVRGrid{Cs: []float64{10, 20}, Epsilons: []float64{5, 6}}
 	search, err := NewSVRSearch(kernels, grid, X, y, 3, stats.NewRng(4), stats.MAE)
 	if err != nil {
