@@ -8,9 +8,10 @@
 // Tables V–VII).
 //
 // Queries dispatch onto one shared simulation worker pool with a
-// bounded admission queue; identical concurrent queries coalesce into
-// a single simulation, and finished measurements land in a seed-keyed
-// LRU cache so no scenario is ever simulated twice.
+// bounded admission queue. One seed-keyed result table holds each
+// measurement, first in flight, so identical concurrent queries share
+// a single simulation, then cached least-recently-used, so no
+// scenario is ever simulated twice.
 //
 // Usage:
 //

@@ -37,7 +37,6 @@ type Provider struct {
 	// requests inside the churn window get Fig. 7's higher startup
 	// variance.
 	lastRevocation map[Region]sim.Time
-	hasRevocation  map[Region]bool
 
 	// capacity optionally bounds the transient pool per (region, GPU)
 	// cell; see capacity.go. Nil means every cell is infinite, which is
@@ -59,12 +58,11 @@ func NewProvider(k *sim.Kernel, rng *stats.Rng) *Provider {
 }
 
 // NewProviderFor instantiates one market: a provider whose catalog,
-// prices, startup behavior, default lifetime regime, and default
-// capacity come from the spec. A nil spec means the default (gce)
-// world; a nil lifetime model means the spec's default regime. The
-// rng is forked exactly once, so construction consumes the same
-// number of caller draws on every path — the byte-identity guarantee
-// the goldens rest on.
+// prices, startup behavior, and default lifetime regime come from the
+// spec. A nil spec means the default (gce) world; a nil lifetime model
+// means the spec's default regime. The rng is forked exactly once, so
+// construction consumes the same number of caller draws on every path
+// — the byte-identity guarantee the goldens rest on.
 func NewProviderFor(k *sim.Kernel, rng *stats.Rng, spec *ProviderSpec, m LifetimeModel) *Provider {
 	if spec == nil {
 		spec = DefaultProvider()
@@ -81,9 +79,7 @@ func NewProviderFor(k *sim.Kernel, rng *stats.Rng, spec *ProviderSpec, m Lifetim
 		rng:            rng.Fork(),
 		spec:           spec,
 		lifetime:       m,
-		capacity:       spec.Capacity.Clone(),
 		lastRevocation: make(map[Region]sim.Time),
-		hasRevocation:  make(map[Region]bool),
 	}
 }
 
@@ -230,7 +226,6 @@ func (p *Provider) revoke(in *Instance) {
 	in.state = Revoked
 	in.EndedAt = p.k.Now()
 	p.lastRevocation[in.Region] = p.k.Now()
-	p.hasRevocation[in.Region] = true
 	key, freed := p.releaseSlot(in)
 	if in.onRevoked != nil {
 		in.onRevoked(in)
@@ -269,10 +264,8 @@ func (p *Provider) Terminate(in *Instance) {
 // churning reports whether the region had a revocation within the
 // churn window (Fig. 7's "immediate request" regime).
 func (p *Provider) churning(r Region) bool {
-	if !p.hasRevocation[r] {
-		return false
-	}
-	return float64(p.k.Now()-p.lastRevocation[r]) < churnWindowSeconds
+	at, ok := p.lastRevocation[r]
+	return ok && float64(p.k.Now()-at) < churnWindowSeconds
 }
 
 // TotalCost sums the cost of every instance at time now.

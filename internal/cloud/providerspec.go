@@ -9,12 +9,11 @@ import (
 )
 
 // ProviderSpec bundles one market's calibration: which (region, GPU)
-// cells it sells, what they cost, how instances start, which lifetime
-// regime transient servers default to, and (optionally) per-cell
-// transient capacity. What used to be package-level GCE constants
-// becomes one registered world among several, so experiments can ask
-// "where should this train?" across markets instead of only "how
-// should this train?" within one.
+// cells it sells, what they cost, how instances start, and which
+// lifetime regime transient servers default to. What used to be
+// package-level GCE constants becomes one registered world among
+// several, so experiments can ask "where should this train?" across
+// markets instead of only "how should this train?" within one.
 //
 // Specs are immutable after registration: the name appears in scenario
 // and fleet keys, so equal names must mean equal market behavior for
@@ -42,10 +41,6 @@ type ProviderSpec struct {
 	// churning flags a recent revocation in the region (Fig. 7's
 	// "immediate request" condition).
 	Startup func(rng *stats.Rng, g model.GPU, t Tier, r Region, churning bool) StartupBreakdown
-	// Capacity optionally bounds the market's transient pool per cell;
-	// nil means every cell is infinite. Provider construction clones
-	// it, and an explicit SetTransientCapacity overrides it.
-	Capacity Capacity
 }
 
 // OfferedRegions lists the spec's regions selling the given GPU, in

@@ -31,22 +31,10 @@ var paperTableIII = map[model.GPU][]float64{
 func planTableIII(p *plan) *campaign.Plan {
 	resnet32 := model.ResNet32()
 	declare := func(g model.GPU, label string, workers []train.WorkerSpec) {
-		n := int64(len(workers))
-		p.unit(fmt.Sprintf("table3/%v/%s", g, label), func(s int64) (any, error) {
-			r, err := runSession(train.Config{
-				Model:       resnet32,
-				Workers:     workers,
-				TargetSteps: 800 * n,
-				Seed:        s,
-			})
-			if err != nil {
-				return nil, err
-			}
-			ws, err := r.WorkerStatByGPU(g)
-			if err != nil {
-				return nil, err
-			}
-			return [2]float64{ws.MeanStepTime * 1000, ws.StdStepTime * 1000}, nil
+		p.session(fmt.Sprintf("table3/%v/%s", g, label), train.Config{
+			Model:       resnet32,
+			Workers:     workers,
+			TargetSteps: 800 * int64(len(workers)),
 		})
 	}
 	for _, g := range model.AllGPUs() {
@@ -60,9 +48,15 @@ func planTableIII(p *plan) *campaign.Plan {
 		i := 0
 		for _, g := range model.AllGPUs() {
 			for range tableIIIColumns {
-				ms := outs[i].([2]float64)
+				ws, err := outs[i].(train.Result).WorkerStatByGPU(g)
+				if err != nil {
+					return nil, err
+				}
 				i++
-				res.StepMs[g] = append(res.StepMs[g], struct{ Mean, Std float64 }{Mean: ms[0], Std: ms[1]})
+				res.StepMs[g] = append(res.StepMs[g], struct{ Mean, Std float64 }{
+					Mean: ws.MeanStepTime * 1000,
+					Std:  ws.StdStepTime * 1000,
+				})
 			}
 		}
 		return res, nil
@@ -98,8 +92,11 @@ func planFigure4(p *plan) *campaign.Plan {
 			if m.Name == "ShakeShakeBig" {
 				steps = int64(300 * n) // slow model; fewer steps suffice
 			}
-			p.unit(fmt.Sprintf("fig4/%s/%d", m.Name, n), func(s int64) (any, error) {
-				return measureClusterSpeed(m, train.Homogeneous(model.P100, n), 1, steps, s)
+			p.session(fmt.Sprintf("fig4/%s/%d", m.Name, n), train.Config{
+				Model:            m,
+				Workers:          train.Homogeneous(model.P100, n),
+				ParameterServers: 1,
+				TargetSteps:      steps,
 			})
 		}
 	}
@@ -108,7 +105,7 @@ func planFigure4(p *plan) *campaign.Plan {
 		i := 0
 		for _, m := range model.CanonicalModels() {
 			for n := 1; n <= 8; n++ {
-				res.Speeds[m.Name] = append(res.Speeds[m.Name], outs[i].(float64))
+				res.Speeds[m.Name] = append(res.Speeds[m.Name], outs[i].(train.Result).SteadySpeed)
 				i++
 			}
 		}
@@ -150,8 +147,11 @@ func planFigure12(p *plan) *campaign.Plan {
 	for _, m := range models {
 		for _, ps := range []int{1, 2} {
 			for n := 1; n <= 8; n++ {
-				p.unit(fmt.Sprintf("fig12/%s/ps%d/%d", m.Name, ps, n), func(s int64) (any, error) {
-					return measureClusterSpeed(m, train.Homogeneous(model.P100, n), ps, int64(700*n), s)
+				p.session(fmt.Sprintf("fig12/%s/ps%d/%d", m.Name, ps, n), train.Config{
+					Model:            m,
+					Workers:          train.Homogeneous(model.P100, n),
+					ParameterServers: ps,
+					TargetSteps:      int64(700 * n),
 				})
 			}
 		}
@@ -159,18 +159,10 @@ func planFigure12(p *plan) *campaign.Plan {
 	// Detection (§VI-B): compare predicted Σ-speeds against the
 	// measured 8-worker, 1-PS ResNet-32 run.
 	r32 := models[1]
-	p.unit("fig12/detector", func(s int64) (any, error) {
-		run, err := runSession(train.Config{
-			Model:       r32,
-			Workers:     train.Homogeneous(model.P100, 8),
-			TargetSteps: 6000,
-			Seed:        s,
-		})
-		if err != nil {
-			return nil, err
-		}
-		predicted := 8 / model.StepTimeModel(model.P100, r32)
-		return core.DetectBottleneck(predicted, run.SpeedSeries)
+	detector := p.session("fig12/detector", train.Config{
+		Model:       r32,
+		Workers:     train.Homogeneous(model.P100, 8),
+		TargetSteps: 6000,
 	})
 	return p.build(func(outs []any) (Result, error) {
 		res := &Figure12Result{Speeds: make(map[string][2][]float64)}
@@ -179,7 +171,7 @@ func planFigure12(p *plan) *campaign.Plan {
 			var both [2][]float64
 			for psIdx := range both {
 				for n := 1; n <= 8; n++ {
-					both[psIdx] = append(both[psIdx], outs[i].(float64))
+					both[psIdx] = append(both[psIdx], outs[i].(train.Result).SteadySpeed)
 					i++
 				}
 			}
@@ -190,7 +182,11 @@ func planFigure12(p *plan) *campaign.Plan {
 				}
 			}
 		}
-		verdict := outs[i].(core.Verdict)
+		predicted := 8 / model.StepTimeModel(model.P100, r32)
+		verdict, err := core.DetectBottleneck(predicted, outs[detector].(train.Result).SpeedSeries)
+		if err != nil {
+			return nil, err
+		}
 		res.DetectorFlagged = verdict.Bottlenecked
 		res.DetectorDeviation = verdict.Deviation
 		return res, nil

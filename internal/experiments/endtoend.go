@@ -7,6 +7,7 @@ import (
 	"repro/internal/cloud"
 	"repro/internal/core"
 	"repro/internal/model"
+	"repro/internal/obs"
 	"repro/internal/stats"
 	"repro/internal/trace"
 	"repro/internal/train"
@@ -62,13 +63,17 @@ func planEndToEnd(p *plan) *campaign.Plan {
 	session := Scenario{Model: resnet32, GPU: model.K80, Region: region, Tier: cloud.Transient, Workers: 2}
 	valIdx := make([]int, sessions)
 	for i := range valIdx {
-		valIdx[i] = p.unit(fmt.Sprintf("endtoend/session-%d", i), func(s int64) (any, error) {
-			return MeasureScenario(session, nw, ic, SessionOptions{}, s)
+		valIdx[i] = p.tunit(fmt.Sprintf("endtoend/session-%d", i), func(s int64, rec *obs.Recorder) (any, error) {
+			return MeasureScenario(session, nw, ic, SessionOptions{Trace: rec}, s)
 		})
 	}
 
 	return p.build(func(outs []any) (Result, error) {
-		speedModel, err := core.FitSpeedModel(dataset(outs).observations(), core.KindSVRRBF)
+		ds, err := dataset(outs)
+		if err != nil {
+			return nil, err
+		}
+		speedModel, err := core.FitSpeedModel(ds.observations(), core.KindSVRRBF)
 		if err != nil {
 			return nil, err
 		}

@@ -27,42 +27,6 @@ func runSession(cfg train.Config) (train.Result, error) {
 	return res, nil
 }
 
-// measureWorkerStepTime measures the steady-state step time of a
-// single worker of the given GPU training the given model (the
-// paper's TFProf-based per-worker measurement, §III-A).
-func measureWorkerStepTime(g model.GPU, m model.Model, steps int64, seed int64) (mean, std float64, err error) {
-	res, err := runSession(train.Config{
-		Model:       m,
-		Workers:     train.Homogeneous(g, 1),
-		TargetSteps: steps,
-		Seed:        seed,
-	})
-	if err != nil {
-		return 0, 0, err
-	}
-	ws, err := res.WorkerStatByGPU(g)
-	if err != nil {
-		return 0, 0, err
-	}
-	return ws.MeanStepTime, ws.StdStepTime, nil
-}
-
-// measureClusterSpeed measures the steady-state cluster speed for a
-// worker placement (the paper's hook-based cluster logging, §III-A).
-func measureClusterSpeed(m model.Model, workers []train.WorkerSpec, ps int, steps int64, seed int64) (float64, error) {
-	res, err := runSession(train.Config{
-		Model:            m,
-		Workers:          workers,
-		ParameterServers: ps,
-		TargetSteps:      steps,
-		Seed:             seed,
-	})
-	if err != nil {
-		return 0, err
-	}
-	return res.SteadySpeed, nil
-}
-
 // speedDataset holds the §III measurement dataset: per-(model, GPU)
 // steady step times across the full zoo.
 type speedDataset struct {
@@ -71,25 +35,25 @@ type speedDataset struct {
 	stepSec map[model.GPU]map[string]float64 // GPU → model name → seconds/step
 }
 
-// declareSpeedDataset adds one measurement unit per (GPU, zoo model)
-// pair — the paper averages 1400 steps per point; a slightly higher
-// target leaves room for warm-up discard — and returns a reconstructor
-// that reads those outputs back into a dataset during reduce.
-func (p *plan) declareSpeedDataset(gpus []model.GPU) func(outs []any) *speedDataset {
+// declareSpeedDataset adds one single-worker session per (GPU, zoo
+// model) pair — the paper averages 1400 steps per point; a slightly
+// higher target leaves room for warm-up discard — and returns a
+// reconstructor that reads each session's steady step time (the
+// paper's TFProf-based per-worker measurement, §III-A) back into a
+// dataset during reduce.
+func (p *plan) declareSpeedDataset(gpus []model.GPU) func(outs []any) (*speedDataset, error) {
 	start := len(p.units)
 	models := model.Zoo()
 	for _, g := range gpus {
 		for _, m := range models {
-			p.unit(fmt.Sprintf("speed/%v/%s", g, m.Name), func(seed int64) (any, error) {
-				mean, _, err := measureWorkerStepTime(g, m, 1500, seed)
-				if err != nil {
-					return nil, fmt.Errorf("measuring %s on %v: %w", m.Name, g, err)
-				}
-				return mean, nil
+			p.session(fmt.Sprintf("speed/%v/%s", g, m.Name), train.Config{
+				Model:       m,
+				Workers:     train.Homogeneous(g, 1),
+				TargetSteps: 1500,
 			})
 		}
 	}
-	return func(outs []any) *speedDataset {
+	return func(outs []any) (*speedDataset, error) {
 		ds := &speedDataset{
 			gpus:    gpus,
 			models:  models,
@@ -99,11 +63,15 @@ func (p *plan) declareSpeedDataset(gpus []model.GPU) func(outs []any) *speedData
 		for _, g := range gpus {
 			ds.stepSec[g] = make(map[string]float64, len(models))
 			for _, m := range models {
-				ds.stepSec[g][m.Name] = outs[i].(float64)
+				ws, err := outs[i].(train.Result).WorkerStatByGPU(g)
+				if err != nil {
+					return nil, fmt.Errorf("measuring %s on %v: %w", m.Name, g, err)
+				}
+				ds.stepSec[g][m.Name] = ws.MeanStepTime
 				i++
 			}
 		}
-		return ds
+		return ds, nil
 	}
 }
 

@@ -139,7 +139,11 @@ func planFigure3(p *plan) *campaign.Plan {
 	gpus := []model.GPU{model.K80, model.P100}
 	dataset := p.declareSpeedDataset(gpus)
 	return p.build(func(outs []any) (Result, error) {
-		return reduceFigure3(gpus, dataset(outs))
+		ds, err := dataset(outs)
+		if err != nil {
+			return nil, err
+		}
+		return reduceFigure3(gpus, ds)
 	})
 }
 

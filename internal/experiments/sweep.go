@@ -10,7 +10,6 @@ import (
 	"repro/internal/obs"
 	"repro/internal/sim"
 	"repro/internal/stats"
-	"repro/internal/train"
 )
 
 // SweepSpec declares a scenario grid for a measurement campaign: every
@@ -80,10 +79,11 @@ func (s Scenario) ElasticName() string {
 	return s.Elastic
 }
 
-// Synchronous reports whether the scenario runs the synchronous
-// dynamic-batching kernel: mixed clusters and elastic sessions do;
-// homogeneous static scenarios keep the asynchronous path (and their
-// historical byte-exact results).
+// Synchronous reports whether the scenario's session trains in
+// synchronous dynamic-batching rounds, as manager.NewSession decides:
+// mixed clusters and elastic sessions do; homogeneous static scenarios
+// keep the asynchronous path (and their historical byte-exact
+// results).
 func (s Scenario) Synchronous() bool {
 	return s.ClusterSpec().Heterogeneous() || s.ElasticName() != manager.DefaultElasticPolicyName
 }
@@ -244,20 +244,10 @@ func runScenarioWith(lm cloud.LifetimeModel, sc Scenario, steps, ic int64, opts 
 	}
 	k := &sim.Kernel{}
 	provider := cloud.NewProviderFor(k, stats.NewRng(seed), spec, lm)
-	cluster := sc.ClusterSpec()
-	gpus := cluster.GPUs()
+	gpus := sc.ClusterSpec().GPUs()
 	placements := make([]manager.Placement, len(gpus))
 	for i, g := range gpus {
 		placements[i] = manager.Placement{GPU: g, Region: sc.Region, Tier: sc.Tier}
-	}
-	// The batch derives from the key-determined normalized cluster, so
-	// identical keys mean identical sessions.
-	var batch *train.BatchPolicy
-	if sc.Synchronous() {
-		batch = &train.BatchPolicy{
-			GlobalBatch: model.ReferenceBatch * cluster.TotalWorkers(),
-			Dynamic:     true,
-		}
 	}
 	sess, err := manager.NewSession(provider, manager.Config{
 		Model:              sc.Model,
@@ -267,7 +257,6 @@ func runScenarioWith(lm cloud.LifetimeModel, sc Scenario, steps, ic int64, opts 
 		CheckpointInterval: ic,
 		Replacement:        opts.Replacement,
 		DelaySeconds:       opts.DelaySeconds,
-		Batch:              batch,
 		Elastic:            sc.Elastic,
 		Seed:               seed + 1,
 		Trace:              opts.Trace,

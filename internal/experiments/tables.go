@@ -93,7 +93,11 @@ func planTableII(p *plan) *campaign.Plan {
 	gpus := []model.GPU{model.K80, model.P100}
 	dataset := p.declareSpeedDataset(gpus)
 	return p.build(func(outs []any) (Result, error) {
-		return reduceTableII(p.seed, gpus, dataset(outs))
+		ds, err := dataset(outs)
+		if err != nil {
+			return nil, err
+		}
+		return reduceTableII(p.seed, gpus, ds)
 	})
 }
 

@@ -363,12 +363,9 @@ func RunTraced(cfg Config, seed int64, rec *obs.Recorder) (*Result, error) {
 			rng = stats.NewRng(campaign.Derive(seed, uint64(i), "fleet/market/"+names[i]))
 		}
 		provider := cloud.NewProviderFor(k, rng, plan.spec, plan.lm)
-		if cfg.Capacity != nil {
-			// An explicit fleet capacity bounds every market's pool
-			// cell-for-cell (a nil one keeps each spec's own default,
-			// which NewProviderFor already installed).
-			provider.SetTransientCapacity(cfg.Capacity)
-		}
+		// The fleet capacity bounds every market's pool cell-for-cell;
+		// a nil one leaves every cell unconstrained.
+		provider.SetTransientCapacity(cfg.Capacity)
 		provider.SetCapacityFreedHook(func(cloud.PoolKey) { f.admit() })
 		f.markets = append(f.markets, fleetMarket{name: names[i], provider: provider})
 	}
@@ -572,7 +569,7 @@ func (f *fleetSim) observe(job *Job) {
 			})
 		}
 		if in.Tier == cloud.Transient {
-			f.history.recordExposure(mk.name, in.Region, in.GPU,
+			f.history.recordExposure(mk.name, in.Region,
 				in.LifetimeSeconds(f.k.Now())/3600, in.WasRevoked())
 		}
 	}

@@ -22,16 +22,16 @@ func logGFLOPs(g float64) float64 {
 // History is the fleet kernel's observation log: what the run has
 // actually measured about its own markets so far. The kernel appends
 // to it in event order on the single simulation thread — completed
-// jobs as each finishes, startup and revocation samples swept from the
-// finished session's instance record — so the log is a pure function
-// of (config, seed) and any scheduler reading it stays deterministic.
+// jobs as each finishes, startup samples and revocation exposure
+// swept from the finished session's instance record — so the log is a
+// pure function of (config, seed) and any scheduler reading it stays
+// deterministic.
 // It is the data side of the paper's CM-DARE loop (§V): observables
 // collected while training feed the regression models that steer the
 // next placement.
 type History struct {
 	completed []CompletedJob
 	startups  []StartupSample
-	revoked   []RevocationSample
 	// exposure accumulates transient instance-hours per (market,
 	// region), the denominator of the observed revocation rate.
 	exposure map[marketRegion]float64
@@ -76,15 +76,6 @@ type StartupSample struct {
 	Seconds float64
 }
 
-// RevocationSample is one observed worker revocation with the
-// instance's realized lifetime (§V-C's observable).
-type RevocationSample struct {
-	Market        string
-	Region        cloud.Region
-	GPU           model.GPU
-	LifetimeHours float64
-}
-
 type marketRegion struct {
 	market string
 	region cloud.Region
@@ -113,9 +104,6 @@ const (
 	minRevExposureHours = 12.0
 )
 
-// Revocations reports how many revocation samples the log holds.
-func (h *History) Revocations() int { return len(h.revoked) }
-
 // recordCompleted appends one finished job.
 func (h *History) recordCompleted(c CompletedJob) {
 	if c.TrainHours <= 0 {
@@ -132,9 +120,9 @@ func (h *History) recordStartup(s StartupSample) {
 	h.startups = append(h.startups, s)
 }
 
-// recordExposure accumulates transient instance-hours, and the
-// revocation itself when the instance was revoked.
-func (h *History) recordExposure(market string, r cloud.Region, g model.GPU, lifetimeHours float64, revoked bool) {
+// recordExposure accumulates transient instance-hours, and counts the
+// revocation when the instance was revoked.
+func (h *History) recordExposure(market string, r cloud.Region, lifetimeHours float64, revoked bool) {
 	if h.exposure == nil {
 		h.exposure = map[marketRegion]float64{}
 		h.revCount = map[marketRegion]int{}
@@ -143,7 +131,6 @@ func (h *History) recordExposure(market string, r cloud.Region, g model.GPU, lif
 	h.exposure[key] += lifetimeHours
 	if revoked {
 		h.revCount[key]++
-		h.revoked = append(h.revoked, RevocationSample{Market: market, Region: r, GPU: g, LifetimeHours: lifetimeHours})
 	}
 }
 

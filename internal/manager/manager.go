@@ -70,13 +70,6 @@ type Config struct {
 	Replacement  ReplacementPolicy
 	DelaySeconds float64 // for ReplaceDelayed
 
-	// Batch switches the cluster to synchronous dynamic batching
-	// (train.BatchPolicy); nil keeps the asynchronous default. A
-	// non-static Elastic policy with a nil Batch auto-derives
-	// model.ReferenceBatch per initial worker — elastic resizing only
-	// makes sense when shares rebalance.
-	Batch *train.BatchPolicy
-
 	// Elastic names a registered resize policy ("static", "elastic",
 	// "surge"); empty means static.
 	Elastic string
@@ -121,17 +114,23 @@ func (c *Config) validate(spec *cloud.ProviderSpec) error {
 	if c.Replacement == ReplaceDelayed && c.DelaySeconds <= 0 {
 		return fmt.Errorf("manager: delayed replacement needs positive DelaySeconds")
 	}
-	elastic, err := ElasticPolicyByName(c.Elastic)
-	if err != nil {
-		return err
-	}
-	if elastic.Enabled() && c.Batch == nil {
-		c.Batch = &train.BatchPolicy{
-			GlobalBatch: model.ReferenceBatch * len(c.Workers),
-			Dynamic:     true,
-		}
-	}
 	return nil
+}
+
+// batchPolicy decides the session's batching: workers of mixed GPU
+// types, or an elastic policy that resizes, train in synchronous rounds
+// over a global batch of model.ReferenceBatch per initial worker, so
+// shares rebalance as speeds and membership change. Anything else
+// keeps the asynchronous default (nil).
+func batchPolicy(workers []Placement, elastic ElasticPolicy) *train.BatchPolicy {
+	rounds := elastic.Enabled()
+	for _, w := range workers {
+		rounds = rounds || w.GPU != workers[0].GPU
+	}
+	if !rounds {
+		return nil
+	}
+	return &train.BatchPolicy{GlobalBatch: model.ReferenceBatch * len(workers), Dynamic: true}
 }
 
 // Session is one managed training run. All methods run on the
@@ -180,19 +179,19 @@ func NewSession(p *cloud.Provider, cfg Config) (*Session, error) {
 	if err := cfg.validate(p.Spec()); err != nil {
 		return nil, err
 	}
+	elastic, err := ElasticPolicyByName(cfg.Elastic)
+	if err != nil {
+		return nil, err
+	}
 	cluster, err := train.NewCluster(p.Kernel(), train.Config{
 		Model:              cfg.Model,
 		ParameterServers:   cfg.ParameterServers,
 		TargetSteps:        cfg.TargetSteps,
 		CheckpointInterval: cfg.CheckpointInterval,
-		Batch:              cfg.Batch,
+		Batch:              batchPolicy(cfg.Workers, elastic),
 		Seed:               cfg.Seed,
 		Trace:              cfg.Trace,
 	})
-	if err != nil {
-		return nil, err
-	}
-	elastic, err := ElasticPolicyByName(cfg.Elastic)
 	if err != nil {
 		return nil, err
 	}

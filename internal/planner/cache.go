@@ -5,69 +5,84 @@ import (
 	"sync"
 )
 
-// lru is the planner's seed-keyed result cache. Keys are canonical
-// identities plus the campaign seed (cacheKey) — single-scenario and
-// fleet keys share the one namespace, with disjoint prefixes keeping
-// the families apart — and values are the corresponding finished
-// results (see simulated). Simulations are pure functions of
-// their key, so entries never go stale; capacity is the only reason to
-// evict, and least-recently-used is the right victim because planning
+// results is the planner's one table of simulation results. Keys are
+// canonical identities plus the campaign seed (cacheKey) — single-scenario
+// and fleet keys share the one namespace, with disjoint prefixes
+// keeping the families apart — and each key has at most one entry:
+// in flight while its leader simulates, then cached on success or
+// deleted on failure. Simulations are pure functions of their key, so
+// cached entries never go stale; capacity is the only reason to evict,
+// and least-recently-used is the right victim because planning
 // sessions revisit the scenarios they are deciding between.
-type lru struct {
-	mu    sync.Mutex
-	cap   int
-	order *list.List // front = most recently used
-	items map[string]*list.Element
+type results struct {
+	mu      sync.Mutex
+	cap     int
+	order   *list.List // cached entries, front = most recently used
+	entries map[string]*result
 }
 
-type lruEntry struct {
-	key string
-	val any
+// result is one key's entry. val and err are final once done is
+// closed; el is nil while the entry is in flight.
+type result struct {
+	key  string
+	done chan struct{}
+	val  any
+	err  error
+	el   *list.Element
 }
 
-func newLRU(capacity int) *lru {
-	return &lru{
-		cap:   capacity,
-		order: list.New(),
-		items: make(map[string]*list.Element, capacity),
+func newResults(capacity int) *results {
+	return &results{
+		cap:     capacity,
+		order:   list.New(),
+		entries: make(map[string]*result, capacity),
 	}
 }
 
-// Get returns the cached result and refreshes its recency.
-func (c *lru) Get(key string) (any, bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	el, ok := c.items[key]
-	if !ok {
-		return nil, false
+// claim returns key's entry. A cached entry is a hit and becomes the
+// most recent; an in-flight entry is for the caller to follow; an
+// absent key gets a new in-flight entry, which the caller leads and
+// must finish.
+func (t *results) claim(key string) (r *result, hit, lead bool) {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	if r, ok := t.entries[key]; ok {
+		if r.el == nil {
+			return r, false, false
+		}
+		t.order.MoveToFront(r.el)
+		return r, true, false
 	}
-	c.order.MoveToFront(el)
-	return el.Value.(*lruEntry).val, true
+	r = &result{key: key, done: make(chan struct{})}
+	t.entries[key] = r
+	return r, false, true
 }
 
-// Add inserts or refreshes an entry and reports whether a victim was
-// evicted to make room.
-func (c *lru) Add(key string, val any) (evicted bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if el, ok := c.items[key]; ok {
-		el.Value.(*lruEntry).val = val
-		c.order.MoveToFront(el)
+// finish ends r's flight with the leader's outcome and wakes its
+// followers. A success is cached as the most recent entry, evicting
+// the least recent past capacity; a failure is deleted, so the next
+// caller leads again.
+func (t *results) finish(r *result, val any, err error) (evicted bool) {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	r.val, r.err = val, err
+	close(r.done)
+	if err != nil {
+		delete(t.entries, r.key)
 		return false
 	}
-	c.items[key] = c.order.PushFront(&lruEntry{key: key, val: val})
-	if c.order.Len() <= c.cap {
+	r.el = t.order.PushFront(r)
+	if t.order.Len() <= t.cap {
 		return false
 	}
-	victim := c.order.Back()
-	c.order.Remove(victim)
-	delete(c.items, victim.Value.(*lruEntry).key)
+	victim := t.order.Remove(t.order.Back()).(*result)
+	delete(t.entries, victim.key)
 	return true
 }
 
 // Len reports the number of cached entries.
-func (c *lru) Len() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.order.Len()
+func (t *results) Len() int {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	return t.order.Len()
 }

@@ -29,7 +29,7 @@ func (p *Planner) Metrics() *obs.Registry {
 			func() float64 { return float64(p.evictions.Load()) })
 		r.NewGaugeFunc("pland_cache_entries",
 			"Current result-cache population.",
-			func() float64 { return float64(p.cache.Len()) })
+			func() float64 { return float64(p.results.Len()) })
 		r.NewGaugeFunc("pland_sims_inflight",
 			"Simulation units executing right now.",
 			func() float64 { return float64(p.inflight.Load()) })

@@ -7,11 +7,11 @@
 //
 // The planner adds what the batch path lacks:
 //
-//   - a seed-keyed LRU result cache: a simulated session is a pure
+//   - one seed-keyed result table: a simulated session is a pure
 //     function of (canonical scenario key, campaign seed), so a
-//     repeated query is a lookup, never a second simulation;
-//   - singleflight coalescing: concurrent identical queries share one
-//     simulation run;
+//     repeated query is a lookup, never a second simulation, and
+//     concurrent identical queries share one run while it is in
+//     flight; finished results are kept least-recently-used;
 //   - a shared campaign.Pool with a bounded admission queue, so heavy
 //     query traffic backpressures instead of forking unbounded work;
 //   - per-request contexts: a disconnected or canceled client stops
@@ -66,10 +66,11 @@ type Config struct {
 type Stats struct {
 	// Hits counts queries answered straight from the cache.
 	Hits int64 `json:"hits"`
-	// Misses counts simulations actually run (singleflight leaders).
+	// Misses counts simulations actually run (one per leader).
 	Misses int64 `json:"misses"`
-	// Coalesced counts queries that piggybacked on an identical
-	// in-flight simulation instead of running their own.
+	// Coalesced counts queries that joined an identical in-flight
+	// simulation instead of running their own; a query counts when
+	// it joins, not when its wait ends.
 	Coalesced int64 `json:"coalesced"`
 	// Evictions counts cache entries displaced by capacity.
 	Evictions int64 `json:"evictions"`
@@ -97,8 +98,7 @@ type Stats struct {
 // Planner answers scenario queries on a shared simulation pool.
 type Planner struct {
 	pool    *campaign.Pool
-	cache   *lru
-	flights flightGroup
+	results *results
 
 	hits, misses, coalesced, evictions atomic.Int64
 	inflight, rejections               atomic.Int64
@@ -128,8 +128,8 @@ func New(cfg Config) *Planner {
 		cfg.CacheSize = 4096
 	}
 	return &Planner{
-		pool:  campaign.NewPool(cfg.Workers, cfg.QueueDepth),
-		cache: newLRU(cfg.CacheSize),
+		pool:    campaign.NewPool(cfg.Workers, cfg.QueueDepth),
+		results: newResults(cfg.CacheSize),
 		measure: func(sc experiments.Scenario, steps, ic, seed int64, trace *obs.Recorder) (experiments.ScenarioOutcome, error) {
 			return experiments.MeasureScenario(sc, steps, ic, experiments.SessionOptions{Trace: trace}, seed)
 		},
@@ -149,7 +149,7 @@ func (p *Planner) Stats() Stats {
 		Misses:          p.misses.Load(),
 		Coalesced:       p.coalesced.Load(),
 		Evictions:       p.evictions.Load(),
-		CacheEntries:    p.cache.Len(),
+		CacheEntries:    p.results.Len(),
 		InFlight:        p.inflight.Load(),
 		Rejections:      p.rejections.Load(),
 		PoolWorkers:     ps.Workers,
@@ -193,37 +193,31 @@ func (p *Planner) measureCached(ctx context.Context, sc experiments.Scenario, st
 	return s.value.(experiments.ScenarioOutcome), s.events, cached, nil
 }
 
-// cached is the shared cache → singleflight → run path behind every
-// cacheable query family (single scenarios and fleet runs). run must
-// produce a pure function of key; its result lands in the LRU.
+// cached is the one path behind every cacheable query family (single
+// scenarios and fleet runs): claim the key once, then hit, follow or
+// lead. run must produce a pure function of key; its success is
+// cached.
 func (p *Planner) cached(ctx context.Context, key string, run func() (any, error)) (out any, cached bool, err error) {
 	for {
-		if v, ok := p.cache.Get(key); ok {
+		r, hit, lead := p.results.claim(key)
+		switch {
+		case hit:
 			p.hits.Add(1)
-			return v, true, nil
-		}
-		var leaderHit bool
-		v, shared, err := p.flights.Do(ctx, key, func() (any, error) {
-			// Re-check under flight leadership: a previous leader may
-			// have filled the cache between our miss and our Do —
-			// becoming the new leader then must not re-simulate a
-			// cached key.
-			if v, ok := p.cache.Get(key); ok {
-				p.hits.Add(1)
-				leaderHit = true
-				return v, nil
-			}
+			return r.val, true, nil
+		case lead:
 			p.misses.Add(1)
-			out, err := run()
-			if err == nil {
-				if p.cache.Add(key, out) {
-					p.evictions.Add(1)
-				}
+			out, err = run()
+			if p.results.finish(r, out, err) {
+				p.evictions.Add(1)
 			}
-			return out, err
-		})
-		if shared {
+		default:
 			p.coalesced.Add(1)
+			select {
+			case <-r.done:
+				out, err = r.val, r.err
+			case <-ctx.Done():
+				out, err = nil, context.Cause(ctx)
+			}
 			// The leader runs under its own request context; if it was
 			// canceled, its death must not poison this still-healthy
 			// follower — retry, becoming (or joining) a fresh leader.
@@ -238,7 +232,7 @@ func (p *Planner) cached(ctx context.Context, key string, run func() (any, error
 		if err != nil && interruptedError(err) {
 			p.rejections.Add(1)
 		}
-		return v, leaderHit, err
+		return out, false, err
 	}
 }
 
@@ -249,8 +243,8 @@ type simulated struct {
 	events []obs.Event
 }
 
-// simulate is every simulation's path: cache, then singleflight, then
-// one unit run through the shared pool, so scenario and fleet traffic
+// simulate is every simulation's path: the result table, then one
+// unit run through the shared pool, so scenario and fleet traffic
 // share one admission bound and the campaign's seed derivation and
 // panic containment. run receives the unit seed and a fresh recorder
 // when trace is set (nil otherwise). The unit key, and so the derived
@@ -615,8 +609,8 @@ type gridResult struct {
 }
 
 // measureGrid is the fan-out shared by Sweep and Cheapest: every
-// scenario is dispatched onto the shared pool at once (cache and
-// singleflight apply per cell), and visit sees cells incrementally in
+// scenario is dispatched onto the shared pool at once (the result
+// table applies per cell), and visit sees cells incrementally in
 // grid order — each as soon as it and every earlier cell have
 // resolved, so cached cells surface immediately. A visit error or a
 // canceled ctx returns early; the stragglers are canceled and waited

@@ -54,12 +54,6 @@ func TestConcurrentIdenticalQueriesRunOneSimulation(t *testing.T) {
 
 	const callers = 16
 	q := testQuery(7)
-	sc, steps, ic, err := q.scenario()
-	if err != nil {
-		t.Fatal(err)
-	}
-	key := cacheKey(experiments.ScenarioKey(sc, steps, ic), q.Seed)
-
 	var wg sync.WaitGroup
 	outcomes := make([]Outcome, callers)
 	errs := make([]error, callers)
@@ -71,12 +65,12 @@ func TestConcurrentIdenticalQueriesRunOneSimulation(t *testing.T) {
 			outcomes[c], errs[c] = p.Measure(context.Background(), q)
 		}()
 	}
-	// Rendezvous: wait until all fifteen followers are parked behind
-	// the leader, so none of them can be served by the cache instead.
+	// Rendezvous: wait until all fifteen followers have joined the
+	// leader, so none of them can be served by the cache instead.
 	deadline := time.Now().Add(10 * time.Second)
-	for p.flights.waiting(key) != callers-1 {
+	for p.Stats().Coalesced != callers-1 {
 		if time.Now().After(deadline) {
-			t.Fatalf("only %d followers parked, want %d", p.flights.waiting(key), callers-1)
+			t.Fatalf("only %d followers joined, want %d", p.Stats().Coalesced, callers-1)
 		}
 		time.Sleep(time.Millisecond)
 	}
@@ -97,6 +91,66 @@ func TestConcurrentIdenticalQueriesRunOneSimulation(t *testing.T) {
 	st := p.Stats()
 	if st.Misses != 1 || st.Coalesced != callers-1 || st.Hits != 0 {
 		t.Fatalf("stats = %+v, want 1 miss and %d coalesced", st, callers-1)
+	}
+}
+
+// TestFailedSimulationIsSharedNotCached: identical queries that join a
+// simulation failing on its own terms share its one run and its error;
+// nothing is cached, no rejection is counted, and the next query
+// simulates again.
+func TestFailedSimulationIsSharedNotCached(t *testing.T) {
+	p := New(Config{Workers: 2, QueueDepth: 4, CacheSize: 16})
+	defer p.Close()
+	var sims atomic.Int64
+	release := make(chan struct{})
+	errWeek := errors.New("did not finish within a week of virtual time")
+	p.measure = func(sc experiments.Scenario, steps, ic, seed int64, trace *obs.Recorder) (experiments.ScenarioOutcome, error) {
+		sims.Add(1)
+		<-release
+		return experiments.ScenarioOutcome{}, errWeek
+	}
+
+	const callers = 4
+	q := testQuery(5)
+	var wg sync.WaitGroup
+	errs := make([]error, callers)
+	for c := range callers {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			_, errs[c] = p.Measure(context.Background(), q)
+		}()
+	}
+	deadline := time.Now().Add(10 * time.Second)
+	for p.Stats().Coalesced != callers-1 {
+		if time.Now().After(deadline) {
+			t.Fatalf("only %d followers joined, want %d", p.Stats().Coalesced, callers-1)
+		}
+		time.Sleep(time.Millisecond)
+	}
+	close(release)
+	wg.Wait()
+
+	for c, err := range errs {
+		if !errors.Is(err, errWeek) {
+			t.Fatalf("caller %d: got %v, want the shared simulation error", c, err)
+		}
+	}
+	if n := sims.Load(); n != 1 {
+		t.Fatalf("%d simulations ran, want exactly 1", n)
+	}
+	st := p.Stats()
+	if st.Misses != 1 || st.Coalesced != callers-1 || st.Hits != 0 || st.Rejections != 0 || st.CacheEntries != 0 {
+		t.Fatalf("stats = %+v, want 1 miss, %d coalesced, no rejection and nothing cached", st, callers-1)
+	}
+	if _, err := p.Measure(context.Background(), q); !errors.Is(err, errWeek) {
+		t.Fatalf("repeated query: got %v, want the simulation error again", err)
+	}
+	if n := sims.Load(); n != 2 {
+		t.Fatalf("%d simulations ran, want 2: a failure must not be cached", n)
+	}
+	if st := p.Stats(); st.Misses != 2 || st.Hits != 0 || st.Rejections != 0 {
+		t.Fatalf("stats = %+v after the repeat, want 2 misses, no hit and no rejection", st)
 	}
 }
 
@@ -385,24 +439,18 @@ func TestCanceledLeaderDoesNotPoisonFollowers(t *testing.T) {
 	<-decoyRunning
 
 	q := testQuery(3)
-	sc, steps, ic, err := q.scenario()
-	if err != nil {
-		t.Fatal(err)
-	}
-	key := cacheKey(experiments.ScenarioKey(sc, steps, ic), q.Seed)
-
 	leaderCtx, cancelLeader := context.WithCancel(context.Background())
 	leaderErr := make(chan error, 1)
 	go func() {
 		_, err := p.Measure(leaderCtx, q)
 		leaderErr <- err
 	}()
-	// Only start the follower once the cancelable caller owns the
-	// flight, so the roles cannot swap.
+	// Only start the follower once the cancelable caller has claimed
+	// the key, so the roles cannot swap.
 	deadline := time.Now().Add(10 * time.Second)
-	for !p.flights.inFlight(key) {
+	for p.Stats().Misses != 1 {
 		if time.Now().After(deadline) {
-			t.Fatal("leader never opened a flight")
+			t.Fatal("leader never claimed the key")
 		}
 		time.Sleep(time.Millisecond)
 	}
@@ -413,8 +461,8 @@ func TestCanceledLeaderDoesNotPoisonFollowers(t *testing.T) {
 		followerOut <- out
 		followerErr <- err
 	}()
-	// Wait until the follower is parked behind the leader.
-	for p.flights.waiting(key) != 1 {
+	// Wait until the follower has joined the leader.
+	for p.Stats().Coalesced != 1 {
 		if time.Now().After(deadline) {
 			t.Fatal("follower never joined the flight")
 		}
@@ -522,28 +570,53 @@ func TestQueryValidation(t *testing.T) {
 }
 
 // TestLRURecency pins the eviction policy details the service relies
-// on: Get refreshes recency and Add updates in place.
+// on: a hit refreshes recency, the third insert into a two-entry table
+// evicts the least recent entry, and a failed flight is not cached.
 func TestLRURecency(t *testing.T) {
-	c := newLRU(2)
-	a := experiments.ScenarioOutcome{CostUSD: 1}
-	b := experiments.ScenarioOutcome{CostUSD: 2}
-	d := experiments.ScenarioOutcome{CostUSD: 3}
-	c.Add("a", a)
-	c.Add("b", b)
-	c.Get("a") // refresh: b is now LRU
-	if evicted := c.Add("d", d); !evicted {
-		t.Fatal("third insert into a 2-cache must evict")
+	c := newResults(2)
+	mustLead := func(key string) *result {
+		t.Helper()
+		r, hit, lead := c.claim(key)
+		if hit || !lead {
+			t.Fatalf("claim(%q) = hit %v, lead %v; want a new flight", key, hit, lead)
+		}
+		return r
 	}
-	if _, ok := c.Get("b"); ok {
-		t.Fatal("evicted the recently-used entry instead of the LRU one")
+	mustHit := func(key string) any {
+		t.Helper()
+		r, hit, _ := c.claim(key)
+		if !hit {
+			t.Fatalf("claim(%q) missed a cached entry", key)
+		}
+		return r.val
 	}
-	if got, ok := c.Get("a"); !ok || got.(experiments.ScenarioOutcome).CostUSD != 1 {
-		t.Fatal("refreshed entry was evicted")
+	c.finish(mustLead("a"), 1, nil)
+	c.finish(mustLead("b"), 2, nil)
+	mustHit("a") // refresh: b is now the least recent
+	if evicted := c.finish(mustLead("d"), 3, nil); !evicted {
+		t.Fatal("third insert into a 2-entry table must evict")
 	}
-	if evicted := c.Add("a", d); evicted {
-		t.Fatal("updating an existing key must not evict")
+	if got := mustHit("a"); got != 1 {
+		t.Fatalf("refreshed entry holds %v, want 1", got)
 	}
-	if got, _ := c.Get("a"); got.(experiments.ScenarioOutcome).CostUSD != 3 {
-		t.Fatal("Add did not update the existing entry")
+	mustHit("d")
+
+	// b was the victim, so claiming it leads a new flight, and a second
+	// claim follows that flight.
+	failed := mustLead("b")
+	if r, hit, lead := c.claim("b"); hit || lead || r != failed {
+		t.Fatal("a claim on an in-flight key must follow its flight")
 	}
+	boom := errors.New("boom")
+	if evicted := c.finish(failed, nil, boom); evicted {
+		t.Fatal("a failed flight must not evict")
+	}
+	<-failed.done
+	if !errors.Is(failed.err, boom) {
+		t.Fatalf("flight error %v, want %v", failed.err, boom)
+	}
+	if n := c.Len(); n != 2 {
+		t.Fatalf("%d cached entries after a failed flight, want 2", n)
+	}
+	mustLead("b") // the failure was not cached: the next caller leads again
 }
